@@ -15,7 +15,7 @@
 //!    those observed within a single AS.
 
 use crate::changes::{histories_from_records, spans_of, ProbeHistory, Span};
-use dynamips_atlas::{ProbeSeries, TEST_ADDRESS};
+use dynamips_atlas::{EchoV4, EchoV6, ProbeId, ProbeSeries, TEST_ADDRESS};
 use dynamips_netaddr::Ipv6Prefix;
 use dynamips_netsim::SimTime;
 use dynamips_routing::{Asn, RoutingTable};
@@ -131,6 +131,18 @@ pub fn sanitize_probe(
     cfg: &SanitizeConfig,
     report: &mut SanitizeReport,
 ) -> SanitizeOutcome {
+    sanitize_with(series, routing, cfg, report, split_by_as)
+}
+
+/// The pipeline behind [`sanitize_probe`], with step (5) passed in so the
+/// tests can run it against a reference splitter.
+fn sanitize_with(
+    series: &ProbeSeries,
+    routing: &RoutingTable,
+    cfg: &SanitizeConfig,
+    report: &mut SanitizeReport,
+    split: SplitFn,
+) -> SanitizeOutcome {
     report.probes_in += 1;
 
     // (2) tags
@@ -170,7 +182,7 @@ pub fn sanitize_probe(
     }
 
     // (5) split by AS runs.
-    let histories = split_by_as(series.probe, &v4, &series.v6, routing);
+    let histories = split(series.probe, &v4, &series.v6, routing);
     if histories.is_empty() {
         report.too_short += 1;
         return SanitizeOutcome::Rejected(RejectReason::NoData);
@@ -215,28 +227,33 @@ fn is_alternating<T: PartialEq + Copy>(spans: &[Span<T>], cfg: &SanitizeConfig) 
     false
 }
 
+/// Step (5) of the pipeline: [`split_by_as`].
+type SplitFn = fn(ProbeId, &[EchoV4], &[EchoV6], &RoutingTable) -> Vec<ProbeHistory>;
+
 /// Assign each observation to its origin AS and split the series into
 /// contiguous per-AS runs. Observations that are not routed at all are
 /// discarded (they cannot be attributed to a network).
 fn split_by_as(
-    probe: dynamips_atlas::ProbeId,
-    v4: &[dynamips_atlas::EchoV4],
-    v6: &[dynamips_atlas::EchoV6],
+    probe: ProbeId,
+    v4: &[EchoV4],
+    v6: &[EchoV6],
     routing: &RoutingTable,
 ) -> Vec<ProbeHistory> {
+    // One routing lookup per record, skipped while the v4 address or the
+    // v6 /64 repeats.
+    let v4_as = label_by(v4, |r| r.client, |a| routing.origin_v4(a));
+    let v6_as = label_by(
+        v6,
+        |r| Ipv6Prefix::slash64_of(r.client),
+        |p| routing.route_v6_prefix(&p).map(|(_, asn)| asn),
+    );
+
     // Merge both families into one AS-over-time view to find run
     // boundaries.
-    let mut as_obs: Vec<(SimTime, Asn)> = Vec::new();
-    for r in v4 {
-        if let Some(asn) = routing.origin_v4(r.client) {
-            as_obs.push((r.time, asn));
-        }
-    }
-    for r in v6 {
-        if let Some((_, asn)) = routing.route_v6_prefix(&Ipv6Prefix::slash64_of(r.client)) {
-            as_obs.push((r.time, asn));
-        }
-    }
+    let mut as_obs: Vec<(SimTime, Asn)> = (v4.iter().map(|r| r.time).zip(&v4_as))
+        .chain(v6.iter().map(|r| r.time).zip(&v6_as))
+        .filter_map(|(t, asn)| Some((t, (*asn)?)))
+        .collect();
     as_obs.sort_by_key(|(t, _)| *t);
     let as_runs = spans_of(as_obs.into_iter());
 
@@ -244,19 +261,20 @@ fn split_by_as(
         .iter()
         .enumerate()
         .map(|(i, run)| {
-            let lo = run.first;
-            let hi = run.last;
+            let in_run = |time: SimTime, asn: Option<Asn>| {
+                time >= run.first && time <= run.last && asn == Some(run.value)
+            };
             let v4_spans = spans_of(
                 v4.iter()
-                    .filter(|r| r.time >= lo && r.time <= hi)
-                    .filter(|r| routing.origin_v4(r.client) == Some(run.value))
-                    .map(|r| (r.time, r.client)),
+                    .zip(&v4_as)
+                    .filter(|(r, asn)| in_run(r.time, **asn))
+                    .map(|(r, _)| (r.time, r.client)),
             );
             let v6_spans = spans_of(
                 v6.iter()
-                    .filter(|r| r.time >= lo && r.time <= hi)
-                    .map(|r| (r.time, Ipv6Prefix::slash64_of(r.client)))
-                    .filter(|(_, p)| routing.route_v6_prefix(p).map(|(_, a)| a) == Some(run.value)),
+                    .zip(&v6_as)
+                    .filter(|(r, asn)| in_run(r.time, **asn))
+                    .map(|(r, _)| (r.time, Ipv6Prefix::slash64_of(r.client))),
             );
             ProbeHistory {
                 probe,
@@ -269,10 +287,36 @@ fn split_by_as(
         .collect()
 }
 
+/// The origin AS of each record, in record order. `lookup` runs once per
+/// change of `key`: echoes repeat one address for hours to days, so
+/// consecutive records mostly share their answer.
+fn label_by<R, K: PartialEq + Copy>(
+    records: &[R],
+    key: impl Fn(&R) -> K,
+    lookup: impl Fn(K) -> Option<Asn>,
+) -> Vec<Option<Asn>> {
+    let mut last: Option<(K, Option<Asn>)> = None;
+    records
+        .iter()
+        .map(|r| {
+            let k = key(r);
+            match last {
+                Some((seen, asn)) if seen == k => asn,
+                _ => {
+                    let asn = lookup(k);
+                    last = Some((k, asn));
+                    asn
+                }
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynamips_atlas::{EchoV4, EchoV6, ProbeId};
+    use dynamips_netsim::rngutil::derive_rng;
+    use rand::Rng;
     use std::net::{Ipv4Addr, Ipv6Addr};
 
     fn routing() -> RoutingTable {
@@ -477,6 +521,142 @@ mod tests {
             out,
             SanitizeOutcome::Rejected(RejectReason::NoData)
         ));
+    }
+
+    /// [`split_by_as`] as it was before per-record labelling: two routing
+    /// lookups per record, repeated in every run's filter. The reference
+    /// oracle for the labelled version.
+    fn split_by_as_per_record(
+        probe: ProbeId,
+        v4: &[EchoV4],
+        v6: &[EchoV6],
+        routing: &RoutingTable,
+    ) -> Vec<ProbeHistory> {
+        let mut as_obs: Vec<(SimTime, Asn)> = Vec::new();
+        for r in v4 {
+            if let Some(asn) = routing.origin_v4(r.client) {
+                as_obs.push((r.time, asn));
+            }
+        }
+        for r in v6 {
+            if let Some((_, asn)) = routing.route_v6_prefix(&Ipv6Prefix::slash64_of(r.client)) {
+                as_obs.push((r.time, asn));
+            }
+        }
+        as_obs.sort_by_key(|(t, _)| *t);
+        let as_runs = spans_of(as_obs.into_iter());
+        as_runs
+            .iter()
+            .enumerate()
+            .map(|(i, run)| {
+                let lo = run.first;
+                let hi = run.last;
+                let v4_spans = spans_of(
+                    v4.iter()
+                        .filter(|r| r.time >= lo && r.time <= hi)
+                        .filter(|r| routing.origin_v4(r.client) == Some(run.value))
+                        .map(|r| (r.time, r.client)),
+                );
+                let v6_spans = spans_of(
+                    v6.iter()
+                        .filter(|r| r.time >= lo && r.time <= hi)
+                        .map(|r| (r.time, Ipv6Prefix::slash64_of(r.client)))
+                        .filter(|(_, p)| {
+                            routing.route_v6_prefix(p).map(|(_, a)| a) == Some(run.value)
+                        }),
+                );
+                ProbeHistory {
+                    probe,
+                    virtual_index: i as u8,
+                    asn: run.value,
+                    v4: v4_spans,
+                    v6: v6_spans,
+                }
+            })
+            .collect()
+    }
+
+    /// A seeded echo series: segments of records 1–7 hours apart, each on
+    /// one address drawn from AS3320, AS7922, unrouted space or (v4 only)
+    /// the test address, so AS moves fall mid-span and the two families
+    /// move at different times. With `shuffle`, records are swapped out
+    /// of time order, as a lossy loader may deliver them.
+    fn random_series(rng: &mut impl Rng, shuffle: bool) -> ProbeSeries {
+        let hours = rng.gen_range(200..1500u64);
+        let mut v4 = Vec::new();
+        let mut v6 = Vec::new();
+        let mut h = 0;
+        while h < hours {
+            let len = rng.gen_range(1..400u64);
+            let n = rng.gen_range(0..4u8);
+            let client = match rng.gen_range(0..8) {
+                0..=2 => format!("84.1.{n}.{}", h % 250),
+                3..=4 => format!("98.7.{n}.{}", h % 250),
+                5 => format!("10.1.{n}.1"),
+                6 => "193.0.0.78".to_string(),
+                _ => format!("84.1.{n}.1"),
+            };
+            v4.extend(((h..h + len).step_by(rng.gen_range(1..4))).map(|t| v4rec(t, &client)));
+            h += len;
+        }
+        h = rng.gen_range(0..300);
+        while h < hours {
+            let len = rng.gen_range(1..500u64);
+            let n = rng.gen_range(0..3u8);
+            let client = match rng.gen_range(0..6) {
+                0..=2 => format!("2003:0:0:{:x}::5", (h % 100) * 4 + u64::from(n)),
+                3..=4 => format!("2601:0:0:{n}::9"),
+                _ => format!("2a00:0:{n}::1"),
+            };
+            v6.extend(((h..h + len).step_by(rng.gen_range(1..8))).map(|t| v6rec(t, &client)));
+            h += len;
+        }
+        if shuffle {
+            for _ in 0..rng.gen_range(1..20) {
+                let (a, b) = (rng.gen_range(0..v4.len()), rng.gen_range(0..v4.len()));
+                v4.swap(a, b);
+                if !v6.is_empty() {
+                    let (a, b) = (rng.gen_range(0..v6.len()), rng.gen_range(0..v6.len()));
+                    v6.swap(a, b);
+                }
+            }
+        }
+        series(v4, v6)
+    }
+
+    #[test]
+    fn labelled_split_matches_per_record_reference() {
+        let routing = routing();
+        let mut rng = derive_rng(14, 2);
+        let (mut splits, mut clean) = (0, 0);
+        for i in 0..40 {
+            let s = random_series(&mut rng, i % 3 == 0);
+            let got = split_by_as(s.probe, &s.v4, &s.v6, &routing);
+            let want = split_by_as_per_record(s.probe, &s.v4, &s.v6, &routing);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "series {i}");
+            splits += usize::from(got.len() > 1);
+
+            for cfg in [
+                SanitizeConfig::default(),
+                SanitizeConfig {
+                    min_observed_hours: 48,
+                    multihoming_revisit_threshold: 1000,
+                    ..SanitizeConfig::default()
+                },
+            ] {
+                let mut got_report = SanitizeReport::default();
+                let mut want_report = SanitizeReport::default();
+                let got = sanitize_with(&s, &routing, &cfg, &mut got_report, split_by_as);
+                let want =
+                    sanitize_with(&s, &routing, &cfg, &mut want_report, split_by_as_per_record);
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "series {i}");
+                assert_eq!(got_report, want_report, "series {i}");
+                clean += usize::from(matches!(got, SanitizeOutcome::Clean(_)));
+            }
+        }
+        // The seeded series must exercise the split and the clean path.
+        assert!(splits > 10, "{splits} split series");
+        assert!(clean > 10, "{clean} clean outcomes");
     }
 
     #[test]

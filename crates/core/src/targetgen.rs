@@ -15,7 +15,9 @@
 //! budgets.
 
 use dynamips_netaddr::Ipv6Prefix;
-use std::collections::HashSet;
+use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, HashSet};
 
 /// Per-nibble frequency model over the 16 network nibbles of a /64.
 #[derive(Debug, Clone)]
@@ -63,22 +65,10 @@ impl NibbleModel {
     /// bounds the number of partial candidates kept per position.
     pub fn generate(&self, limit: usize, beam: usize) -> Vec<Ipv6Prefix> {
         let beam = beam.max(limit).max(1);
-        // (network bits so far, log-probability)
+        // (network bits so far, log-probability), most probable first
         let mut partials: Vec<(u64, f64)> = vec![(0, 0.0)];
         for pos in 0..16 {
-            let mut next: Vec<(u64, f64)> = Vec::with_capacity(partials.len() * 4);
-            for (bits, logp) in &partials {
-                for v in 0..16u64 {
-                    let p = self.freq[pos][v as usize];
-                    if p <= 0.0 {
-                        continue;
-                    }
-                    next.push(((bits << 4) | v, logp + p.ln()));
-                }
-            }
-            next.sort_by(|a, b| b.1.total_cmp(&a.1));
-            next.truncate(beam);
-            partials = next;
+            partials = self.extend_beam(pos, &partials, beam);
         }
         partials
             .into_iter()
@@ -86,7 +76,87 @@ impl NibbleModel {
             .filter_map(|(bits, _)| Ipv6Prefix::from_bits((bits as u128) << 64, 64).ok())
             .collect()
     }
+
+    /// Extend each of `partials` (sorted by log-probability, descending)
+    /// by every nibble value seen at `pos` and keep the `beam` most
+    /// probable extensions. Ties go to the lower parent index, then the
+    /// lower nibble value: the order a stable sort of all extensions gives.
+    ///
+    /// Adding a value's `ln p` is monotone, so each value's extensions
+    /// already come sorted; a k-way merge of those ≤16 lists yields the
+    /// first `beam` without building all 16 × `partials` candidates.
+    fn extend_beam(&self, pos: usize, partials: &[(u64, f64)], beam: usize) -> Vec<(u64, f64)> {
+        let Some(&(_, top)) = partials.first() else {
+            return Vec::new();
+        };
+        let mut heads: BinaryHeap<MergeHead> = (0..16u8)
+            .filter_map(|v| {
+                let p = self.freq[pos][v as usize];
+                (p > 0.0).then(|| {
+                    let ln_p = p.ln();
+                    MergeHead {
+                        logp: top + ln_p,
+                        ln_p,
+                        parent: 0,
+                        value: v,
+                    }
+                })
+            })
+            .collect();
+        let mut next = Vec::with_capacity(beam.min(partials.len() * heads.len()));
+        while next.len() < beam {
+            let Some(mut head) = heads.peek_mut() else {
+                break;
+            };
+            let (bits, _) = partials[head.parent];
+            next.push(((bits << 4) | u64::from(head.value), head.logp));
+            match partials.get(head.parent + 1) {
+                Some(&(_, logp)) => {
+                    head.parent += 1;
+                    head.logp = logp + head.ln_p;
+                }
+                None => {
+                    PeekMut::pop(head);
+                }
+            }
+        }
+        next
+    }
 }
+
+/// The next unmerged extension of one nibble value's list in
+/// [`NibbleModel::extend_beam`]: `partials[parent]` followed by `value`.
+/// Ordered so the max-heap yields the highest log-probability first, then
+/// the lowest parent index, then the lowest value.
+struct MergeHead {
+    logp: f64,
+    ln_p: f64,
+    parent: usize,
+    value: u8,
+}
+
+impl Ord for MergeHead {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.logp
+            .total_cmp(&other.logp)
+            .then_with(|| other.parent.cmp(&self.parent))
+            .then_with(|| other.value.cmp(&self.value))
+    }
+}
+
+impl PartialOrd for MergeHead {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for MergeHead {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for MergeHead {}
 
 /// 6Gen-lite: group sorted seeds into clusters whose covering prefix is at
 /// least `min_cluster_len` long, then spend `limit` targets enumerating the
@@ -162,6 +232,8 @@ pub fn sixgen_targets(seeds: &[Ipv6Prefix], min_cluster_len: u8, limit: usize) -
 mod tests {
     use super::*;
     use crate::hitlist::hit_rate;
+    use dynamips_netsim::rngutil::derive_rng;
+    use rand::Rng;
 
     fn p(s: &str) -> Ipv6Prefix {
         s.parse().unwrap()
@@ -196,6 +268,143 @@ mod tests {
         let targets = model.generate(2, 16);
         assert_eq!(targets[0], p("2001:db8::/64"), "most probable first");
         assert_eq!(targets[1], p("2001:db8:0:8::/64"));
+    }
+
+    /// One beam step as `generate` did it before the k-way merge: build
+    /// every extension, stable-sort by log-probability, truncate. The
+    /// reference oracle for [`NibbleModel::extend_beam`].
+    fn extend_by_full_sort(
+        model: &NibbleModel,
+        pos: usize,
+        partials: &[(u64, f64)],
+        beam: usize,
+    ) -> Vec<(u64, f64)> {
+        let mut next: Vec<(u64, f64)> = Vec::with_capacity(partials.len() * 4);
+        for (bits, logp) in partials {
+            for v in 0..16u64 {
+                let p = model.freq[pos][v as usize];
+                if p <= 0.0 {
+                    continue;
+                }
+                next.push(((bits << 4) | v, logp + p.ln()));
+            }
+        }
+        next.sort_by(|a, b| b.1.total_cmp(&a.1));
+        next.truncate(beam);
+        next
+    }
+
+    /// `generate` built on the full-sort step, compared step by step with
+    /// the merge (bits and exact log-probability bits).
+    fn generate_checked(model: &NibbleModel, limit: usize, beam: usize) -> Vec<Ipv6Prefix> {
+        let beam = beam.max(limit).max(1);
+        let mut partials: Vec<(u64, f64)> = vec![(0, 0.0)];
+        for pos in 0..16 {
+            let want = extend_by_full_sort(model, pos, &partials, beam);
+            let got = model.extend_beam(pos, &partials, beam);
+            let bits = |xs: &[(u64, f64)]| -> Vec<(u64, u64)> {
+                xs.iter().map(|&(b, l)| (b, l.to_bits())).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "nibble {pos}, beam {beam}");
+            partials = want;
+        }
+        let want: Vec<Ipv6Prefix> = partials
+            .into_iter()
+            .take(limit)
+            .filter_map(|(bits, _)| Ipv6Prefix::from_bits((bits as u128) << 64, 64).ok())
+            .collect();
+        assert_eq!(
+            model.generate(limit, beam),
+            want,
+            "limit {limit}, beam {beam}"
+        );
+        want
+    }
+
+    fn model_from_counts(counts: &[[usize; 16]; 16]) -> NibbleModel {
+        let mut freq = [[0f64; 16]; 16];
+        for (row, count) in freq.iter_mut().zip(counts) {
+            let total: usize = count.iter().sum();
+            for (f, &c) in row.iter_mut().zip(count) {
+                *f = c as f64 / total as f64;
+            }
+        }
+        NibbleModel {
+            freq,
+            trained_on: 0,
+        }
+    }
+
+    /// Per-position counts over `width` random values drawn from
+    /// `weights`; a width of 1 gives a single nonzero value.
+    fn random_counts(rng: &mut impl Rng, widths: &[usize], weights: &[usize]) -> [[usize; 16]; 16] {
+        let mut counts = [[0usize; 16]; 16];
+        for row in counts.iter_mut() {
+            let width = widths[rng.gen_range(0..widths.len())];
+            let start = rng.gen_range(0..16);
+            for k in 0..width {
+                row[(start + 3 * k) % 16] = weights[rng.gen_range(0..weights.len())];
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn beam_merge_matches_full_sort_with_ties() {
+        let mut rng = derive_rng(14, 0);
+        for _ in 0..12 {
+            // Uniform rows: every value equally likely, so whole rows tie.
+            let uniform = model_from_counts(&random_counts(&mut rng, &[1, 2, 4, 16], &[1]));
+            // Duplicated frequencies: rows mixing two weights.
+            let duplicated = model_from_counts(&random_counts(&mut rng, &[1, 3, 5, 7], &[1, 2]));
+            for model in [&uniform, &duplicated] {
+                for (limit, beam) in [(1, 1), (10, 7), (50, 200), (300, 300), (64, 4096)] {
+                    generate_checked(model, limit, beam);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn beam_merge_matches_full_sort_on_trained_models() {
+        let mut rng = derive_rng(14, 1);
+        for n in [20usize, 200, 2000] {
+            // Seeds drawn from a small alphabet per nibble: frequencies
+            // repeat across values and positions.
+            let seeds: Vec<Ipv6Prefix> = (0..n)
+                .map(|_| {
+                    let network = (0..16).fold(0u64, |acc, pos| {
+                        let nibble = if pos < 8 {
+                            pos as u64
+                        } else {
+                            rng.gen_range(0..4) * 5
+                        };
+                        (acc << 4) | nibble
+                    });
+                    Ipv6Prefix::from_bits((network as u128) << 64, 64).unwrap()
+                })
+                .collect();
+            let model = NibbleModel::train(&seeds).unwrap();
+            for (limit, beam) in [(5, 5), (100, 400), (1000, 2000)] {
+                generate_checked(&model, limit, beam);
+            }
+        }
+    }
+
+    #[test]
+    fn beam_wider_than_candidates_returns_them_all() {
+        // Two values at three positions and one elsewhere: 8 candidates.
+        let mut counts = [[0usize; 16]; 16];
+        for (pos, row) in counts.iter_mut().enumerate() {
+            row[pos % 16] = 3;
+            if pos % 6 == 0 {
+                row[(pos + 1) % 16] = 1;
+            }
+        }
+        let model = model_from_counts(&counts);
+        let all = generate_checked(&model, 100, 1000);
+        assert_eq!(all.len(), 8);
+        assert_eq!(generate_checked(&model, 3, 1000), all[..3].to_vec());
     }
 
     #[test]

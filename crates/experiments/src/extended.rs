@@ -344,18 +344,14 @@ pub fn target_generation_with(world: &World, by_as: &CleanHistories) -> String {
         // size, capped at 2^19.
         let refs: Vec<&ProbeHistory> = train.iter().filter(|h| h.v6.len() >= 2).collect();
         let plan = ScanPlan::derive(&refs, &seeds);
-        let budget = plan
+        let plan_size = plan
             .as_ref()
-            .map(|p| {
-                (p.pools.len() as u64)
-                    .saturating_mul(p.targets_per_pool)
-                    .min(1 << 19) as usize
-            })
-            .unwrap_or(1 << 16);
+            .map(|p| (p.pools.len() as u64).saturating_mul(p.targets_per_pool));
+        let budget = plan_size.map_or(1 << 16, |size| size.min(1 << 19) as usize);
         let plan_rate = plan
-            .map(|plan| {
-                let total = plan.pools.len() as u64 * plan.targets_per_pool;
-                if total <= budget as u64 {
+            .zip(plan_size)
+            .map(|(plan, size)| {
+                if size <= budget as u64 {
                     plan.coverage(&future)
                 } else {
                     hit_rate(&plan.targets(budget), &future)
