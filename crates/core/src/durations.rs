@@ -122,6 +122,82 @@ impl DurationSet {
     }
 }
 
+/// The cumulative total time fraction at one threshold, kept as exact
+/// running sums instead of a stored multiset: `fraction()` equals
+/// `DurationSet::cumulative_ttf_at(&[threshold])[0]` over the same
+/// durations, bit for bit, in O(1) memory.
+///
+/// Exact because every partial sum is an integer below 2^53, which f64
+/// adds without rounding in any order.
+///
+/// ```
+/// use dynamips_core::durations::{DurationSet, ThresholdTtf};
+///
+/// let hours = [1, 2, 24, 24, 700];
+/// let mut running = ThresholdTtf::new(2);
+/// running.extend(hours);
+/// let mut set = DurationSet::new();
+/// set.extend(hours);
+/// assert_eq!(running.fraction().to_bits(), set.cumulative_ttf_at(&[2])[0].to_bits());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ThresholdTtf {
+    threshold: u64,
+    within: u64,
+    within_hours: u64,
+    total_hours: u64,
+}
+
+impl ThresholdTtf {
+    /// An empty accumulator for durations `<= threshold` hours.
+    pub fn new(threshold: u64) -> Self {
+        ThresholdTtf {
+            threshold,
+            within: 0,
+            within_hours: 0,
+            total_hours: 0,
+        }
+    }
+
+    /// Add one duration.
+    pub fn push(&mut self, hours: u64) {
+        if hours <= self.threshold {
+            self.within += 1;
+            self.within_hours += hours;
+        }
+        self.total_hours += hours;
+    }
+
+    /// Add many durations.
+    pub fn extend(&mut self, hours: impl IntoIterator<Item = u64>) {
+        for h in hours {
+            self.push(h);
+        }
+    }
+
+    /// Fold another accumulator (same threshold) into this one.
+    pub fn merge(&mut self, other: &ThresholdTtf) {
+        self.within += other.within;
+        self.within_hours += other.within_hours;
+        self.total_hours += other.total_hours;
+    }
+
+    /// Share of total time in durations at or below the threshold.
+    pub fn fraction(&self) -> f64 {
+        if self.total_hours == 0 {
+            return 0.0;
+        }
+        // `weighted_cdf_at`'s prefix sums start at -0.0, so a threshold
+        // below every duration yields -0.0, not 0.0.
+        let within = if self.within == 0 {
+            -0.0
+        } else {
+            self.within_hours as f64
+        };
+        within / self.total_hours as f64
+    }
+}
+
 /// A detected periodic renumbering pattern.
 #[derive(Debug, Clone, Copy, PartialEq)]
 // lint:allow(dead-pub): values flow to other crates through pub fn
@@ -282,6 +358,52 @@ mod tests {
     fn total_hours_annotation() {
         let s = set(&[24, 48]);
         assert_eq!(s.total_hours(), 72);
+    }
+
+    /// `ThresholdTtf` must reproduce `cumulative_ttf_at(&[2])` bit for bit
+    /// (sign of zero included) on empty, all-above, all-within and mixed
+    /// seeded sets, whether pushed in one stream or merged from shards.
+    #[test]
+    fn threshold_ttf_matches_cumulative_ttf_bits() {
+        let mut state = 0x2545F4914F6CDD1Du64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let mut cases: Vec<Vec<u64>> = vec![
+            Vec::new(),
+            vec![3, 24, 9000],
+            vec![1, 1, 2, 2],
+            vec![0, 0],
+            vec![0, 5],
+        ];
+        for _ in 0..20 {
+            let n = 1 + next(400) as usize;
+            cases.push((0..n).map(|_| 3 + next(20_000)).collect());
+            cases.push((0..n).map(|_| next(3)).collect());
+            cases.push((0..n).map(|_| next(60)).collect());
+        }
+        for hours in &cases {
+            let want = set(hours).cumulative_ttf_at(&[2])[0];
+            let mut one = ThresholdTtf::new(2);
+            one.extend(hours.iter().copied());
+            let (a, b) = hours.split_at(hours.len() / 3);
+            let mut merged = ThresholdTtf::new(2);
+            merged.extend(b.iter().copied());
+            let mut front = ThresholdTtf::new(2);
+            front.extend(a.iter().copied());
+            merged.merge(&front);
+            for got in [one.fraction(), merged.fraction()] {
+                assert_eq!(got.to_bits(), want.to_bits(), "{hours:?}: {got} vs {want}");
+            }
+        }
+        // The named cases really cover both signs of zero.
+        assert_eq!(ThresholdTtf::new(2).fraction().to_bits(), 0.0f64.to_bits());
+        let mut above = ThresholdTtf::new(2);
+        above.extend([3, 24]);
+        assert_eq!(above.fraction().to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

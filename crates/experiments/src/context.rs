@@ -1,13 +1,20 @@
 //! Shared analysis products for the experiment harness.
+//!
+//! The Atlas side is one streaming pass ([`AtlasProducts::collect`]):
+//! every probe series is collected once and sanitized once (Appendix
+//! A.1), and its clean histories feed every product the request wants —
+//! the [`AtlasAnalysis`] accumulators, the per-AS clean histories of the
+//! extended artifacts, and the `sanitizer` artifact's distortion sums.
 
+use crate::extended::CleanHistories;
 use dynamips_atlas::{AtlasCollector, AtlasConfig, ProbeSeries};
 use dynamips_cdn::{AssociationDataset, CdnCollector, CdnConfig};
 use dynamips_core::association::{association_runs, AssociationRun};
 use dynamips_core::cardinality::{degree_stats, DegreeStats};
-use dynamips_core::changes::sandwiched_durations;
+use dynamips_core::changes::{histories_from_records, sandwiched_durations, ProbeHistory};
 use dynamips_core::degrade::DegradationReport;
 use dynamips_core::dualstack::{co_occurrence, labeled_v4_durations, CoOccurrence};
-use dynamips_core::durations::{detect_period, DurationSet};
+use dynamips_core::durations::{detect_period, DurationSet, ThresholdTtf};
 use dynamips_core::pools::PoolAccumulator;
 use dynamips_core::sanitize::{sanitize_probe, SanitizeConfig, SanitizeOutcome, SanitizeReport};
 use dynamips_core::spatial::{CplHistogram, CrossingStats};
@@ -116,21 +123,100 @@ impl AsStats {
     }
 }
 
-/// One worker's partial accumulation state: everything `compute_with`
-/// derives from the probe stream, so shards can be merged afterwards.
+/// Which products one Atlas pass ([`AtlasProducts::collect`]) fills.
+/// The sanitizer's accounting is always kept: it is a by-product of
+/// sanitizing every series.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct AtlasWants {
+    /// The per-AS accumulators of [`AtlasAnalysis`].
+    pub(crate) analysis: bool,
+    /// The [`CleanHistories`] map.
+    pub(crate) histories: bool,
+    /// The `sanitizer` artifact's [`ShortV4Share`].
+    pub(crate) short_v4: bool,
+}
+
+/// Duration threshold, hours, of the `sanitizer` artifact's distortion
+/// figure.
+const SHORT_V4_HOURS: u64 = 2;
+
+/// Share of total v4 assignment time in ≤2 h durations, before and after
+/// the sanitizer: the distortion the `sanitizer` artifact prints.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ShortV4Share {
+    /// Sandwiched durations of spans taken straight from the echo
+    /// records, no filters.
+    pub(crate) raw: ThresholdTtf,
+    /// Sandwiched v4 durations of the clean histories.
+    pub(crate) clean: ThresholdTtf,
+}
+
+impl Default for ShortV4Share {
+    fn default() -> Self {
+        ShortV4Share {
+            raw: ThresholdTtf::new(SHORT_V4_HOURS),
+            clean: ThresholdTtf::new(SHORT_V4_HOURS),
+        }
+    }
+}
+
+impl ShortV4Share {
+    fn merge(&mut self, other: &ShortV4Share) {
+        self.raw.merge(&other.raw);
+        self.clean.merge(&other.clean);
+    }
+}
+
+/// Everything one streaming pass over the Atlas world derives. A product
+/// that was not wanted is left empty; `analysis.sanitize` and `window`
+/// are always filled.
+pub(crate) struct AtlasProducts {
+    /// The Atlas analysis; its per-AS and global accumulators are empty
+    /// unless [`AtlasWants::analysis`].
+    pub(crate) analysis: AtlasAnalysis,
+    /// Clean histories per AS, in collector order; empty unless
+    /// [`AtlasWants::histories`].
+    pub(crate) histories: CleanHistories,
+    /// Zero unless [`AtlasWants::short_v4`].
+    pub(crate) short_v4: ShortV4Share,
+}
+
+/// One worker's share of a pass: every wanted product over the series
+/// dealt to it, merged across shards afterwards.
 #[derive(Default)]
-struct ShardAccumulator {
+struct Shard {
+    wants: AtlasWants,
     per_as: BTreeMap<Asn, AsStats>,
     report: SanitizeReport,
     global_inferred: InferredLenDistribution,
     degradation: DegradationReport,
+    /// Clean histories tagged with their series' collector index.
+    histories: Vec<(usize, ProbeHistory)>,
+    short_v4: ShortV4Share,
 }
 
-impl ShardAccumulator {
-    /// Sanitize one probe series and accumulate its clean histories.
-    fn accept(&mut self, series: ProbeSeries, routing: &RoutingTable, cfg: &SanitizeConfig) {
-        let outcome = sanitize_probe(&series, routing, cfg, &mut self.report);
-        let histories = match outcome {
+impl Shard {
+    fn new(wants: AtlasWants) -> Shard {
+        Shard {
+            wants,
+            ..Shard::default()
+        }
+    }
+
+    /// Sanitize series number `index` and feed its clean histories to
+    /// every wanted product.
+    fn accept(
+        &mut self,
+        index: usize,
+        series: ProbeSeries,
+        routing: &RoutingTable,
+        cfg: &SanitizeConfig,
+    ) {
+        if self.wants.short_v4 {
+            let (v4_raw, _) = histories_from_records(&series.v4, &series.v6);
+            self.short_v4.raw.extend(sandwiched_durations(&v4_raw));
+        }
+        let histories = match sanitize_probe(&series, routing, cfg, &mut self.report) {
             SanitizeOutcome::Clean(histories) => histories,
             SanitizeOutcome::Rejected(reason) => {
                 self.degradation.record("sanitize", reason.class());
@@ -138,59 +224,208 @@ impl ShardAccumulator {
             }
         };
         for h in &histories {
-            let stats = self.per_as.entry(h.asn).or_default();
-            stats.probes += 1;
-            let ds = h.is_dual_stack(DS_COVERAGE);
-            if ds {
-                stats.ds_probes += 1;
+            if self.wants.short_v4 {
+                self.short_v4.clean.extend(sandwiched_durations(&h.v4));
             }
-
-            // Change counts (Table 1).
-            let v4_changes = h.v4.len().saturating_sub(1) as u64;
-            let v6_changes = h.v6.len().saturating_sub(1) as u64;
-            stats.v4_changes_all += v4_changes;
-            if ds {
-                stats.v4_changes_ds += v4_changes;
-                stats.v6_changes += v6_changes;
+            if self.wants.analysis {
+                self.accumulate(h, routing);
             }
-
-            // Durations (Figure 1).
-            for d in labeled_v4_durations(h, DS_COVERAGE) {
-                if d.dual_stack {
-                    stats.v4_durations_ds.push(d.hours);
-                } else {
-                    stats.v4_durations_nds.push(d.hours);
-                }
-            }
-            stats.v6_durations.extend(sandwiched_durations(&h.v6));
-
-            // Interplay (Section 3.2).
-            if ds {
-                stats.cooccurrence.merge(&co_occurrence(h));
-            }
-
-            // Spatial (Figure 5, Table 2).
-            stats.cpl.add_probe(h);
-            stats.crossing.add_probe(h, routing);
-
-            // Pools and subscriber boundaries (Figures 6, 8, 9) —
-            // probes with at least one v6 assignment change.
-            if v6_changes >= 1 {
-                stats.pools.add_probe(h, routing);
-                stats.inferred.add_probe(h);
-                self.global_inferred.add_probe(h);
-            }
+        }
+        if self.wants.histories {
+            self.histories
+                .extend(histories.into_iter().map(|h| (index, h)));
         }
     }
 
-    /// Fold another shard into this one (order-insensitive throughout).
-    fn merge(&mut self, other: ShardAccumulator) {
+    /// Fold one clean history into the per-AS and global accumulators.
+    fn accumulate(&mut self, h: &ProbeHistory, routing: &RoutingTable) {
+        let stats = self.per_as.entry(h.asn).or_default();
+        stats.probes += 1;
+        let ds = h.is_dual_stack(DS_COVERAGE);
+        if ds {
+            stats.ds_probes += 1;
+        }
+
+        // Change counts (Table 1).
+        let v4_changes = h.v4.len().saturating_sub(1) as u64;
+        let v6_changes = h.v6.len().saturating_sub(1) as u64;
+        stats.v4_changes_all += v4_changes;
+        if ds {
+            stats.v4_changes_ds += v4_changes;
+            stats.v6_changes += v6_changes;
+        }
+
+        // Durations (Figure 1).
+        for d in labeled_v4_durations(h, DS_COVERAGE) {
+            if d.dual_stack {
+                stats.v4_durations_ds.push(d.hours);
+            } else {
+                stats.v4_durations_nds.push(d.hours);
+            }
+        }
+        stats.v6_durations.extend(sandwiched_durations(&h.v6));
+
+        // Interplay (Section 3.2).
+        if ds {
+            stats.cooccurrence.merge(&co_occurrence(h));
+        }
+
+        // Spatial (Figure 5, Table 2).
+        stats.cpl.add_probe(h);
+        stats.crossing.add_probe(h, routing);
+
+        // Pools and subscriber boundaries (Figures 6, 8, 9) —
+        // probes with at least one v6 assignment change.
+        if v6_changes >= 1 {
+            stats.pools.add_probe(h, routing);
+            stats.inferred.add_probe(h);
+            self.global_inferred.add_probe(h);
+        }
+    }
+
+    /// Fold another shard into this one. The accumulators are
+    /// order-insensitive; histories keep their tags and are put back in
+    /// collector order once all shards are in.
+    fn merge(&mut self, other: Shard) {
         for (asn, stats) in other.per_as {
             self.per_as.entry(asn).or_default().merge(&stats);
         }
         self.report.merge(&other.report);
         self.global_inferred.merge(&other.global_inferred);
         self.degradation.merge(&other.degradation);
+        self.histories.extend(other.histories);
+        self.short_v4.merge(&other.short_v4);
+    }
+}
+
+impl AtlasProducts {
+    /// Collect every probe of `world` over `window` and run one pass:
+    /// see [`AtlasProducts::collect_with`].
+    pub(crate) fn collect(
+        world: &World,
+        window: Window,
+        wants: AtlasWants,
+        workers: usize,
+        degradation: &mut DegradationReport,
+    ) -> AtlasProducts {
+        let collector = AtlasCollector::new(world, window, AtlasConfig::default());
+        Self::collect_with(
+            world,
+            window,
+            |sink| collector.for_each_probe(sink),
+            wants,
+            workers,
+            degradation,
+        )
+    }
+
+    /// The one collect-and-sanitize loop: `for_each` drives every probe
+    /// series through the sink exactly once, each series is sanitized
+    /// once, and its clean histories feed every wanted product.
+    ///
+    /// `for_each` runs on the calling thread, so probe *generation* stays
+    /// sequential (the collector threads one RNG and donor state through
+    /// the probes). With `workers > 1` each series is dealt round-robin
+    /// to a worker thread; the accumulators merge order-insensitively and
+    /// histories merge by series index, so every product is identical to
+    /// `workers == 1`. Sanitizer rejections and stripped test-address
+    /// records are recorded in `degradation` under stage `"sanitize"`.
+    pub(crate) fn collect_with(
+        world: &World,
+        window: Window,
+        for_each: impl FnOnce(&mut dyn FnMut(ProbeSeries)),
+        wants: AtlasWants,
+        workers: usize,
+        degradation: &mut DegradationReport,
+    ) -> AtlasProducts {
+        let sanitize_cfg = SanitizeConfig::default();
+        let routing = world.routing();
+
+        let mut acc = if workers <= 1 {
+            let mut acc = Shard::new(wants);
+            let mut index = 0usize;
+            let mut sink = |series: ProbeSeries| {
+                acc.accept(index, series, routing, &sanitize_cfg);
+                index += 1;
+            };
+            for_each(&mut sink);
+            acc
+        } else {
+            let shards = thread::scope(|scope| {
+                let mut senders = Vec::with_capacity(workers);
+                let mut handles = Vec::with_capacity(workers);
+                for _ in 0..workers {
+                    // Bounded queue: backpressure keeps the sequential
+                    // generator from outrunning slow shards unboundedly.
+                    let (tx, rx) = sync_channel::<(usize, ProbeSeries)>(128);
+                    let cfg = &sanitize_cfg;
+                    handles.push(scope.spawn(move || {
+                        let mut acc = Shard::new(wants);
+                        for (index, series) in rx {
+                            acc.accept(index, series, routing, cfg);
+                        }
+                        acc
+                    }));
+                    senders.push(tx);
+                }
+                let mut i = 0usize;
+                let mut sink = |series: ProbeSeries| {
+                    // A send fails only if the shard worker already died;
+                    // its panic is re-raised at join below, so the lost
+                    // series is moot.
+                    let _ = senders[i % workers].send((i, series));
+                    i += 1;
+                };
+                for_each(&mut sink);
+                drop(senders); // close the queues so workers drain and exit
+                handles
+                    .into_iter()
+                    .map(|h| crate::resume_worker(h.join()))
+                    .collect::<Vec<_>>()
+            });
+            let mut merged = Shard::new(wants);
+            for shard in shards {
+                merged.merge(shard);
+            }
+            merged
+        };
+
+        // Prefill AS names/countries so ASes with zero clean probes still
+        // render, matching the sequential prefill-then-accumulate order.
+        if wants.analysis {
+            for isp in world.isps() {
+                let entry = acc.per_as.entry(isp.asn).or_default();
+                entry.name = isp.name.clone();
+                entry.country = isp.country.clone();
+            }
+        }
+
+        // Stripped test-address records are repairs, not probe rejections,
+        // so they are only visible through the sanitize report.
+        acc.degradation.record_many(
+            "sanitize",
+            "test-address-record",
+            acc.report.test_address_records as u64,
+        );
+        degradation.merge(&acc.degradation);
+
+        // Stable: one series' histories sit in one shard, in order.
+        acc.histories.sort_by_key(|(index, _)| *index);
+        let mut histories = CleanHistories::new();
+        for (_, h) in acc.histories {
+            histories.entry(h.asn).or_default().push(h);
+        }
+
+        AtlasProducts {
+            analysis: AtlasAnalysis {
+                per_as: acc.per_as,
+                sanitize: acc.report,
+                global_inferred: acc.global_inferred,
+                window,
+            },
+            histories,
+            short_v4: acc.short_v4,
+        }
     }
 }
 
@@ -208,6 +443,13 @@ pub struct AtlasAnalysis {
 
 /// Coverage threshold for calling an assignment/probe dual-stack.
 const DS_COVERAGE: f64 = 0.8;
+
+/// What the `AtlasAnalysis` entry points ask one pass for.
+const ANALYSIS_ONLY: AtlasWants = AtlasWants {
+    analysis: true,
+    histories: false,
+    short_v4: false,
+};
 
 impl AtlasAnalysis {
     /// Build the Atlas world, collect every probe, sanitize, accumulate.
@@ -227,15 +469,14 @@ impl AtlasAnalysis {
         workers: usize,
         degradation: &mut DegradationReport,
     ) -> AtlasAnalysis {
-        let window = Window::atlas_paper();
-        let collector = AtlasCollector::new(world, window, AtlasConfig::default());
-        Self::compute_with_workers(
+        AtlasProducts::collect(
             world,
-            window,
-            |sink| collector.for_each_probe(sink),
-            degradation,
+            Window::atlas_paper(),
+            ANALYSIS_ONLY,
             workers,
+            degradation,
         )
+        .analysis
     }
 
     /// Sanitize and accumulate pre-built probe series (e.g. recovered from
@@ -270,11 +511,8 @@ impl AtlasAnalysis {
     }
 
     /// [`AtlasAnalysis::compute_with`] with the sanitize+accumulate path
-    /// sharded across `workers` threads. `for_each` still runs on the
-    /// calling thread and its sink sees probes in order; each probe is
-    /// dealt round-robin to a worker, and worker partials are merged in
-    /// worker order. Every accumulator merge is order-insensitive, so the
-    /// result is identical to `workers == 1` for any worker count.
+    /// sharded across `workers` threads; the result is identical to
+    /// `workers == 1` for any worker count.
     pub fn compute_with_workers(
         world: &World,
         window: Window,
@@ -282,77 +520,8 @@ impl AtlasAnalysis {
         degradation: &mut DegradationReport,
         workers: usize,
     ) -> AtlasAnalysis {
-        let sanitize_cfg = SanitizeConfig::default();
-        let routing = world.routing();
-
-        let mut acc = if workers <= 1 {
-            let mut acc = ShardAccumulator::default();
-            let mut sink = |series: ProbeSeries| acc.accept(series, routing, &sanitize_cfg);
-            for_each(&mut sink);
-            acc
-        } else {
-            let shards = thread::scope(|scope| {
-                let mut senders = Vec::with_capacity(workers);
-                let mut handles = Vec::with_capacity(workers);
-                for _ in 0..workers {
-                    // Bounded queue: backpressure keeps the sequential
-                    // generator from outrunning slow shards unboundedly.
-                    let (tx, rx) = sync_channel::<ProbeSeries>(128);
-                    let cfg = &sanitize_cfg;
-                    handles.push(scope.spawn(move || {
-                        let mut acc = ShardAccumulator::default();
-                        for series in rx {
-                            acc.accept(series, routing, cfg);
-                        }
-                        acc
-                    }));
-                    senders.push(tx);
-                }
-                let mut i = 0usize;
-                let mut sink = |series: ProbeSeries| {
-                    // A send fails only if the shard worker already died;
-                    // its panic is re-raised at join below, so the lost
-                    // series is moot.
-                    let _ = senders[i % workers].send(series);
-                    i += 1;
-                };
-                for_each(&mut sink);
-                drop(senders); // close the queues so workers drain and exit
-                handles
-                    .into_iter()
-                    .map(|h| crate::resume_worker(h.join()))
-                    .collect::<Vec<_>>()
-            });
-            let mut merged = ShardAccumulator::default();
-            for shard in shards {
-                merged.merge(shard);
-            }
-            merged
-        };
-
-        // Prefill AS names/countries so ASes with zero clean probes still
-        // render, matching the sequential prefill-then-accumulate order.
-        for isp in world.isps() {
-            let entry = acc.per_as.entry(isp.asn).or_default();
-            entry.name = isp.name.clone();
-            entry.country = isp.country.clone();
-        }
-
-        // Stripped test-address records are repairs, not probe rejections,
-        // so they are only visible through the sanitize report.
-        acc.degradation.record_many(
-            "sanitize",
-            "test-address-record",
-            acc.report.test_address_records as u64,
-        );
-        degradation.merge(&acc.degradation);
-
-        AtlasAnalysis {
-            per_as: acc.per_as,
-            sanitize: acc.report,
-            global_inferred: acc.global_inferred,
-            window,
-        }
+        AtlasProducts::collect_with(world, window, for_each, ANALYSIS_ONLY, workers, degradation)
+            .analysis
     }
 
     /// Stats for an AS by operator name.
@@ -512,18 +681,8 @@ impl CdnAnalysis {
 mod tests {
     use super::*;
 
-    /// The sharded accumulate path must be invariant in the worker count:
-    /// same per-AS statistics, same sanitizer accounting, same degradation
-    /// ledger as the sequential path.
-    #[test]
-    fn sharded_accumulation_matches_sequential() {
-        let world = atlas_world(5, 0.02);
-        let mut d1 = DegradationReport::new();
-        let mut d3 = DegradationReport::new();
-        let a1 = AtlasAnalysis::compute_for_world(&world, 1, &mut d1);
-        let a3 = AtlasAnalysis::compute_for_world(&world, 3, &mut d3);
-
-        assert_eq!(d1.render(), d3.render());
+    /// Every field the analysis artifacts read, compared exactly.
+    fn assert_same_analysis(a1: &AtlasAnalysis, a3: &AtlasAnalysis) {
         assert_eq!(a1.sanitize, a3.sanitize);
         assert_eq!(a1.global_inferred.counts, a3.global_inferred.counts);
         assert_eq!(a1.per_as.len(), a3.per_as.len());
@@ -568,6 +727,179 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The sharded accumulate path must be invariant in the worker count:
+    /// same per-AS statistics, same sanitizer accounting, same degradation
+    /// ledger as the sequential path.
+    #[test]
+    fn sharded_accumulation_matches_sequential() {
+        let world = atlas_world(5, 0.02);
+        let mut d1 = DegradationReport::new();
+        let mut d3 = DegradationReport::new();
+        let a1 = AtlasAnalysis::compute_for_world(&world, 1, &mut d1);
+        let a3 = AtlasAnalysis::compute_for_world(&world, 3, &mut d3);
+
+        assert_eq!(d1.render(), d3.render());
+        assert_same_analysis(&a1, &a3);
+    }
+
+    /// Reference copies of the three collect-and-sanitize loops the single
+    /// pass replaced, kept as oracles: each walks the whole collector and
+    /// sanitizes every series on its own.
+    mod reference {
+        use super::super::*;
+
+        /// The analysis loop: sanitize, then accumulate every clean history.
+        pub(super) fn analysis(
+            world: &World,
+            degradation: &mut DegradationReport,
+        ) -> AtlasAnalysis {
+            let window = Window::atlas_paper();
+            let collector = AtlasCollector::new(world, window, AtlasConfig::default());
+            let cfg = SanitizeConfig::default();
+            let mut acc = Shard::new(ANALYSIS_ONLY);
+            collector.for_each_probe(|series| {
+                match sanitize_probe(&series, world.routing(), &cfg, &mut acc.report) {
+                    SanitizeOutcome::Clean(histories) => {
+                        for h in &histories {
+                            acc.accumulate(h, world.routing());
+                        }
+                    }
+                    SanitizeOutcome::Rejected(reason) => {
+                        acc.degradation.record("sanitize", reason.class());
+                    }
+                }
+            });
+            for isp in world.isps() {
+                let entry = acc.per_as.entry(isp.asn).or_default();
+                entry.name = isp.name.clone();
+                entry.country = isp.country.clone();
+            }
+            acc.degradation.record_many(
+                "sanitize",
+                "test-address-record",
+                acc.report.test_address_records as u64,
+            );
+            degradation.merge(&acc.degradation);
+            AtlasAnalysis {
+                per_as: acc.per_as,
+                sanitize: acc.report,
+                global_inferred: acc.global_inferred,
+                window,
+            }
+        }
+
+        /// The history loop: clean histories grouped by AS.
+        pub(super) fn clean_histories(world: &World) -> CleanHistories {
+            let collector =
+                AtlasCollector::new(world, Window::atlas_paper(), AtlasConfig::default());
+            let cfg = SanitizeConfig::default();
+            let mut report = SanitizeReport::default();
+            let mut out = CleanHistories::new();
+            collector.for_each_probe(|series| {
+                if let SanitizeOutcome::Clean(hs) =
+                    sanitize_probe(&series, world.routing(), &cfg, &mut report)
+                {
+                    for h in hs {
+                        out.entry(h.asn).or_default().push(h);
+                    }
+                }
+            });
+            out
+        }
+
+        /// The sanitizer loop, holding every raw and clean v4 duration.
+        pub(super) fn sanitizer_text(world: &World, atlas_scale: f64) -> String {
+            let collector =
+                AtlasCollector::new(world, Window::atlas_paper(), AtlasConfig::default());
+            let cfg = SanitizeConfig::default();
+            let mut report = SanitizeReport::default();
+            let mut clean = DurationSet::new();
+            let mut raw = DurationSet::new();
+            collector.for_each_probe(|series| {
+                let (v4_raw, _) = histories_from_records(&series.v4, &series.v6);
+                raw.extend(sandwiched_durations(&v4_raw));
+                if let SanitizeOutcome::Clean(hs) =
+                    sanitize_probe(&series, world.routing(), &cfg, &mut report)
+                {
+                    for h in hs {
+                        clean.extend(sandwiched_durations(&h.v4));
+                    }
+                }
+            });
+            let mut t = dynamips_core::report::TextTable::new(&["filter", "count"]);
+            for (label, n) in [
+                ("probes in", report.probes_in as u64),
+                (
+                    "test-address records removed",
+                    report.test_address_records as u64,
+                ),
+                ("bad tags", report.bad_tag as u64),
+                ("atypical NAT", report.atypical_nat as u64),
+                ("multihomed", report.multihomed as u64),
+                ("split into virtual probes", report.split_probes as u64),
+                ("too short", report.too_short as u64),
+                ("clean (virtual) probes out", report.probes_out as u64),
+            ] {
+                t.row(&[label.to_string(), dynamips_core::report::thousands(n)]);
+            }
+            let raw_1h = raw.cumulative_ttf_at(&[2])[0];
+            let clean_1h = clean.cumulative_ttf_at(&[2])[0];
+            format!(
+                "Appendix A.1 sanitizer: per-filter accounting at Atlas scale {:.2}, plus the distortion it prevents.\n\n{}\nfraction of total v4 assignment time in <=2h 'durations':\nraw (no sanitizer):  {raw_1h:.4}\nsanitized:           {clean_1h:.4}\n(multihomed alternation and test addresses fabricate sub-hourly churn;\nthe sanitizer removes virtually all of it)\n",
+                atlas_scale,
+                t.render()
+            )
+        }
+    }
+
+    /// One pass with every product wanted reproduces each of the three
+    /// separate loops it replaced, at one worker and at three: the same
+    /// analysis, the same histories per AS in the same order, the same
+    /// `sanitizer` text byte for byte. The single-product wrappers agree
+    /// too.
+    #[test]
+    fn single_pass_matches_the_three_loops() {
+        let world = atlas_world(5, 0.02);
+        let scale = 0.02;
+        let mut want_deg = DegradationReport::new();
+        let want_analysis = reference::analysis(&world, &mut want_deg);
+        let want_histories = format!("{:?}", reference::clean_histories(&world));
+        let want_sanitizer = reference::sanitizer_text(&world, scale);
+        assert!(want_histories.len() > 1000, "histories exercised");
+        assert!(want_sanitizer.contains("sanitized:"));
+
+        let all = AtlasWants {
+            analysis: true,
+            histories: true,
+            short_v4: true,
+        };
+        for workers in [1, 3] {
+            let mut deg = DegradationReport::new();
+            let p = AtlasProducts::collect(&world, Window::atlas_paper(), all, workers, &mut deg);
+            assert_eq!(deg.render(), want_deg.render(), "{workers} workers");
+            assert_same_analysis(&p.analysis, &want_analysis);
+            assert_eq!(
+                format!("{:?}", p.histories),
+                want_histories,
+                "{workers} workers"
+            );
+            let text = crate::extended::render_sanitizer(&p.analysis.sanitize, &p.short_v4, scale);
+            assert_eq!(text, want_sanitizer, "{workers} workers");
+        }
+
+        assert_eq!(
+            format!(
+                "{:?}",
+                crate::extended::clean_histories(&world, Window::atlas_paper())
+            ),
+            want_histories
+        );
+        assert_eq!(
+            crate::extended::sanitizer_report_with(&world, scale),
+            want_sanitizer
+        );
     }
 
     /// CDN pre-processing accounting: both discard classes are reported

@@ -7,18 +7,21 @@
 //! * [`WorldCache`] keys worlds by `(era, seed, scale)` and constructs
 //!   each distinct world exactly once, handing out `Arc<World>` clones to
 //!   every consumer (analyses, history collection, extended renderers).
-//! * [`run`] computes the Atlas analysis, the CDN analysis, and the
-//!   clean-history collection concurrently on scoped threads, then fans
-//!   the independent artifact renderers across a worker pool. Results
-//!   are returned in request order and every renderer is a pure function
-//!   of the shared analysis products, so the output is byte-identical to
-//!   a `workers == 1` run.
+//! * [`run`] derives every Atlas product the request needs (the
+//!   analysis, the clean histories, the sanitizer's distortion sums) from
+//!   one collect-and-sanitize pass over the Atlas world, concurrently
+//!   with the CDN analysis, then fans the independent artifact renderers
+//!   across a worker pool. Results are returned in request order and
+//!   every renderer is a pure function of the shared analysis products,
+//!   so the output is byte-identical to a `workers == 1` run.
 //!
 //! The engine also times every phase and artifact, returning a
 //! [`PerfRecord`] the binary renders as the `--timings` table and writes
 //! as `BENCH_all.json`.
 
-use crate::context::{AtlasAnalysis, CdnAnalysis, ExperimentConfig};
+use crate::context::{
+    AtlasAnalysis, AtlasProducts, AtlasWants, CdnAnalysis, ExperimentConfig, ShortV4Share,
+};
 use crate::extended::{self, CleanHistories};
 use crate::{atlas_exps, cdn_exps, check, claims};
 use dynamips_core::degrade::DegradationReport;
@@ -182,13 +185,17 @@ struct Needs {
     atlas: bool,
     cdn: bool,
     histories: bool,
+    short_v4: bool,
     world: bool,
 }
 
 impl Needs {
     /// Products artifact `name` reads (see [`render_one`]).
     fn for_artifact(name: &str) -> Needs {
-        let atlas = ATLAS_ARTIFACTS.contains(&name) || name == "claims" || name == "check";
+        // The sanitizer artifact prints the analysis's own sanitize report.
+        let short_v4 = name == "sanitizer";
+        let atlas =
+            ATLAS_ARTIFACTS.contains(&name) || short_v4 || name == "claims" || name == "check";
         let cdn = CDN_ARTIFACTS.contains(&name) || name == "claims" || name == "check";
         let histories = HISTORY_ARTIFACTS.contains(&name);
         let world = atlas || histories || EXTENDED_ARTIFACTS.contains(&name);
@@ -196,6 +203,7 @@ impl Needs {
             atlas,
             cdn,
             histories,
+            short_v4,
             world,
         }
     }
@@ -209,8 +217,18 @@ impl Needs {
                 atlas: acc.atlas || n.atlas,
                 cdn: acc.cdn || n.cdn,
                 histories: acc.histories || n.histories,
+                short_v4: acc.short_v4 || n.short_v4,
                 world: acc.world || n.world,
             })
+    }
+
+    /// The Atlas products one pass must fill, if any.
+    fn atlas_wants(&self) -> Option<AtlasWants> {
+        (self.atlas || self.histories || self.short_v4).then_some(AtlasWants {
+            analysis: self.atlas,
+            histories: self.histories,
+            short_v4: self.short_v4,
+        })
     }
 }
 
@@ -220,6 +238,7 @@ struct EngineContext<'a> {
     atlas: Option<&'a AtlasAnalysis>,
     cdn: Option<&'a CdnAnalysis>,
     histories: Option<&'a CleanHistories>,
+    short_v4: Option<&'a ShortV4Share>,
     atlas_world: Option<&'a World>,
 }
 
@@ -239,6 +258,10 @@ impl EngineContext<'_> {
     fn histories(&self) -> &CleanHistories {
         // lint:allow(panic-path): phase A wiring guarantees the product; see impl comment
         self.histories.expect("histories collected")
+    }
+    fn short_v4(&self) -> &ShortV4Share {
+        // lint:allow(panic-path): phase A wiring guarantees the product; see impl comment
+        self.short_v4.expect("short-v4 shares collected")
     }
     fn world(&self) -> &World {
         // lint:allow(panic-path): phase A wiring guarantees the product; see impl comment
@@ -271,7 +294,9 @@ fn render_one(name: &str, ctx: &EngineContext<'_>) -> (String, bool) {
         "anonymize" => extended::anonymize_audit_with(ctx.world()),
         "blocklist" => extended::blocklist_sweep_with(ctx.world()),
         "counting" => extended::counting_report_with(ctx.world(), ctx.cfg.seed),
-        "sanitizer" => extended::sanitizer_report_with(ctx.world(), ctx.cfg.atlas_scale),
+        "sanitizer" => {
+            extended::render_sanitizer(&ctx.atlas().sanitize, ctx.short_v4(), ctx.cfg.atlas_scale)
+        }
         "seeds" => extended::seed_robustness(ctx.cfg),
         // `wanted` is prevalidated with is_known_artifact; if a name slips
         // through anyway, emit a failing artifact instead of panicking.
@@ -293,23 +318,16 @@ pub fn run(cfg: &ExperimentConfig, wanted: &[String], workers: usize) -> EngineO
     let cache = WorldCache::new();
 
     let needs = Needs::for_request(wanted);
-    let (needs_atlas, needs_cdn, needs_histories, needs_atlas_world) =
-        (needs.atlas, needs.cdn, needs.histories, needs.world);
+    let atlas_wants = needs.atlas_wants();
 
     // --- Phase A: shared products.
     //
-    // Three independent computations (Atlas collect+analyze, CDN
-    // collect+analyze, clean-history collection) run concurrently; the
-    // world cache guarantees the Atlas world is still built exactly once
-    // even though two of them need it. Each task times itself; the world
-    // build is timed by whichever task wins the OnceLock race, via the
-    // prefetch below.
+    // Two independent computations run concurrently: one pass over the
+    // Atlas world (collect, sanitize, and fill every Atlas product the
+    // request wants) and the CDN collect+analyze. Each task times itself.
     let mut phases: Vec<PerfEntry> = Vec::new();
-    let mut atlas_analysis: Option<AtlasAnalysis> = None;
-    let mut cdn_analysis: Option<CdnAnalysis> = None;
-    let mut histories: Option<CleanHistories> = None;
 
-    let atlas_world_handle: Option<(Arc<World>, f64)> = needs_atlas_world.then(|| {
+    let atlas_world_handle: Option<(Arc<World>, f64)> = needs.world.then(|| {
         let t = Instant::now();
         let w = cache.atlas(cfg.seed, cfg.atlas_scale);
         (w, ms(t))
@@ -320,110 +338,59 @@ pub fn run(cfg: &ExperimentConfig, wanted: &[String], workers: usize) -> EngineO
             ms: *world_ms,
         });
     }
+    // Every Atlas product implies `needs.world`, so the prefetch handle
+    // is populated whenever `atlas_job` is.
+    let atlas_job = atlas_wants.zip(atlas_world_handle.as_ref().map(|(w, _)| w));
+    let atlas_pass = |(wants, w): (AtlasWants, &Arc<World>)| {
+        let t = Instant::now();
+        let mut deg = DegradationReport::new();
+        let products = AtlasProducts::collect(w, Window::atlas_paper(), wants, workers, &mut deg);
+        (products, ms(t))
+    };
+    let cdn_analysis_of = || {
+        let tw = Instant::now();
+        let w = cache.cdn(cfg.seed, cfg.cdn_scale);
+        let world_ms = ms(tw);
+        let t = Instant::now();
+        let mut deg = DegradationReport::new();
+        let c = CdnAnalysis::compute_for_world(&w, &mut deg);
+        (c, world_ms, ms(t))
+    };
 
-    if workers <= 1 {
-        // needs_atlas / needs_histories each imply needs_atlas_world, so
-        // the prefetch handle is always populated on these paths.
-        if let (true, Some((w, _))) = (needs_atlas, atlas_world_handle.as_ref()) {
-            let t = Instant::now();
-            let mut deg = DegradationReport::new();
-            atlas_analysis = Some(AtlasAnalysis::compute_for_world(w, 1, &mut deg));
-            phases.push(PerfEntry {
-                name: "atlas-analysis".into(),
-                ms: ms(t),
-            });
-        }
-        if needs_cdn {
-            let t = Instant::now();
-            let w = cache.cdn(cfg.seed, cfg.cdn_scale);
-            phases.push(PerfEntry {
-                name: "cdn-world".into(),
-                ms: ms(t),
-            });
-            let t = Instant::now();
-            let mut deg = DegradationReport::new();
-            cdn_analysis = Some(CdnAnalysis::compute_for_world(&w, &mut deg));
-            phases.push(PerfEntry {
-                name: "cdn-analysis".into(),
-                ms: ms(t),
-            });
-        }
-        if let (true, Some((w, _))) = (needs_histories, atlas_world_handle.as_ref()) {
-            let t = Instant::now();
-            histories = Some(extended::clean_histories(w, Window::atlas_paper()));
-            phases.push(PerfEntry {
-                name: "histories".into(),
-                ms: ms(t),
-            });
-        }
+    let (atlas, cdn) = if workers <= 1 {
+        (atlas_job.map(atlas_pass), needs.cdn.then(cdn_analysis_of))
     } else {
-        let (a, c, h) = thread::scope(|scope| {
-            let cache = &cache;
-            let atlas_world_ref = atlas_world_handle.as_ref().map(|(w, _)| w);
-            // needs_atlas / needs_histories each imply needs_atlas_world,
-            // so `atlas_world_ref` is always populated on these paths.
-            let ja = needs_atlas.then_some(atlas_world_ref).flatten().map(|w| {
-                let w = w.clone();
-                scope.spawn(move || {
-                    let t = Instant::now();
-                    let mut deg = DegradationReport::new();
-                    let a = AtlasAnalysis::compute_for_world(&w, workers, &mut deg);
-                    (a, ms(t))
-                })
-            });
-            let jc = needs_cdn.then(|| {
-                scope.spawn(move || {
-                    let tw = Instant::now();
-                    let w = cache.cdn(cfg.seed, cfg.cdn_scale);
-                    let world_ms = ms(tw);
-                    let t = Instant::now();
-                    let mut deg = DegradationReport::new();
-                    let c = CdnAnalysis::compute_for_world(&w, &mut deg);
-                    (c, world_ms, ms(t))
-                })
-            });
-            let jh = needs_histories
-                .then_some(atlas_world_ref)
-                .flatten()
-                .map(|w| {
-                    let w = w.clone();
-                    scope.spawn(move || {
-                        let t = Instant::now();
-                        let h = extended::clean_histories(&w, Window::atlas_paper());
-                        (h, ms(t))
-                    })
-                });
+        thread::scope(|scope| {
+            let ja = atlas_job.map(|job| scope.spawn(move || atlas_pass(job)));
+            let jc = needs.cdn.then(|| scope.spawn(cdn_analysis_of));
             (
                 ja.map(|j| crate::resume_worker(j.join())),
                 jc.map(|j| crate::resume_worker(j.join())),
-                jh.map(|j| crate::resume_worker(j.join())),
             )
+        })
+    };
+
+    let (mut atlas_analysis, mut histories, mut short_v4) = (None, None, None);
+    if let Some((products, t)) = atlas {
+        atlas_analysis = needs.atlas.then_some(products.analysis);
+        histories = needs.histories.then_some(products.histories);
+        short_v4 = needs.short_v4.then_some(products.short_v4);
+        phases.push(PerfEntry {
+            name: "atlas-analysis".into(),
+            ms: t,
         });
-        if let Some((analysis, t)) = a {
-            atlas_analysis = Some(analysis);
-            phases.push(PerfEntry {
-                name: "atlas-analysis".into(),
-                ms: t,
-            });
-        }
-        if let Some((analysis, world_ms, t)) = c {
-            cdn_analysis = Some(analysis);
-            phases.push(PerfEntry {
-                name: "cdn-world".into(),
-                ms: world_ms,
-            });
-            phases.push(PerfEntry {
-                name: "cdn-analysis".into(),
-                ms: t,
-            });
-        }
-        if let Some((collected, t)) = h {
-            histories = Some(collected);
-            phases.push(PerfEntry {
-                name: "histories".into(),
-                ms: t,
-            });
-        }
+    }
+    let mut cdn_analysis: Option<CdnAnalysis> = None;
+    if let Some((analysis, world_ms, t)) = cdn {
+        cdn_analysis = Some(analysis);
+        phases.push(PerfEntry {
+            name: "cdn-world".into(),
+            ms: world_ms,
+        });
+        phases.push(PerfEntry {
+            name: "cdn-analysis".into(),
+            ms: t,
+        });
     }
 
     let atlas_world: Option<Arc<World>> = atlas_world_handle.map(|(w, _)| w);
@@ -432,6 +399,7 @@ pub fn run(cfg: &ExperimentConfig, wanted: &[String], workers: usize) -> EngineO
         atlas: atlas_analysis.as_ref(),
         cdn: cdn_analysis.as_ref(),
         histories: histories.as_ref(),
+        short_v4: short_v4.as_ref(),
         atlas_world: atlas_world.as_deref(),
     };
 
@@ -515,6 +483,7 @@ pub struct WarmSession {
     atlas: OnceLock<AtlasAnalysis>,
     cdn: OnceLock<CdnAnalysis>,
     histories: OnceLock<CleanHistories>,
+    short_v4: OnceLock<ShortV4Share>,
 }
 
 impl WarmSession {
@@ -528,6 +497,7 @@ impl WarmSession {
             atlas: OnceLock::new(),
             cdn: OnceLock::new(),
             histories: OnceLock::new(),
+            short_v4: OnceLock::new(),
         }
     }
 
@@ -541,11 +511,22 @@ impl WarmSession {
         self.cache.builds()
     }
 
+    /// One Atlas pass filling just `wants`. Products are built lazily,
+    /// one per pass, so a session that only serves figures never
+    /// retains histories.
+    fn atlas_pass(&self, wants: AtlasWants) -> AtlasProducts {
+        let w = self.cache.atlas(self.cfg.seed, self.cfg.atlas_scale);
+        let mut deg = DegradationReport::new();
+        AtlasProducts::collect(&w, Window::atlas_paper(), wants, self.workers, &mut deg)
+    }
+
     fn atlas_product(&self) -> &AtlasAnalysis {
         self.atlas.get_or_init(|| {
-            let w = self.cache.atlas(self.cfg.seed, self.cfg.atlas_scale);
-            let mut deg = DegradationReport::new();
-            AtlasAnalysis::compute_for_world(&w, self.workers, &mut deg)
+            self.atlas_pass(AtlasWants {
+                analysis: true,
+                ..AtlasWants::default()
+            })
+            .analysis
         })
     }
 
@@ -559,8 +540,21 @@ impl WarmSession {
 
     fn histories_product(&self) -> &CleanHistories {
         self.histories.get_or_init(|| {
-            let w = self.cache.atlas(self.cfg.seed, self.cfg.atlas_scale);
-            extended::clean_histories(&w, Window::atlas_paper())
+            self.atlas_pass(AtlasWants {
+                histories: true,
+                ..AtlasWants::default()
+            })
+            .histories
+        })
+    }
+
+    fn short_v4_product(&self) -> &ShortV4Share {
+        self.short_v4.get_or_init(|| {
+            self.atlas_pass(AtlasWants {
+                short_v4: true,
+                ..AtlasWants::default()
+            })
+            .short_v4
         })
     }
 
@@ -578,6 +572,7 @@ impl WarmSession {
             atlas: needs.atlas.then(|| self.atlas_product()),
             cdn: needs.cdn.then(|| self.cdn_product()),
             histories: needs.histories.then(|| self.histories_product()),
+            short_v4: needs.short_v4.then(|| self.short_v4_product()),
             atlas_world: atlas_world.as_deref(),
         };
         let (text, ok) = render_one(name, &ctx);

@@ -6,19 +6,23 @@
 //! pipeline deliberately discards. Each artifact has two entry points:
 //! a `*(cfg)` convenience that builds its own world, and a `*_with(...)`
 //! form taking a pre-built world (and, where applicable, pre-collected
-//! [`clean_histories`]) so the engine can share one world and one
-//! history collection across all of them.
+//! [`clean_histories`]) so the engine can share one world across all of
+//! them. The engine fills the histories and the `sanitizer` artifact's
+//! numbers from the same single Atlas pass that builds the analysis
+//! ([`crate::context`]); [`clean_histories`] and
+//! [`sanitizer_report_with`] ask that pass for their one product.
 
-use crate::context::ExperimentConfig;
+use crate::context::{AtlasProducts, AtlasWants, ExperimentConfig, ShortV4Share};
 use dynamips_atlas::{AtlasCollector, AtlasConfig};
 use dynamips_cdn::{CdnCollector, CdnConfig};
 use dynamips_core::anonymize::recommend_truncation;
 use dynamips_core::blocklist::{sweep_policies, BlockPolicy};
 use dynamips_core::changes::ProbeHistory;
+use dynamips_core::degrade::DegradationReport;
 use dynamips_core::hitlist::ScanPlan;
 use dynamips_core::poolinfer::infer_pool_boundary;
 use dynamips_core::report::TextTable;
-use dynamips_core::sanitize::{sanitize_probe, SanitizeConfig, SanitizeOutcome, SanitizeReport};
+use dynamips_core::sanitize::SanitizeReport;
 use dynamips_netaddr::Ipv6Prefix;
 use dynamips_netsim::profiles::atlas_world;
 use dynamips_netsim::time::{SimTime, Window};
@@ -33,22 +37,14 @@ const FOCUS_ASES: [&str; 5] = ["DTAG", "Orange", "Comcast", "LGI", "Netcologne"]
 /// history-driven extended artifacts.
 pub type CleanHistories = BTreeMap<Asn, Vec<ProbeHistory>>;
 
-/// Collect clean per-probe histories, grouped by AS.
+/// Collect clean per-probe histories, grouped by AS, each AS's list in
+/// collector order.
 pub fn clean_histories(world: &World, window: Window) -> CleanHistories {
-    let collector = AtlasCollector::new(world, window, AtlasConfig::default());
-    let cfg = SanitizeConfig::default();
-    let mut report = SanitizeReport::default();
-    let mut out: BTreeMap<Asn, Vec<ProbeHistory>> = BTreeMap::new();
-    collector.for_each_probe(|series| {
-        if let SanitizeOutcome::Clean(hs) =
-            sanitize_probe(&series, world.routing(), &cfg, &mut report)
-        {
-            for h in hs {
-                out.entry(h.asn).or_default().push(h);
-            }
-        }
-    });
-    out
+    let wants = AtlasWants {
+        histories: true,
+        ..AtlasWants::default()
+    };
+    AtlasProducts::collect(world, window, wants, 1, &mut DegradationReport::new()).histories
 }
 
 /// Year-over-year evolution of assignment durations (Section 3.2,
@@ -624,28 +620,27 @@ pub fn sanitizer_report(cfg: &ExperimentConfig) -> String {
 /// [`sanitizer_report`] against a pre-built world; `atlas_scale` only
 /// labels the output.
 pub fn sanitizer_report_with(world: &World, atlas_scale: f64) -> String {
-    use dynamips_core::changes::{histories_from_records, sandwiched_durations};
-    use dynamips_core::durations::DurationSet;
+    let wants = AtlasWants {
+        short_v4: true,
+        ..AtlasWants::default()
+    };
+    let products = AtlasProducts::collect(
+        world,
+        Window::atlas_paper(),
+        wants,
+        1,
+        &mut DegradationReport::new(),
+    );
+    render_sanitizer(&products.analysis.sanitize, &products.short_v4, atlas_scale)
+}
 
-    let window = Window::atlas_paper();
-    let collector = AtlasCollector::new(world, window, AtlasConfig::default());
-    let scfg = SanitizeConfig::default();
-    let mut report = SanitizeReport::default();
-    let mut clean = DurationSet::new();
-    let mut raw = DurationSet::new();
-    collector.for_each_probe(|series| {
-        // Raw analysis: spans straight from the echo records, no filters.
-        let (v4_raw, _) = histories_from_records(&series.v4, &series.v6);
-        raw.extend(sandwiched_durations(&v4_raw));
-        if let SanitizeOutcome::Clean(hs) =
-            sanitize_probe(&series, world.routing(), &scfg, &mut report)
-        {
-            for h in hs {
-                clean.extend(sandwiched_durations(&h.v4));
-            }
-        }
-    });
-
+/// The `sanitizer` artifact from one pass's sanitizer accounting and
+/// ≤2 h v4 time shares.
+pub(crate) fn render_sanitizer(
+    report: &SanitizeReport,
+    short_v4: &ShortV4Share,
+    atlas_scale: f64,
+) -> String {
     let mut t = TextTable::new(&["filter", "count"]);
     for (label, n) in [
         ("probes in", report.probes_in as u64),
@@ -665,8 +660,8 @@ pub fn sanitizer_report_with(world: &World, atlas_scale: f64) -> String {
 
     // Distortion: the multihomed A-B-A-B artifact floods the raw analysis
     // with 1-hour "durations".
-    let raw_1h = raw.cumulative_ttf_at(&[2])[0];
-    let clean_1h = clean.cumulative_ttf_at(&[2])[0];
+    let raw_1h = short_v4.raw.fraction();
+    let clean_1h = short_v4.clean.fraction();
     format!(
         "Appendix A.1 sanitizer: per-filter accounting at Atlas scale {:.2}, plus the distortion it prevents.\n\n{}\nfraction of total v4 assignment time in <=2h 'durations':\nraw (no sanitizer):  {raw_1h:.4}\nsanitized:           {clean_1h:.4}\n(multihomed alternation and test addresses fabricate sub-hourly churn;\nthe sanitizer removes virtually all of it)\n",
         atlas_scale,

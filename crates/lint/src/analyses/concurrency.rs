@@ -21,8 +21,8 @@
 //! reactor entry points: any blocking-sink call in reachable non-test
 //! code is a stall of every connection the reactor multiplexes; only
 //! functions in the declared `reactor-allowed` files (the poller) may
-//! park. **condvar-wait-loop** is local: a `wait`/`wait_timeout` outside
-//! a `loop`/`while`/`for` body proceeds on spurious wakeups.
+//! park. **condvar-wait-loop** is local: a `wait(guard)`/`wait_timeout`
+//! outside a `loop`/`while`/`for` body proceeds on spurious wakeups.
 //!
 //! Lock identity is the receiver identifier (`self.inner.lock()` →
 //! `inner`), not a type — the collector does not type-check. Two fields
@@ -571,7 +571,9 @@ fn blocking_in_reactor(
 
 /// Rule: condvar waits sit inside a loop re-checking their predicate.
 /// `wait_while`/`wait_timeout_while` carry the predicate themselves and
-/// are exempt.
+/// are exempt. `Condvar::wait` always takes the guard it releases, so a
+/// zero-argument `wait()` (`Child::wait`, a barrier) is not a condvar
+/// wait.
 fn condvar_wait_loop(
     graph: &CallGraph,
     cfg: &Config,
@@ -588,7 +590,9 @@ fn condvar_wait_loop(
             continue;
         }
         for call in &node.item.calls {
-            let is_wait = call.method && matches!(call.name.as_str(), "wait" | "wait_timeout");
+            let is_wait = call.method
+                && !call.empty_args
+                && matches!(call.name.as_str(), "wait" | "wait_timeout");
             if !is_wait || call.in_loop {
                 continue;
             }
@@ -771,7 +775,7 @@ mod tests {
     fn unlooped_condvar_wait_is_flagged_looped_is_not() {
         let fs = files(&[(
             "src/a.rs",
-            "fn bad(q: G) {\n    let q = cv.wait(q).unwrap();\n    let _ = q;\n}\nfn good(mut q: G) {\n    while empty(&q) {\n        q = cv.wait(q).unwrap();\n    }\n}\n",
+            "fn bad(q: G) {\n    let q = cv.wait(q).unwrap();\n    let _ = q;\n}\nfn good(mut q: G) {\n    while empty(&q) {\n        q = cv.wait(q).unwrap();\n    }\n}\nfn reap(c: C) {\n    let _ = c.wait();\n}\n",
         )]);
         let found = run_on(&fs, &cfg("")).expect("runs");
         let waits: Vec<&Finding> = found

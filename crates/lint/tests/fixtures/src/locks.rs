@@ -5,6 +5,8 @@
 //! `Condvar::wait` outside a loop, and a bare `unsafe` block with no
 //! `// SAFETY:` comment. Expected: lock-order x1, lock-across-blocking
 //! x1, blocking-in-reactor x1, condvar-wait-loop x1, unsafe-audit x1.
+//! A zero-argument `Child::wait()` outside a loop is not a condvar wait
+//! and must yield nothing.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -61,6 +63,11 @@ fn dispatch(_s: &Shared) {
 pub fn naked_wait(s: &Shared) {
     let guard = s.a.lock().unwrap();
     let _guard = s.cv.wait(guard).unwrap();
+}
+
+// Reaping a child process: `wait()` takes no guard, so no finding.
+pub fn reap(child: &mut std::process::Child) {
+    let _ = child.wait();
 }
 
 pub fn peek(v: &[u8]) -> u8 {
