@@ -56,7 +56,7 @@ sed -i "s/^  \"phases\": \[$/  \"phases\": [\n    {\"name\": \"lint\", \"ms\": $
     target/ci-artifacts/BENCH_all.json
 "$BIN" bench-check target/ci-artifacts/BENCH_all.json
 
-say "perfbench batch-all: both recorded worlds, every artifact against its digest"
+say "perfbench: batch-all on both recorded worlds and wire-mixed, every artifact against its digest"
 # Exits nonzero if any of the 22 artifacts' bytes differ from the digests
 # in perfbench/oracles/, so a kernel rewrite cannot change output unseen.
 # The second run checks the held-out world (seed 20201201).
@@ -64,6 +64,10 @@ cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload batch-all --seed 1 --seconds 1 --trace 0
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload batch-all --seed 1 --seconds 1 --trace 0 --held-out
+# Served bytes: wire-mixed exits nonzero if any artifact body the live
+# server returns differs from its recorded digest.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload wire-mixed --seed 1 --seconds 2 --trace 0
 
 say "usage errors exit 2 before any socket work"
 rc=0; "$BIN" loadtest --url http://127.0.0.1:1/x --concurrency 0 >/dev/null 2>&1 || rc=$?

@@ -91,8 +91,6 @@ struct PointOutcome {
     failed: u64,
     /// 2xx bodies that did not match the warm-engine bytes (invariant: 0).
     mismatches: u64,
-    /// Stale-while-revalidate responses the server served.
-    degraded: u64,
     /// Worker panics the supervisor caught (informational).
     worker_panics: u64,
     /// Whether the server drained to zero open connections on join.
@@ -256,7 +254,6 @@ fn run_point(
         visible_5xx,
         failed,
         mismatches,
-        degraded: metrics.degraded_responses(),
         worker_panics: summary.worker_panics,
         drained,
         elapsed_ms: started.elapsed().as_secs_f64() * 1_000.0,
@@ -328,8 +325,7 @@ pub fn run(cfg: &ExperimentConfig, opts: &ChaosServeOptions, workers: usize) -> 
     }
 
     let mut table = TextTable::new(&[
-        "rate", "conns", "faults", "attempts", "retries", "2xx", "5xx", "failed", "degraded",
-        "drained",
+        "rate", "conns", "faults", "attempts", "retries", "2xx", "5xx", "failed", "drained",
     ]);
     for p in &points {
         table.row(&[
@@ -341,7 +337,6 @@ pub fn run(cfg: &ExperimentConfig, opts: &ChaosServeOptions, workers: usize) -> 
             p.ok_2xx.to_string(),
             p.visible_5xx.to_string(),
             p.failed.to_string(),
-            p.degraded.to_string(),
             if p.drained { "yes" } else { "no" }.to_string(),
         ]);
     }
@@ -404,7 +399,6 @@ pub fn run(cfg: &ExperimentConfig, opts: &ChaosServeOptions, workers: usize) -> 
             ("retries", p.retries),
             ("5xx", p.visible_5xx),
             ("failed", p.failed),
-            ("degraded", p.degraded),
             ("mismatches", p.mismatches),
         ] {
             artifacts.push(PerfEntry {

@@ -1,29 +1,28 @@
 //! The artifact service behind `dynamips serve`: maps HTTP requests
 //! onto the engine's warm render sessions.
 //!
-//! The service owns a bounded LRU of [`WarmSession`]s keyed by
-//! `(seed, atlas_scale, cdn_scale)`. A request for a configuration the
-//! cache holds renders from warm worlds (a cache hit in `/metrics`);
-//! a new configuration builds its worlds once, evicting the least
-//! recently used session past the capacity bound. Because an artifact's
-//! bytes are a pure function of `(name, seed, scales)`, eviction can
-//! never surface stale text — at worst it costs a rebuild.
+//! An artifact's bytes are a pure function of `(name, seed, scales)`,
+//! so the service renders each `(configuration, artifact)` pair at most
+//! once and serves every later request for it from stored bytes. It
+//! keeps two bounded LRUs:
+//!
+//! - the artifact cache, `(SessionKey, name) → Response`, holding
+//!   `cache_cap × engine::artifact_names().len()` rendered responses. A request looks here first; a hit (`/metrics`
+//!   `cache_hits_total`) copies the stored bytes and touches no session.
+//!   A miss (`cache_misses_total`) renders, and concurrent misses for
+//!   one key render it once. Entries outlive the session that rendered
+//!   them.
+//! - the session cache of [`WarmSession`]s keyed by
+//!   `(seed, atlas_scale, cdn_scale)`, used only to render a miss. A new
+//!   configuration builds its worlds once, evicting the least recently
+//!   used session past `cache_cap` (`cache_evictions_total`).
 //!
 //! Status mapping: unknown endpoint or artifact name → `404`; malformed
 //! or unknown query parameters → `400`; a rendered artifact whose own
 //! self-check fails (only `check` can) → `500` carrying the report text.
-//!
-//! Degraded mode (stale-while-revalidate): every successful render also
-//! deposits its bytes in a bounded stale cache keyed by
-//! `(session, artifact)`. When a later rebuild of the same artifact
-//! fails — the renderer panics, or its self-check regresses — or when
-//! the server's queue is saturated past the configured threshold while
-//! the session is cold, those previously rendered bytes are served with
-//! `200` + `Warning: 110 dynamips-serve "stale-while-revalidate"` and
-//! counted in `degraded_responses_total`, instead of a 5xx (or a
-//! multi-second cold build the queue cannot afford). Stale bytes are
-//! only ever bytes this process rendered successfully for the exact
-//! same key, so the byte-identity contract holds for them too.
+//! That `500` is as much a function of the key as a `200`, so it is
+//! cached too. A build or render that panics is answered `500` and
+//! leaves nothing cached, so the next request renders again.
 
 use std::sync::Arc;
 
@@ -56,18 +55,16 @@ pub struct ArtifactService {
     base: ExperimentConfig,
     workers: usize,
     sessions: LruCache<SessionKey, WarmSession>,
-    /// Previously rendered artifact bytes, for stale-while-revalidate.
-    stale: LruCache<(SessionKey, String), Vec<u8>>,
-    /// Queue depth at or past which a cold-session request prefers
-    /// stale bytes over a fresh build (`None` disables the fast path).
-    saturation_threshold: Option<u64>,
+    /// Rendered responses, keyed by configuration and artifact name.
+    artifacts: LruCache<(SessionKey, String), Response>,
     metrics: Arc<Metrics>,
 }
 
 impl ArtifactService {
     /// A service whose default configuration (when a request carries no
     /// query parameters) is `base`, holding at most `cache_cap` warm
-    /// sessions, computing cold analyses with `workers` threads.
+    /// sessions and the rendered artifacts of as many configurations,
+    /// computing cold analyses with `workers` threads.
     pub fn over_engine(
         base: ExperimentConfig,
         workers: usize,
@@ -78,20 +75,9 @@ impl ArtifactService {
             base,
             workers: workers.max(1),
             sessions: LruCache::bounded(cache_cap),
-            // Sized for a handful of sessions' worth of artifacts; the
-            // values are rendered text, far lighter than warm worlds.
-            stale: LruCache::bounded(cache_cap.max(1) * 64),
-            saturation_threshold: None,
+            artifacts: LruCache::bounded(cache_cap.saturating_mul(engine::artifact_names().len())),
             metrics,
         }
-    }
-
-    /// Enable the saturation fast path: when the worker queue is at or
-    /// past `depth` connections and the requested session is cold,
-    /// serve stale bytes (when available) instead of building worlds.
-    pub fn with_saturation_threshold(mut self, depth: u64) -> ArtifactService {
-        self.saturation_threshold = Some(depth);
-        self
     }
 
     /// Warm sessions currently resident.
@@ -134,67 +120,30 @@ impl ArtifactService {
             Err(why) => return Response::text(400, format!("bad request: {why}\n")),
         };
         let key = SessionKey::for_config(&cfg);
-        let stale_key = (key, name.to_string());
-
-        // Saturation fast path: under queue pressure a cold session's
-        // multi-second world build would make the overload worse; serve
-        // what we already rendered for this exact key instead.
-        if let Some(threshold) = self.saturation_threshold {
-            if self.metrics.queue_depth() >= threshold && !self.sessions.contains(&key) {
-                if let Some(bytes) = self.stale.get(&stale_key) {
-                    return self.degraded(bytes.as_ref().clone());
-                }
-            }
-        }
-
+        let mut evicted = 0;
         // The engine must not panic, but a supervised server treats
         // that contract as untrusted: a panicking build or render is
-        // caught here and downgraded to stale serving (or 500) rather
-        // than killing the worker.
+        // caught here and answered 500 rather than killing the worker.
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let lookup = self
-                .sessions
-                .fetch_or_build(key, || WarmSession::warm(cfg, self.workers));
-            self.metrics.record_cache(lookup.hit, lookup.evicted);
-            lookup.value.render_artifact(name)
+            self.artifacts.fetch_or_build((key, name.to_string()), || {
+                let session = self
+                    .sessions
+                    .fetch_or_build(key, || WarmSession::warm(cfg, self.workers));
+                evicted = session.evicted;
+                let rendered = session.value.render_artifact(name);
+                Response::text(if rendered.ok { 200 } else { 500 }, rendered.text)
+            })
         }));
         match attempt {
-            Ok(rendered) if rendered.ok => {
-                self.stale
-                    .insert(stale_key, rendered.text.clone().into_bytes());
-                Response::text(200, rendered.text)
+            Ok(lookup) => {
+                self.metrics.record_cache(lookup.hit, evicted);
+                Response::clone(&lookup.value)
             }
-            Ok(rendered) => {
-                // The render completed but its self-check failed (only
-                // `check` can, for known names): stale-while-revalidate
-                // if an earlier build of this key passed, else surface
-                // the report with a server-side error status.
-                match self.stale.get(&stale_key) {
-                    Some(bytes) => self.degraded(bytes.as_ref().clone()),
-                    None => Response::text(500, rendered.text),
-                }
+            Err(_) => {
+                self.metrics.record_cache(false, evicted);
+                Response::text(500, format!("artifact {name:?} failed to render\n"))
             }
-            Err(_) => match self.stale.get(&stale_key) {
-                Some(bytes) => self.degraded(bytes.as_ref().clone()),
-                None => Response::text(500, format!("artifact {name:?} failed to render\n")),
-            },
         }
-    }
-
-    /// A `200` carrying stale bytes, marked `Warning: 110` and counted.
-    fn degraded(&self, bytes: Vec<u8>) -> Response {
-        self.metrics.record_degraded_response();
-        Response::text(200, bytes).mark_stale()
-    }
-
-    /// Test hook: plant stale bytes for `(cfg, name)` as if an earlier
-    /// render had produced them.
-    #[cfg(test)]
-    fn inject_stale(&self, cfg: &ExperimentConfig, name: &str, bytes: &[u8]) {
-        self.stale.insert(
-            (SessionKey::for_config(cfg), name.to_string()),
-            bytes.to_vec(),
-        );
     }
 
     fn list_endpoint(&self) -> Response {
@@ -320,36 +269,7 @@ mod tests {
     }
 
     #[test]
-    fn saturated_cold_session_serves_stale_with_warning() {
-        let base = ExperimentConfig {
-            seed: 11,
-            atlas_scale: 0.02,
-            cdn_scale: 0.02,
-        };
-        let metrics = Arc::new(Metrics::new());
-        let svc = ArtifactService::over_engine(base, 2, 2, Arc::clone(&metrics))
-            .with_saturation_threshold(0);
-        svc.inject_stale(&base, "fig1", b"previously rendered fig1\n");
-        let resp = svc.respond(&get("/artifacts/fig1", &[]));
-        assert_eq!(resp.status, 200);
-        assert_eq!(resp.body, b"previously rendered fig1\n");
-        assert_eq!(resp.warning, Some(dynamips_serve::WARNING_STALE));
-        assert_eq!(metrics.degraded_responses(), 1);
-        assert_eq!(
-            svc.sessions_resident(),
-            0,
-            "no world build under saturation"
-        );
-        // No stale bytes for this name: the request falls through to a
-        // real build despite the saturation (correctness over latency).
-        let fresh = svc.respond(&get("/artifacts/fig2", &[]));
-        assert_eq!(fresh.status, 200);
-        assert_eq!(fresh.warning, None);
-        assert_eq!(svc.sessions_resident(), 1);
-    }
-
-    #[test]
-    fn evicted_session_under_saturation_replays_byte_identical_stale() {
+    fn evicted_session_artifact_is_served_from_the_cache_byte_identically() {
         let base = ExperimentConfig {
             seed: 11,
             atlas_scale: 0.02,
@@ -357,22 +277,21 @@ mod tests {
         };
         let metrics = Arc::new(Metrics::new());
         // cache_cap 1: the second session evicts the first.
-        let svc = ArtifactService::over_engine(base, 2, 1, Arc::clone(&metrics))
-            .with_saturation_threshold(0);
+        let svc = ArtifactService::over_engine(base, 2, 1, Arc::clone(&metrics));
         let fresh = svc.respond(&get("/artifacts/fig1", &[]));
-        assert_eq!((fresh.status, fresh.warning), (200, None));
+        assert_eq!(fresh.status, 200);
         svc.respond(&get("/artifacts/fig1", &[("seed", "12")]));
         assert_eq!(
             svc.sessions_resident(),
             1,
             "seed-12 session evicted seed-11"
         );
-        // Seed 11 is cold again and the queue reads as saturated, so
-        // the stale bytes from the first render answer — identically.
-        let stale = svc.respond(&get("/artifacts/fig1", &[]));
-        assert_eq!(stale.status, 200);
-        assert_eq!(stale.warning, Some(dynamips_serve::WARNING_STALE));
-        assert_eq!(stale.body, fresh.body, "stale bytes are byte-identical");
-        assert_eq!(metrics.degraded_responses(), 1);
+        // Seed 11's session is gone, but its fig1 is still cached: the
+        // answer comes from the stored bytes without rebuilding (or even
+        // touching) a session, so the resident session stays seed 12.
+        let again = svc.respond(&get("/artifacts/fig1", &[]));
+        assert_eq!(again, fresh, "cached response is byte-identical");
+        assert_eq!(svc.sessions_resident(), 1);
+        assert_eq!(metrics.cache_counts(), (1, 2, 1));
     }
 }

@@ -18,7 +18,7 @@ use dynamips_serve::{
     http_get, http_send, BreakerConfig, Metrics, ResilientClient, RetryPolicy, ServeConfig, Server,
 };
 
-fn start_stack() -> (Server, String, Arc<Ipam>) {
+fn start_stack() -> (Server, String, Arc<Ipam>, Arc<Metrics>) {
     let metrics = Arc::new(Metrics::new());
     let config = ExperimentConfig {
         seed: 11,
@@ -35,11 +35,11 @@ fn start_stack() -> (Server, String, Arc<Ipam>) {
         "127.0.0.1:0",
         ServeConfig::default(),
         Arc::new(handler),
-        metrics,
+        Arc::clone(&metrics),
     )
     .expect("bind ephemeral");
     let addr = server.local_addr().to_string();
-    (server, addr, ipam)
+    (server, addr, ipam, metrics)
 }
 
 /// Scrape one gauge value out of the `/ipam-metrics` page.
@@ -64,7 +64,7 @@ fn body_field(body: &str, key: &str) -> String {
 
 #[test]
 fn post_delete_round_trip_restores_the_gauge_and_the_pool() {
-    let (server, addr, ipam) = start_stack();
+    let (server, addr, ipam, metrics) = start_stack();
     let before_gauge = gauge(&addr, "dynamips_ipam_leases_active");
     let before_free: u64 = ipam.pool_stats().iter().map(|p| p.free).sum();
 
@@ -138,11 +138,19 @@ fn post_delete_round_trip_restores_the_gauge_and_the_pool() {
     server.shutdown_handle().begin_shutdown();
     let summary = server.join();
     assert_eq!(summary.rejected, 0, "{summary:?}");
+    // Both grants are counted under their own status series.
+    let page = metrics.render_prometheus();
+    for series in [
+        "dynamips_serve_requests_total{code=\"201\"} 2\n",
+        "dynamips_serve_requests_total{code=\"other\"} 0\n",
+    ] {
+        assert!(page.contains(series), "{series} missing from:\n{page}");
+    }
 }
 
 #[test]
 fn client_verbs_drive_the_full_lease_lifecycle() {
-    let (server, addr, ipam) = start_stack();
+    let (server, addr, ipam, _metrics) = start_stack();
     let client = ResilientClient::new(RetryPolicy::default(), BreakerConfig::default());
 
     // POST via the client (single attempt by policy).

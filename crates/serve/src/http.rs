@@ -241,15 +241,7 @@ pub struct Response {
     pub body: Vec<u8>,
     /// `Retry-After` seconds, sent only when present (admission `503`s).
     pub retry_after_secs: Option<u64>,
-    /// `Warning` header value, sent only when present. Degraded-mode
-    /// responses carry `110 dynamips-serve "stale-while-revalidate"` so
-    /// clients can tell a fresh render from served-stale bytes.
-    pub warning: Option<&'static str>,
 }
-
-/// The `Warning` header value attached to stale-while-revalidate
-/// responses (RFC 7234 warn-code 110, "Response is Stale").
-pub const WARNING_STALE: &str = "110 dynamips-serve \"stale-while-revalidate\"";
 
 /// Whether a serialized response announces a reusable connection.
 /// Threaded through [`serialize_response`] so the keep-alive path and
@@ -281,21 +273,14 @@ impl Response {
             content_type: "text/plain; charset=utf-8",
             body: body.into(),
             retry_after_secs: None,
-            warning: None,
         }
-    }
-
-    /// Mark this response as served from stale bytes (attaches the
-    /// [`WARNING_STALE`] header).
-    pub fn mark_stale(mut self) -> Response {
-        self.warning = Some(WARNING_STALE);
-        self
     }
 
     /// The canonical reason phrase for the status codes this server emits.
     pub fn reason(status: u16) -> &'static str {
         match status {
             200 => "OK",
+            201 => "Created",
             400 => "Bad Request",
             404 => "Not Found",
             405 => "Method Not Allowed",
@@ -309,8 +294,8 @@ impl Response {
 }
 
 /// Serialize `resp` into wire bytes with an accurate `Content-Length`
-/// and the given connection `disposition`. Every response path — fresh
-/// render, stale bytes, admission 503, parse 4xx — goes through this
+/// and the given connection `disposition`. Every response path — handler
+/// response, admission 503, parse 4xx — goes through this
 /// one function so keep-alive and reject connections cannot disagree
 /// about what was announced on the wire.
 pub fn serialize_response(resp: &Response, disposition: Disposition) -> Vec<u8> {
@@ -324,9 +309,6 @@ pub fn serialize_response(resp: &Response, disposition: Disposition) -> Vec<u8> 
     );
     if let Some(secs) = resp.retry_after_secs {
         head.push_str(&format!("retry-after: {secs}\r\n"));
-    }
-    if let Some(warning) = resp.warning {
-        head.push_str(&format!("warning: {warning}\r\n"));
     }
     head.push_str("\r\n");
     let mut out = head.into_bytes();
@@ -522,7 +504,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let mut client = TcpStream::connect(addr).unwrap();
         let (mut server_side, _) = listener.accept().unwrap();
-        let mut resp = Response::text(503, "busy\n").mark_stale();
+        let mut resp = Response::text(503, "busy\n");
         resp.retry_after_secs = Some(2);
         write_response(&mut server_side, &resp, Disposition::Close).unwrap();
         drop(server_side);
@@ -535,11 +517,14 @@ mod tests {
         assert!(got.contains("content-length: 5\r\n"));
         assert!(got.contains("connection: close\r\n"));
         assert!(got.contains("retry-after: 2\r\n"));
-        assert!(
-            got.contains("warning: 110 dynamips-serve \"stale-while-revalidate\"\r\n"),
-            "{got}"
-        );
         assert!(got.ends_with("\r\n\r\nbusy\n"));
+    }
+
+    #[test]
+    fn a_granted_lease_serializes_as_201_created() {
+        let wire = serialize_response(&Response::text(201, "id=1\n"), Disposition::KeepAlive);
+        let text = String::from_utf8(wire).unwrap();
+        assert!(text.starts_with("HTTP/1.1 201 Created\r\n"), "{text}");
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! - [`metrics`]: atomic counters/gauges/histogram with a Prometheus
 //!   text rendering at `GET /metrics`.
 //! - [`lru`]: the bounded LRU the artifact handler uses to keep warm
-//!   simulation worlds, mirroring the engine's `WorldCache` protocol.
+//!   simulation worlds and rendered artifacts, mirroring the engine's
+//!   `WorldCache` protocol.
 //! - [`client`] / [`loadtest`]: a strict one-shot HTTP client, a
 //!   [`KeepAliveConnection`] with `Content-Length` framing, and the
 //!   load generator behind `dynamips loadtest` — closed-loop or
@@ -71,7 +72,7 @@ pub use client::{
     CircuitBreaker, ClientMetrics, FetchResult, JitterSource, KeepAliveConnection, ResilientClient,
     RetryAfter, RetryPolicy,
 };
-pub use http::{scan_head, scan_request, Disposition, Request, Response, WARNING_STALE};
+pub use http::{scan_head, scan_request, Disposition, Request, Response};
 pub use loadtest::{arrival_offsets_ms, run_loadtest, LoadtestConfig, LoadtestReport};
 pub use lru::{CacheLookup, LruCache};
 pub use metrics::Metrics;

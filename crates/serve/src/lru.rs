@@ -1,15 +1,19 @@
-//! A small, thread-safe, bounded LRU keyed by `Ord` keys.
+//! A small, thread-safe, bounded LRU keyed by `Ord` keys, filled only
+//! through [`LruCache::fetch_or_build`].
 //!
 //! The shape mirrors the engine's `WorldCache` two-phase protocol: the
 //! map lock is held only long enough to claim a per-key `OnceLock` slot;
 //! the (potentially very expensive) value construction runs outside the
 //! lock inside `OnceLock::get_or_init`, so concurrent requests for the
 //! same key build the value exactly once while requests for other keys
-//! proceed unblocked. Eviction removes the least-recently-used *map
-//! entries*; in-flight builders keep their slot alive via `Arc`, so an
+//! proceed unblocked. A builder that panics leaves its slot empty
+//! (`get_or_init` stores nothing), so the next lookup of that key builds
+//! again. Eviction removes the least-recently-used *map entries*;
+//! in-flight builders keep their slot alive via `Arc`, so an
 //! evicted-while-building value is still returned to its requesters and
-//! simply isn't cached afterwards — a stale value can never be served
-//! because a key's bytes are a pure function of the key.
+//! simply isn't cached afterwards. A key is meant to carry everything its
+//! value is a pure function of, so a cached value is never out of date
+//! and eviction only ever costs a rebuild.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -22,15 +26,14 @@ struct Entry<V> {
 struct Inner<K, V> {
     map: BTreeMap<K, Entry<V>>,
     tick: u64,
-    evictions: u64,
 }
 
 /// Outcome of one cache lookup.
 pub struct CacheLookup<V> {
     /// The cached (or freshly built) value.
     pub value: Arc<V>,
-    /// Whether the key was already present (its builder may still have
-    /// been in flight; "hit" means no second build was started).
+    /// Whether this lookup was answered without running its builder: the
+    /// value was resident, or another caller's in-flight build supplied it.
     pub hit: bool,
     /// How many entries this lookup evicted to stay within capacity.
     pub evicted: u64,
@@ -49,7 +52,6 @@ impl<K: Ord + Clone, V> LruCache<K, V> {
             inner: Mutex::new(Inner {
                 map: BTreeMap::new(),
                 tick: 0,
-                evictions: 0,
             }),
             cap: cap.max(1),
         }
@@ -58,14 +60,14 @@ impl<K: Ord + Clone, V> LruCache<K, V> {
     /// Fetch `key`, building the value with `build` on a miss. `build`
     /// runs without the map lock held.
     pub fn fetch_or_build<F: FnOnce() -> V>(&self, key: K, build: F) -> CacheLookup<V> {
-        let (slot, hit, victims) = {
+        let (slot, victims) = {
             let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
             inner.tick += 1;
             let tick = inner.tick;
-            let (slot, hit) = match inner.map.get_mut(&key) {
+            let slot = match inner.map.get_mut(&key) {
                 Some(entry) => {
                     entry.last_used = tick;
-                    (Arc::clone(&entry.slot), true)
+                    Arc::clone(&entry.slot)
                 }
                 None => {
                     let slot = Arc::new(OnceLock::new());
@@ -76,75 +78,27 @@ impl<K: Ord + Clone, V> LruCache<K, V> {
                             last_used: tick,
                         },
                     );
-                    (slot, false)
+                    slot
                 }
             };
             let victims = evict_over_cap(&mut inner, self.cap, &key);
-            inner.evictions += victims.len() as u64;
-            (slot, hit, victims)
+            (slot, victims)
         };
         // Guard released: dropping a victim here may free the last Arc to
         // a user value, and user Drop code must never run under the shard
         // lock (it can take arbitrary time or take other locks).
         let evicted = victims.len() as u64;
         drop(victims);
-        let value = Arc::clone(slot.get_or_init(|| Arc::new(build())));
+        let mut built = false;
+        let value = Arc::clone(slot.get_or_init(|| {
+            built = true;
+            Arc::new(build())
+        }));
         CacheLookup {
             value,
-            hit,
+            hit: !built,
             evicted,
         }
-    }
-
-    /// Insert (or replace) an already-built value for `key`, touching
-    /// its recency and evicting over-capacity entries. Returns how many
-    /// entries were evicted. Used by the stale-bytes cache, where
-    /// values arrive ready rather than through a builder.
-    pub fn insert(&self, key: K, value: V) -> u64 {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-        let slot = Arc::new(OnceLock::new());
-        let _ = slot.set(Arc::new(value));
-        let displaced = inner.map.insert(
-            key.clone(),
-            Entry {
-                slot,
-                last_used: tick,
-            },
-        );
-        let victims = evict_over_cap(&mut inner, self.cap, &key);
-        let evicted = victims.len() as u64;
-        inner.evictions += evicted;
-        drop(inner);
-        // Guard released before any displaced/evicted value can run user
-        // Drop code (see fetch_or_build).
-        drop(displaced);
-        drop(victims);
-        evicted
-    }
-
-    /// Fetch a ready value for `key` without building, touching its
-    /// recency. Returns `None` on a miss or while a builder for the key
-    /// is still in flight.
-    pub fn get(&self, key: &K) -> Option<Arc<V>> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-        let entry = inner.map.get_mut(key)?;
-        entry.last_used = tick;
-        entry.slot.get().cloned()
-    }
-
-    /// Whether `key` is resident with a ready value (does not touch
-    /// recency).
-    pub fn contains(&self, key: &K) -> bool {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .map
-            .get(key)
-            .is_some_and(|e| e.slot.get().is_some())
     }
 
     /// Entries currently resident.
@@ -159,14 +113,6 @@ impl<K: Ord + Clone, V> LruCache<K, V> {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Total entries evicted over the cache's lifetime.
-    pub fn evictions(&self) -> u64 {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .evictions
     }
 }
 
@@ -241,26 +187,29 @@ mod tests {
         let one = cache.fetch_or_build(1, || 99);
         assert!(!one.hit);
         assert_eq!(*one.value, 99);
-        assert_eq!(cache.evictions(), 3);
+        assert_eq!(one.evicted, 1);
     }
 
     #[test]
-    fn insert_get_and_contains_track_recency_and_capacity() {
-        let cache: LruCache<u32, &'static str> = LruCache::bounded(2);
-        assert!(cache.get(&1).is_none());
-        assert!(!cache.contains(&1));
-        assert_eq!(cache.insert(1, "one"), 0);
-        assert_eq!(cache.insert(2, "two"), 0);
-        assert!(cache.contains(&1));
-        assert_eq!(cache.get(&1).as_deref(), Some(&"one"));
-        // Key 2 is now LRU (the get touched 1); inserting 3 evicts it.
-        assert_eq!(cache.insert(3, "three"), 1);
-        assert!(!cache.contains(&2));
-        assert!(cache.contains(&1) && cache.contains(&3));
-        // Replacing a resident key keeps capacity and updates the value.
-        assert_eq!(cache.insert(1, "uno"), 0);
-        assert_eq!(cache.get(&1).as_deref(), Some(&"uno"));
-        assert_eq!(cache.evictions(), 1);
+    fn a_panicking_build_is_not_cached_and_the_next_lookup_builds_once() {
+        let cache: LruCache<u32, u32> = LruCache::bounded(2);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.fetch_or_build(5, || panic!("build failed"))
+        }));
+        assert!(panicked.is_err());
+        let builds = AtomicU64::new(0);
+        let retry = cache.fetch_or_build(5, || {
+            builds.fetch_add(1, Ordering::SeqCst);
+            50
+        });
+        assert!(!retry.hit, "the panicked build left the key unbuilt");
+        let again = cache.fetch_or_build(5, || {
+            builds.fetch_add(1, Ordering::SeqCst);
+            51
+        });
+        assert!(again.hit);
+        assert_eq!((*retry.value, *again.value), (50, 50));
+        assert_eq!(builds.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -281,21 +230,19 @@ mod tests {
         }
         let cache: Arc<LruCache<u32, Probe>> = Arc::new(LruCache::bounded(1));
         let drops = Arc::new(AtomicU64::new(0));
+        let mut evicted = 0;
         for key in 0..3 {
             let probe = Probe {
                 cache: Arc::downgrade(&cache),
                 drops: Arc::clone(&drops),
             };
-            cache.insert(key, probe);
+            // The lookup's own `Arc` drops at the end of this statement,
+            // so the cache holds the last reference to each value and
+            // evicting it runs `Probe::drop`.
+            evicted += cache.fetch_or_build(key, || probe).evicted;
         }
-        // Replacing a resident key exercises the displaced-entry path.
-        let probe = Probe {
-            cache: Arc::downgrade(&cache),
-            drops: Arc::clone(&drops),
-        };
-        cache.insert(2, probe);
-        assert_eq!(cache.evictions(), 2);
-        assert_eq!(drops.load(Ordering::SeqCst), 3);
+        assert_eq!(evicted, 2);
+        assert_eq!(drops.load(Ordering::SeqCst), 2);
     }
 
     #[test]

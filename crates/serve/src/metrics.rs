@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 /// Status codes the server can emit, in render order. Anything else is
 /// folded into the `"other"` series.
-pub const TRACKED_STATUS: [u16; 8] = [200, 400, 404, 405, 408, 413, 500, 503];
+pub const TRACKED_STATUS: [u16; 9] = [200, 201, 400, 404, 405, 408, 413, 500, 503];
 
 /// Upper bounds (milliseconds) of the latency histogram buckets; an
 /// implicit `+Inf` bucket follows.
@@ -37,18 +37,17 @@ pub struct Metrics {
     admission_rejects: AtomicU64,
     /// Peers that vanished before a response could be written.
     disconnects: AtomicU64,
-    /// Artifact-cache hits (a warm world answered the request).
+    /// Artifact-cache hits (stored bytes answered the request).
     cache_hits: AtomicU64,
-    /// Artifact-cache misses (a world had to be built).
+    /// Artifact-cache misses (the artifact had to be rendered).
     cache_misses: AtomicU64,
-    /// Warm worlds evicted by the LRU bound.
+    /// Warm sessions evicted by the session LRU bound (their rendered
+    /// artifacts stay in the artifact cache).
     cache_evictions: AtomicU64,
     /// Worker threads that died to a caught panic.
     worker_panics: AtomicU64,
     /// Workers respawned by the supervisor after a panic.
     worker_respawns: AtomicU64,
-    /// Responses served from stale bytes instead of a fresh render.
-    degraded_responses: AtomicU64,
     /// Requests served on an already-used connection (HTTP keep-alive).
     keepalive_reuses: AtomicU64,
 }
@@ -144,8 +143,8 @@ impl Metrics {
         self.disconnects.load(Ordering::Relaxed)
     }
 
-    /// Record an artifact-cache lookup outcome and any evictions it
-    /// triggered.
+    /// Record an artifact-cache lookup outcome and any warm sessions its
+    /// render evicted.
     pub fn record_cache(&self, hit: bool, evicted: u64) {
         if hit {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -157,8 +156,7 @@ impl Metrics {
         }
     }
 
-    /// Connections currently queued awaiting a worker (gauge read,
-    /// used by saturation-triggered degraded serving).
+    /// Connections currently queued awaiting a worker (gauge read).
     pub fn queue_depth(&self) -> u64 {
         self.queue_depth.load(Ordering::Relaxed)
     }
@@ -181,16 +179,6 @@ impl Metrics {
     /// Worker respawns so far.
     pub fn worker_respawns(&self) -> u64 {
         self.worker_respawns.load(Ordering::Relaxed)
-    }
-
-    /// A response was served from stale bytes (`Warning: 110`).
-    pub fn record_degraded_response(&self) {
-        self.degraded_responses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Degraded (stale-served) responses so far.
-    pub fn degraded_responses(&self) -> u64 {
-        self.degraded_responses.load(Ordering::Relaxed)
     }
 
     /// A request arrived on a connection that already served at least
@@ -296,19 +284,19 @@ impl Metrics {
             ),
             (
                 "dynamips_serve_cache_hits_total",
-                "Artifact requests answered from a warm world.",
+                "Artifact requests answered from stored rendered bytes.",
                 "counter",
                 self.cache_hits.load(Ordering::Relaxed),
             ),
             (
                 "dynamips_serve_cache_misses_total",
-                "Artifact requests that had to build a world.",
+                "Artifact requests that had to render the artifact.",
                 "counter",
                 self.cache_misses.load(Ordering::Relaxed),
             ),
             (
                 "dynamips_serve_cache_evictions_total",
-                "Warm worlds evicted by the LRU bound.",
+                "Warm sessions evicted by the session LRU bound.",
                 "counter",
                 self.cache_evictions.load(Ordering::Relaxed),
             ),
@@ -323,12 +311,6 @@ impl Metrics {
                 "Workers respawned by the supervisor after a panic.",
                 "counter",
                 self.worker_respawns.load(Ordering::Relaxed),
-            ),
-            (
-                "dynamips_serve_degraded_responses_total",
-                "Responses served from stale bytes (Warning: 110).",
-                "counter",
-                self.degraded_responses.load(Ordering::Relaxed),
             ),
             (
                 "dynamips_serve_keepalive_reuses_total",
@@ -461,26 +443,16 @@ mod tests {
     }
 
     #[test]
-    fn supervision_and_degradation_counters_render() {
+    fn supervision_and_keepalive_counters_render() {
         let m = Metrics::new();
         m.record_worker_panic();
         m.record_worker_respawn();
-        m.record_degraded_response();
-        m.record_degraded_response();
         m.record_keepalive_reuse();
         assert_eq!(m.keepalive_reuses(), 1);
-        assert_eq!(
-            (
-                m.worker_panics(),
-                m.worker_respawns(),
-                m.degraded_responses()
-            ),
-            (1, 1, 2)
-        );
+        assert_eq!((m.worker_panics(), m.worker_respawns()), (1, 1));
         let text = m.render_prometheus();
         assert!(text.contains("dynamips_serve_worker_panics_total 1\n"));
         assert!(text.contains("dynamips_serve_worker_respawns_total 1\n"));
-        assert!(text.contains("dynamips_serve_degraded_responses_total 2\n"));
         assert!(text.contains("dynamips_serve_keepalive_reuses_total 1\n"));
     }
 }
