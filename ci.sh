@@ -15,6 +15,92 @@ cargo fmt --all --check
 say "cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
+say "clippy probes: each per-line invariant fails in scope and passes where exempt"
+# The per-line invariants are clippy lints (clippy.toml and the crate
+# roots). Each probe injects one violation into a scratch copy of the
+# tracked workspace and runs clippy on one crate: in scope it must fail
+# naming the expected lint, in an exempt scope it must pass.
+PROBE=target/clippy-probe
+rm -rf "$PROBE"
+mkdir -p "$PROBE/ws"
+git ls-files -z | tar --null -T - -cf - | tar -xf - -C "$PROBE/ws"
+# probe pass|fail CRATE FILE LINT SNIPPET [ANCHOR]: the snippet is
+# appended to FILE, or inserted after every line containing ANCHOR.
+probe() {
+    p_expect=$1 p_crate=$2 p_file=$3 p_lint=$4 p_snippet=$5 p_anchor=${6:-}
+    if [ -n "$p_anchor" ]; then
+        A="$p_anchor" S="$p_snippet" awk '{ print } index($0, ENVIRON["A"]) { print ENVIRON["S"] }' \
+            "$p_file" > "$PROBE/ws/$p_file"
+    else
+        { cat "$p_file"; printf '\n%s\n' "$p_snippet"; } > "$PROBE/ws/$p_file"
+    fi
+    p_rc=0
+    (cd "$PROBE/ws" && CARGO_TARGET_DIR=../target \
+        cargo clippy --offline --quiet -p "$p_crate" -- -D warnings) > "$PROBE/out.txt" 2>&1 || p_rc=$?
+    cp "$p_file" "$PROBE/ws/$p_file"
+    if [ "$p_expect" = fail ]; then
+        if [ "$p_rc" -eq 0 ] || ! grep -q "$p_lint" "$PROBE/out.txt"; then
+            cat "$PROBE/out.txt"; echo "probe: $p_lint in $p_file should fail clippy"; exit 1
+        fi
+    elif [ "$p_rc" -ne 0 ]; then
+        cat "$PROBE/out.txt"; echo "probe: $p_lint in $p_file should pass clippy"; exit 1
+    fi
+    echo "probe $p_expect: $p_lint in $p_file"
+}
+PROBE_START_NS=$(date +%s%N)
+probe fail dynamips-core crates/core/src/report.rs disallowed_methods '/// Probe.
+pub fn probe_clock() -> std::time::Instant {
+    std::time::Instant::now()
+}'
+# Exemptions are per statement: a clock read inside the load generator's
+# exempt client-thread statement passes.
+probe pass dynamips-serve crates/serve/src/loadtest.rs disallowed_methods \
+    'let _probe = std::time::Instant::now();' 'handles.push(std::thread::spawn(move || {'
+probe fail dynamips-core crates/core/src/lib.rs disallowed_methods '/// Probe.
+pub fn probe_spawn() {
+    let _ = std::thread::spawn(|| ()).join();
+}'
+# chaos_serve.rs may read the clock, but its exemption must not cover spawns.
+probe fail dynamips-experiments crates/experiments/src/chaos_serve.rs disallowed_methods \
+    'let _probe = std::thread::spawn(|| ());' 'let warm_started = Instant::now();'
+probe fail dynamips-atlas crates/atlas/src/lib.rs unwrap_used '/// Probe.
+pub fn probe_unwrap(o: Option<u8>) -> u8 {
+    o.unwrap()
+}'
+probe pass dynamips-netsim crates/netsim/src/lib.rs unwrap_used '/// Probe.
+pub fn probe_unwrap(o: Option<u8>) -> u8 {
+    o.unwrap()
+}'
+probe fail dynamips-routing crates/routing/src/lib.rs print_stdout '/// Probe.
+pub fn probe_print() {
+    println!("probe");
+}'
+probe fail dynamips-atlas crates/atlas/src/records.rs indexing_slicing '/// Probe.
+pub fn probe_index(v: &[u8]) -> u8 {
+    v[0]
+}'
+probe fail dynamips-serve crates/serve/src/poll.rs undocumented_unsafe_blocks '/// Probe.
+#[allow(unsafe_code, reason = "probe")]
+pub fn probe_unsafe(v: &[u8]) -> u8 {
+    unsafe { *v.as_ptr() }
+}'
+probe pass dynamips-serve crates/serve/src/poll.rs undocumented_unsafe_blocks '/// Probe.
+#[allow(unsafe_code, reason = "probe")]
+pub fn probe_unsafe(v: &[u8]) -> u8 {
+    // SAFETY: probe only; never called.
+    unsafe { *v.as_ptr() }
+}'
+probe fail dynamips-core crates/core/src/lib.rs allow_attributes_without_reason '/// Probe.
+#[allow(clippy::needless_return)]
+pub fn probe_allow() {}'
+probe fail dynamips-experiments crates/experiments/src/main.rs disallowed_methods \
+    'if std::env::args().count() > 99 { std::process::exit(3); }' 'fn main() {'
+# An exit code is an `Exit` variant: a literal code does not type-check.
+probe fail dynamips-experiments crates/experiments/src/main.rs 'mismatched types' \
+    'if std::env::args().count() > 99 { exit(3); }' 'fn main() {'
+PROBE_END_NS=$(date +%s%N)
+echo "clippy probes: $(( (PROBE_END_NS - PROBE_START_NS) / 1000000 )) ms"
+
 say "dynamips-lint"
 # The text run gates (all the call-graph families: panic reach,
 # determinism taint, dead pub, the concurrency pass, and the

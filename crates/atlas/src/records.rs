@@ -15,9 +15,10 @@
 //! dropped, and out-of-order records are re-sorted — each repair accounted
 //! for, in the spirit of the paper's Appendix-A.1 bookkeeping.
 
-// Ingest code must degrade, never abort: no unwraps or expects on
-// data-derived values (tests are exempt via clippy.toml).
-#![warn(clippy::unwrap_used, clippy::expect_used)]
+// Ingest code must degrade, never abort: besides the crate's panic lints,
+// no direct slice indexing on data-derived values (use get() or
+// destructuring).
+#![warn(clippy::indexing_slicing)]
 
 use crate::series::ProbeId;
 use dynamips_netsim::SimTime;

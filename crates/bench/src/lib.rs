@@ -9,6 +9,14 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+// Library code renders to strings instead of printing, and every
+// `#[allow]` states its reason.
+#![warn(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro,
+    clippy::allow_attributes_without_reason
+)]
 
 use dynamips_experiments::{AtlasAnalysis, CdnAnalysis, ExperimentConfig};
 

@@ -1,8 +1,9 @@
 //! The aggregated association dataset.
 
-// Ingest code must degrade, never abort: no unwraps or expects on
-// data-derived values (tests are exempt via clippy.toml).
-#![warn(clippy::unwrap_used, clippy::expect_used)]
+// Ingest code must degrade, never abort: besides the crate's panic lints,
+// no direct slice indexing on data-derived values (use get() or
+// destructuring).
+#![warn(clippy::indexing_slicing)]
 
 use dynamips_netaddr::{Ipv4Prefix, Ipv6Prefix};
 use dynamips_routing::Asn;

@@ -256,6 +256,7 @@ impl ChaosProxy {
             conns: Mutex::new(Vec::new()),
         });
         let acceptor_shared = Arc::clone(&shared);
+        #[allow(clippy::disallowed_methods, reason = "the proxy's acceptor thread")]
         let acceptor = thread::spawn(move || accept_loop(&listener, &acceptor_shared));
         Ok(ChaosProxy {
             shared,
@@ -313,6 +314,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ProxyShared>) {
                     }
                 }
                 let conn_shared = Arc::clone(shared);
+                #[allow(clippy::disallowed_methods, reason = "one proxy thread per connection")]
                 let handle = thread::spawn(move || handle_connection(&conn_shared, stream, fault));
                 shared
                     .conns
@@ -441,6 +443,7 @@ mod tests {
     fn fixed_upstream(n: usize) -> (SocketAddr, thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
+        #[allow(clippy::disallowed_methods, reason = "test upstream server thread")]
         let handle = thread::spawn(move || {
             for _ in 0..n {
                 let Ok((mut stream, _)) = listener.accept() else {

@@ -218,6 +218,7 @@ fn run_rounds(b: &Baseline, jobs: &[(f64, u64)]) -> Vec<(Round, DegradationRepor
         .clamp(1, MAX_CONCURRENT_ROUNDS);
     let mut results = Vec::with_capacity(jobs.len());
     for chunk in jobs.chunks(width) {
+        #[allow(clippy::disallowed_methods, reason = "scoped sweep workers")]
         std::thread::scope(|s| {
             let handles: Vec<_> = chunk
                 .iter()

@@ -143,6 +143,7 @@ fn run_point(
     rate: f64,
     expected: &[Vec<u8>],
 ) -> Result<PointOutcome, String> {
+    #[allow(clippy::disallowed_methods, reason = "per-point wall time")]
     let started = Instant::now();
     let metrics = Arc::new(Metrics::new());
     let serve_cfg = ServeConfig {
@@ -292,7 +293,9 @@ fn violations(point: &PointOutcome, opts: &ChaosServeOptions) -> Vec<String> {
 
 /// Run the full chaos-serve sweep; see the module docs for the design.
 pub fn run(cfg: &ExperimentConfig, opts: &ChaosServeOptions, workers: usize) -> ChaosServeOutcome {
+    #[allow(clippy::disallowed_methods, reason = "sweep wall time")]
     let started = Instant::now();
+    #[allow(clippy::disallowed_methods, reason = "warm-up wall time")]
     let warm_started = Instant::now();
     let expected = match expected_bytes(cfg, workers) {
         Ok(expected) => expected,

@@ -351,6 +351,7 @@ impl AtlasProducts {
             for_each(&mut sink);
             acc
         } else {
+            #[allow(clippy::disallowed_methods, reason = "scoped history shards")]
             let shards = thread::scope(|scope| {
                 let mut senders = Vec::with_capacity(workers);
                 let mut handles = Vec::with_capacity(workers);

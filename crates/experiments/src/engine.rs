@@ -245,26 +245,29 @@ struct EngineContext<'a> {
 // Phase A computes every product the artifacts requested in phase B read
 // (the `Needs` derivation above); a miss here is an engine wiring bug
 // worth crashing on, not a data-dependent condition to degrade.
-#[allow(clippy::expect_used)]
+#[allow(
+    clippy::expect_used,
+    reason = "phase A wiring guarantees every product phase B reads"
+)]
 impl EngineContext<'_> {
     fn atlas(&self) -> &AtlasAnalysis {
-        // lint:allow(panic-path): phase A wiring guarantees the product; see impl comment
+        // lint:allow(panic-reach): phase A wiring guarantees the product; see impl comment
         self.atlas.expect("atlas analysis computed")
     }
     fn cdn(&self) -> &CdnAnalysis {
-        // lint:allow(panic-path): phase A wiring guarantees the product; see impl comment
+        // lint:allow(panic-reach): phase A wiring guarantees the product; see impl comment
         self.cdn.expect("cdn analysis computed")
     }
     fn histories(&self) -> &CleanHistories {
-        // lint:allow(panic-path): phase A wiring guarantees the product; see impl comment
+        // lint:allow(panic-reach): phase A wiring guarantees the product; see impl comment
         self.histories.expect("histories collected")
     }
     fn short_v4(&self) -> &ShortV4Share {
-        // lint:allow(panic-path): phase A wiring guarantees the product; see impl comment
+        // lint:allow(panic-reach): phase A wiring guarantees the product; see impl comment
         self.short_v4.expect("short-v4 shares collected")
     }
     fn world(&self) -> &World {
-        // lint:allow(panic-path): phase A wiring guarantees the product; see impl comment
+        // lint:allow(panic-reach): phase A wiring guarantees the product; see impl comment
         self.atlas_world.expect("atlas world built")
     }
 }
@@ -314,6 +317,7 @@ fn ms(t: Instant) -> f64 {
 /// threads (phase B, fan-out). `wanted` must already be validated with
 /// [`is_known_artifact`].
 pub fn run(cfg: &ExperimentConfig, wanted: &[String], workers: usize) -> EngineOutput {
+    #[allow(clippy::disallowed_methods, reason = "engine wall time")]
     let started = Instant::now();
     let cache = WorldCache::new();
 
@@ -328,6 +332,7 @@ pub fn run(cfg: &ExperimentConfig, wanted: &[String], workers: usize) -> EngineO
     let mut phases: Vec<PerfEntry> = Vec::new();
 
     let atlas_world_handle: Option<(Arc<World>, f64)> = needs.world.then(|| {
+        #[allow(clippy::disallowed_methods, reason = "phase wall time")]
         let t = Instant::now();
         let w = cache.atlas(cfg.seed, cfg.atlas_scale);
         (w, ms(t))
@@ -342,21 +347,25 @@ pub fn run(cfg: &ExperimentConfig, wanted: &[String], workers: usize) -> EngineO
     // is populated whenever `atlas_job` is.
     let atlas_job = atlas_wants.zip(atlas_world_handle.as_ref().map(|(w, _)| w));
     let atlas_pass = |(wants, w): (AtlasWants, &Arc<World>)| {
+        #[allow(clippy::disallowed_methods, reason = "phase wall time")]
         let t = Instant::now();
         let mut deg = DegradationReport::new();
         let products = AtlasProducts::collect(w, Window::atlas_paper(), wants, workers, &mut deg);
         (products, ms(t))
     };
     let cdn_analysis_of = || {
+        #[allow(clippy::disallowed_methods, reason = "phase wall time")]
         let tw = Instant::now();
         let w = cache.cdn(cfg.seed, cfg.cdn_scale);
         let world_ms = ms(tw);
+        #[allow(clippy::disallowed_methods, reason = "phase wall time")]
         let t = Instant::now();
         let mut deg = DegradationReport::new();
         let c = CdnAnalysis::compute_for_world(&w, &mut deg);
         (c, world_ms, ms(t))
     };
 
+    #[allow(clippy::disallowed_methods, reason = "scoped engine workers")]
     let (atlas, cdn) = if workers <= 1 {
         (atlas_job.map(atlas_pass), needs.cdn.then(cdn_analysis_of))
     } else {
@@ -410,6 +419,7 @@ pub fn run(cfg: &ExperimentConfig, wanted: &[String], workers: usize) -> EngineO
     let slots: Vec<OnceLock<(String, bool, f64)>> =
         wanted.iter().map(|_| OnceLock::new()).collect();
     let render = |i: usize| {
+        #[allow(clippy::disallowed_methods, reason = "artifact wall time")]
         let t = Instant::now();
         let (text, ok) = render_one(&wanted[i], &ctx);
         // The dealing index hands each slot to exactly one worker; if a
@@ -420,6 +430,7 @@ pub fn run(cfg: &ExperimentConfig, wanted: &[String], workers: usize) -> EngineO
         (0..wanted.len()).for_each(render);
     } else {
         let next = AtomicUsize::new(0);
+        #[allow(clippy::disallowed_methods, reason = "scoped engine workers")]
         thread::scope(|scope| {
             for _ in 0..workers.min(wanted.len()) {
                 scope.spawn(|| loop {
@@ -621,6 +632,7 @@ mod tests {
     #[test]
     fn world_cache_is_race_free_under_concurrent_requests() {
         let cache = WorldCache::new();
+        #[allow(clippy::disallowed_methods, reason = "concurrent world requests")]
         thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| cache.atlas(7, 0.01));

@@ -266,6 +266,7 @@ pub fn run(opts: &IpamSimOptions) -> Result<IpamSimOutcome, String> {
     if opts.subscribers == 0 || opts.ticks == 0 || opts.shards == 0 {
         return Err("ipam-sim: --subscribers, --ticks, --shards must be >= 1".to_string());
     }
+    #[allow(clippy::disallowed_methods, reason = "simulator wall time")]
     let started = Instant::now();
     let first = run_pass(opts)?;
     let first_ms = started.elapsed().as_secs_f64() * 1e3;

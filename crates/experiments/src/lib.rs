@@ -23,9 +23,21 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
-// Panic-freedom ratchet: shipping code degrades instead of unwrapping;
-// tests are exempt via clippy.toml (allow-unwrap-in-tests).
-#![warn(clippy::unwrap_used, clippy::expect_used)]
+// Panic-freedom: shipping code degrades instead of panicking (tests are
+// exempt via clippy.toml). Library code renders to strings instead of
+// printing, and every `#[allow]` states its reason.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod atlas_exps;
 pub mod cdn_exps;

@@ -23,14 +23,38 @@
 //! `check` predicates, failed `chaos` or `chaos-serve` sweep), `2` on a
 //! usage error.
 
+// Panic-freedom, as in the library crate (tests are exempt via
+// clippy.toml); a binary may print. Every `#[allow]` states its reason.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+
 use dynamips_experiments::{
     chaos, chaos_serve, engine, extended, ipam_service, ipam_sim, service, ExperimentConfig,
 };
 
-/// Exit code for usage errors (bad flags, unknown artifacts).
-const EXIT_USAGE: i32 = 2;
-/// Exit code for run failures (I/O, failed check/chaos assertions).
-const EXIT_RUN_FAILURE: i32 = 1;
+/// The nonzero exit codes; success is returning from `main`.
+enum Exit {
+    /// Run failures (I/O, failed check/chaos assertions).
+    RunFailure = 1,
+    /// Usage errors (bad flags, unknown artifacts).
+    Usage = 2,
+}
+
+/// Terminate with `code`: the binary's only call to `process::exit`.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the binary's single exit point; its codes are `Exit` variants"
+)]
+fn exit(code: Exit) -> ! {
+    std::process::exit(code as i32)
+}
 
 fn usage() -> ! {
     eprintln!(
@@ -90,7 +114,7 @@ fn usage() -> ! {
         engine::CDN_ARTIFACTS.join(" "),
         engine::EXTENDED_ARTIFACTS.join(" "),
     );
-    std::process::exit(EXIT_USAGE);
+    exit(Exit::Usage);
 }
 
 fn main() {
@@ -318,7 +342,7 @@ fn main() {
                     eprintln!(
                         "dynamips lint: unknown rule {id:?} (see `dynamips-lint --list-rules`)"
                     );
-                    std::process::exit(EXIT_USAGE);
+                    exit(Exit::Usage);
                 }
             }
         }
@@ -331,25 +355,25 @@ fn main() {
             .and_then(|cwd| dynamips_lint::find_root(&cwd))
         else {
             eprintln!("dynamips lint: no lint.toml found above the current directory");
-            std::process::exit(EXIT_USAGE);
+            exit(Exit::Usage);
         };
         let config_text = match std::fs::read_to_string(root.join("lint.toml")) {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("dynamips lint: cannot read lint.toml: {e}");
-                std::process::exit(EXIT_USAGE);
+                exit(Exit::Usage);
             }
         };
         match dynamips_lint::run(&root, &config_text, format, true) {
             Ok(outcome) => {
                 print!("{}", outcome.report);
                 if outcome.denies > 0 {
-                    std::process::exit(EXIT_RUN_FAILURE);
+                    exit(Exit::RunFailure);
                 }
             }
             Err(e) => {
                 eprintln!("dynamips lint: {e}");
-                std::process::exit(EXIT_USAGE);
+                exit(Exit::Usage);
             }
         }
         return;
@@ -384,7 +408,7 @@ fn main() {
         let outcome = chaos::run(&cfg, &chaos_opts);
         println!("{}", outcome.text);
         if !outcome.ok {
-            std::process::exit(EXIT_RUN_FAILURE);
+            exit(Exit::RunFailure);
         }
         return;
     }
@@ -417,7 +441,7 @@ fn main() {
         // Usage errors exit 2 before any socket is bound or world built.
         if cs_opts.rates.is_empty() || cs_opts.requests == 0 || cs_opts.timeout_ms == 0 {
             eprintln!("chaos-serve: --rate, --requests, --timeout-ms must be >= 1");
-            std::process::exit(EXIT_USAGE);
+            exit(Exit::Usage);
         }
         let bench_path = bench_out.unwrap_or_else(|| "BENCH_chaos_serve.json".into());
         let probe_dir = match bench_path.parent() {
@@ -430,7 +454,7 @@ fn main() {
                 "chaos-serve: --bench-out {} is not writable: {e}",
                 bench_path.display()
             );
-            std::process::exit(EXIT_USAGE);
+            exit(Exit::Usage);
         }
         eprintln!(
             "[dynamips] chaos-serve sweep over rates {:?} ({} request(s) each)...",
@@ -442,11 +466,11 @@ fn main() {
             Ok(()) => eprintln!("[dynamips] wrote {}", bench_path.display()),
             Err(e) => {
                 eprintln!("failed to write {}: {e}", bench_path.display());
-                std::process::exit(EXIT_RUN_FAILURE);
+                exit(Exit::RunFailure);
             }
         }
         if !outcome.ok {
-            std::process::exit(EXIT_RUN_FAILURE);
+            exit(Exit::RunFailure);
         }
         return;
     }
@@ -462,17 +486,17 @@ fn main() {
             let timeout_ms = lt_timeout_ms.unwrap_or(10_000);
             if cycles == 0 || timeout_ms == 0 {
                 eprintln!("ipam-sim: --cycles and --timeout-ms must be >= 1");
-                std::process::exit(EXIT_USAGE);
+                exit(Exit::Usage);
             }
             if let Err(e) = dynamips_serve::client::split_url(&url) {
                 eprintln!("ipam-sim: {e}");
-                std::process::exit(EXIT_USAGE);
+                exit(Exit::Usage);
             }
             match ipam_sim::run_url(&url, cycles, timeout_ms) {
                 Ok(text) => print!("{text}"),
                 Err(e) => {
                     eprintln!("ipam-sim: {e}");
-                    std::process::exit(EXIT_RUN_FAILURE);
+                    exit(Exit::RunFailure);
                 }
             }
             return;
@@ -493,7 +517,7 @@ fn main() {
         // Usage errors exit 2 before any allocator is built.
         if opts.subscribers == 0 || opts.ticks == 0 || opts.shards == 0 {
             eprintln!("ipam-sim: --subscribers, --ticks, --shards must be >= 1");
-            std::process::exit(EXIT_USAGE);
+            exit(Exit::Usage);
         }
         let bench_path = bench_out.unwrap_or_else(|| "BENCH_ipam.json".into());
         let probe_dir = match bench_path.parent() {
@@ -506,7 +530,7 @@ fn main() {
                 "ipam-sim: --bench-out {} is not writable: {e}",
                 bench_path.display()
             );
-            std::process::exit(EXIT_USAGE);
+            exit(Exit::Usage);
         }
         eprintln!(
             "[dynamips] ipam-sim: {} subscriber(s), {} tick(s), seed {} (two passes)...",
@@ -519,16 +543,16 @@ fn main() {
                     Ok(()) => eprintln!("[dynamips] wrote {}", bench_path.display()),
                     Err(e) => {
                         eprintln!("failed to write {}: {e}", bench_path.display());
-                        std::process::exit(EXIT_RUN_FAILURE);
+                        exit(Exit::RunFailure);
                     }
                 }
                 if !outcome.ok {
-                    std::process::exit(EXIT_RUN_FAILURE);
+                    exit(Exit::RunFailure);
                 }
             }
             Err(e) => {
                 eprintln!("ipam-sim: {e}");
-                std::process::exit(EXIT_RUN_FAILURE);
+                exit(Exit::RunFailure);
             }
         }
         return;
@@ -562,7 +586,7 @@ fn main() {
             || cache_cap == Some(0)
         {
             eprintln!("serve: --serve-workers, --queue, --max-conns, --cache-cap must be >= 1");
-            std::process::exit(EXIT_USAGE);
+            exit(Exit::Usage);
         }
         let metrics = std::sync::Arc::new(dynamips_serve::Metrics::new());
         let artifacts = service::ArtifactService::over_engine(
@@ -577,14 +601,14 @@ fn main() {
             Ok(pools) => pools,
             Err(e) => {
                 eprintln!("serve: bad IPAM pool layout: {e}");
-                std::process::exit(EXIT_RUN_FAILURE);
+                exit(Exit::RunFailure);
             }
         };
         let ipam = match dynamips_ipam::Ipam::build(dynamips_ipam::IpamConfig::default(), pools) {
             Ok(ipam) => std::sync::Arc::new(ipam),
             Err(e) => {
                 eprintln!("serve: cannot build the IPAM allocator: {e}");
-                std::process::exit(EXIT_RUN_FAILURE);
+                exit(Exit::RunFailure);
             }
         };
         let handler = std::sync::Arc::new(ipam_service::DualHandler::new(
@@ -596,7 +620,7 @@ fn main() {
             Ok(server) => server,
             Err(e) => {
                 eprintln!("serve: cannot bind {addr}: {e}");
-                std::process::exit(EXIT_RUN_FAILURE);
+                exit(Exit::RunFailure);
             }
         };
         // The resolved address goes to stdout so scripts driving an
@@ -623,7 +647,7 @@ fn main() {
         }
         let Some(url) = lt_url else {
             eprintln!("loadtest: --url is required");
-            std::process::exit(EXIT_USAGE);
+            exit(Exit::Usage);
         };
         let ltcfg = dynamips_serve::LoadtestConfig {
             url,
@@ -637,19 +661,19 @@ fn main() {
         // Usage errors exit 2 before any socket is opened.
         if ltcfg.concurrency == 0 || ltcfg.requests == 0 {
             eprintln!("loadtest: --concurrency and --requests must be >= 1");
-            std::process::exit(EXIT_USAGE);
+            exit(Exit::Usage);
         }
         if ltcfg.open_loop && !(ltcfg.rate_rps.is_finite() && ltcfg.rate_rps > 0.0) {
             eprintln!("loadtest: --open-loop requires --rate-rps R with R > 0");
-            std::process::exit(EXIT_USAGE);
+            exit(Exit::Usage);
         }
         if !ltcfg.open_loop && lt_rate_rps.is_some() {
             eprintln!("loadtest: --rate-rps only means something with --open-loop");
-            std::process::exit(EXIT_USAGE);
+            exit(Exit::Usage);
         }
         if let Err(e) = dynamips_serve::client::split_url(&ltcfg.url) {
             eprintln!("loadtest: {e}");
-            std::process::exit(EXIT_USAGE);
+            exit(Exit::Usage);
         }
         let bench_path = bench_out.unwrap_or_else(|| "BENCH_serve.json".into());
         let probe_dir = match bench_path.parent() {
@@ -662,7 +686,7 @@ fn main() {
                 "loadtest: --bench-out {} is not writable: {e}",
                 bench_path.display()
             );
-            std::process::exit(EXIT_USAGE);
+            exit(Exit::Usage);
         }
         match dynamips_serve::run_loadtest(&ltcfg) {
             Ok(report) => {
@@ -671,17 +695,17 @@ fn main() {
                     Ok(()) => eprintln!("[dynamips] wrote {}", bench_path.display()),
                     Err(e) => {
                         eprintln!("failed to write {}: {e}", bench_path.display());
-                        std::process::exit(EXIT_RUN_FAILURE);
+                        exit(Exit::RunFailure);
                     }
                 }
                 if !report.all_ok() {
                     eprintln!("loadtest: not every request was answered 2xx");
-                    std::process::exit(EXIT_RUN_FAILURE);
+                    exit(Exit::RunFailure);
                 }
             }
             Err(e) => {
                 eprintln!("loadtest: {e}");
-                std::process::exit(EXIT_RUN_FAILURE);
+                exit(Exit::RunFailure);
             }
         }
         return;
@@ -707,7 +731,7 @@ fn main() {
             }
             Err(e) => {
                 eprintln!("bench-check {path}: {e}");
-                std::process::exit(EXIT_RUN_FAILURE);
+                exit(Exit::RunFailure);
             }
         };
         // With --baseline, enforce the regression thresholds it encodes:
@@ -720,7 +744,7 @@ fn main() {
                 Ok(b) => b,
                 Err(e) => {
                     eprintln!("bench-check: baseline {}: {e}", bpath.display());
-                    std::process::exit(EXIT_RUN_FAILURE);
+                    exit(Exit::RunFailure);
                 }
             };
             let violations = dynamips_core::perf::regression_violations(&record, &baseline);
@@ -730,7 +754,7 @@ fn main() {
                 for v in &violations {
                     eprintln!("bench-check {path}: regression: {v}");
                 }
-                std::process::exit(EXIT_RUN_FAILURE);
+                exit(Exit::RunFailure);
             }
         }
         return;
@@ -770,7 +794,7 @@ fn main() {
             Ok(msg) => println!("{msg}"),
             Err(e) => {
                 eprintln!("dump failed: {e}");
-                std::process::exit(EXIT_RUN_FAILURE);
+                exit(Exit::RunFailure);
             }
         }
         return;
@@ -791,7 +815,7 @@ fn main() {
             .and_then(|()| std::fs::remove_file(&probe))
         {
             eprintln!("--out {} is not writable: {e}", dir.display());
-            std::process::exit(EXIT_RUN_FAILURE);
+            exit(Exit::RunFailure);
         }
     }
 
@@ -818,7 +842,7 @@ fn main() {
                 std::fs::write(dir.join(format!("{}.txt", artifact.name)), &artifact.text)
             }) {
                 eprintln!("failed to write {}.txt: {e}", artifact.name);
-                std::process::exit(EXIT_RUN_FAILURE);
+                exit(Exit::RunFailure);
             }
         }
     }
@@ -837,13 +861,13 @@ fn main() {
             Ok(()) => eprintln!("[dynamips] wrote {}", path.display()),
             Err(e) => {
                 eprintln!("failed to write {}: {e}", path.display());
-                std::process::exit(EXIT_RUN_FAILURE);
+                exit(Exit::RunFailure);
             }
         }
     }
 
     if run_failed {
         eprintln!("[dynamips] self-check failed");
-        std::process::exit(EXIT_RUN_FAILURE);
+        exit(Exit::RunFailure);
     }
 }

@@ -66,6 +66,7 @@ fn concurrent_requests_serve_batch_identical_bytes() {
         } else {
             "/artifacts/fig1?seed=12".to_string()
         };
+        #[allow(clippy::disallowed_methods, reason = "concurrent clients")]
         clients.push(thread::spawn(move || {
             let got = http_get(&addr, &path, 120_000).expect("fetch");
             (path, got)

@@ -37,6 +37,7 @@ fn grant_renew_revoke_storm_conserves_every_address() {
     let ipam = Arc::new(Ipam::build(IpamConfig { shards: 4 }, storm_pools()).unwrap());
     let clock = Arc::new(AtomicU64::new(0));
 
+    #[allow(clippy::disallowed_methods, reason = "concurrent allocator clients")]
     let workers: Vec<_> = (0..THREADS)
         .map(|t| {
             let ipam = Arc::clone(&ipam);
@@ -121,6 +122,7 @@ fn storm_then_drain_returns_every_address_to_the_free_list() {
 
     // Fill from several threads, collecting every granted id.
     let ids: Vec<u64> = {
+        #[allow(clippy::disallowed_methods, reason = "concurrent allocator clients")]
         let handles: Vec<_> = (0..4u64)
             .map(|t| {
                 let ipam = Arc::clone(&ipam);
@@ -152,6 +154,7 @@ fn storm_then_drain_returns_every_address_to_the_free_list() {
     // Drain concurrently too.
     let cursor = Arc::new(AtomicU64::new(0));
     let ids = Arc::new(ids);
+    #[allow(clippy::disallowed_methods, reason = "concurrent allocator clients")]
     let handles: Vec<_> = (0..4)
         .map(|_| {
             let ipam = Arc::clone(&ipam);

@@ -270,7 +270,10 @@ pub(crate) fn run(
 }
 
 /// Rule: no lock guard live across a call that can block.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the pass's shared graph, config and per-rule state, threaded by reference"
+)]
 fn lock_across_blocking(
     graph: &CallGraph,
     cfg: &Config,

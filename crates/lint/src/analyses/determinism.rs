@@ -3,19 +3,21 @@
 //!
 //! The byte-identical-artifacts guarantee (PR 2) holds only if no call
 //! path from a renderer reaches wall-clock reads, unseeded randomness, or
-//! unordered-map iteration. The per-file rules ban those tokens in fixed
-//! scopes; this analysis propagates them through the call graph, so a
-//! helper three crates away that quietly reads `Instant::now` is caught
-//! the moment any renderer can reach it. Sources inside the declared
-//! timing layer (`perf-exempt`) are the sanctioned exception for
-//! wall-clock reads, and hash-order mentions inside render files are
-//! skipped — the per-file `hash-iter` rule already reports those.
+//! unordered-map iteration. clippy's `disallowed_methods` bans clock reads
+//! outside the timing layer site by site, the vendored `rand` has no
+//! entropy source to call, and the per-file `hash-iter` rule bans
+//! unordered maps in render files; this analysis propagates all three
+//! through the call graph, so a helper three crates away that quietly
+//! reads `Instant::now` is caught the moment any renderer can reach it.
+//! Sources inside the declared timing layer (`perf-exempt`) are the
+//! sanctioned exception for wall-clock reads, and hash-order mentions
+//! inside render files are skipped — `hash-iter` already reports those.
 
 use super::{is_test_path, site_allowed};
 use crate::callgraph::CallGraph;
 use crate::config::{Config, Severity};
 use crate::items::TaintKind;
-use crate::rules::{Allow, Finding, DETERMINISM_TAINT, HASH_ITER, UNSEEDED_RNG, WALL_CLOCK};
+use crate::rules::{Allow, Finding, DETERMINISM_TAINT, HASH_ITER};
 use std::collections::BTreeMap;
 
 /// Run the analysis: BFS from every `pub` function defined in a sink
@@ -54,20 +56,12 @@ pub(crate) fn run(
         let perf_exempt = Config::path_in(&node.file, &cfg.perf_exempt);
         let in_render = Config::path_in(&node.file, &cfg.render_paths);
         for site in &node.item.taints {
+            // A hash-order site may also be waived as `hash-iter`.
             let token_rule = match site.kind {
-                TaintKind::WallClock => {
-                    if perf_exempt {
-                        continue; // the sanctioned timing layer
-                    }
-                    WALL_CLOCK.id
-                }
-                TaintKind::UnseededRng => UNSEEDED_RNG.id,
-                TaintKind::HashOrder => {
-                    if in_render {
-                        continue; // the per-file hash-iter rule owns these
-                    }
-                    HASH_ITER.id
-                }
+                TaintKind::WallClock if perf_exempt => continue, // the sanctioned timing layer
+                TaintKind::HashOrder if in_render => continue,   // hash-iter owns these
+                TaintKind::HashOrder => HASH_ITER.id,
+                TaintKind::WallClock | TaintKind::UnseededRng => DETERMINISM_TAINT.id,
             };
             if site_allowed(
                 allows,

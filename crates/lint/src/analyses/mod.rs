@@ -1,7 +1,7 @@
 //! Interprocedural analyses over the workspace call graph.
 //!
-//! The per-file rules in [`crate::rules`] see one line at a time; the
-//! analyses here see the whole workspace: [`panic_reach`] walks the call
+//! clippy and the few per-file rules in [`crate::rules`] see one crate or
+//! one line at a time; the analyses here see the whole workspace: [`panic_reach`] walks the call
 //! graph from the declared pipeline entry points and reports every panic
 //! site on a reachable path (with the shortest chain, so the report reads
 //! `entry → … → site`), [`determinism`] propagates wall-clock, unseeded-RNG

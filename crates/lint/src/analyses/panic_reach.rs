@@ -1,21 +1,21 @@
 //! Panic-reachability: every panic site on a call path from a declared
 //! pipeline entry point, reported with the shortest chain.
 //!
-//! The per-file `panic-path` rule already bans panicking tokens inside
-//! the declared panic-free scope; this analysis closes the transitive
-//! gap: an `expect` in a mechanism crate (outside that scope) that a
-//! pipeline entry point can reach is a latent abort of `dynamips run`,
-//! invisible to any per-line rule. Slice-index sites are only counted in
-//! the ingest scope, where indexing data-derived slices is the concrete
-//! hazard — a constant index into a fixed array elsewhere is not worth a
-//! baseline entry.
+//! clippy's panic lints (`unwrap_used`, `expect_used`, `panic`, …) already
+//! ban panicking calls on the roots of the panic-free crates; this
+//! analysis closes the transitive gap: an `expect` in a mechanism crate
+//! (outside that scope) that a pipeline entry point can reach is a latent
+//! abort of `dynamips run`, invisible to any per-crate lint. Slice-index
+//! sites are only counted in the ingest scope, where indexing
+//! data-derived slices is the concrete hazard — a constant index into a
+//! fixed array elsewhere is not worth a baseline entry.
 
 #[cfg(test)]
 use super::SourceFile;
 use super::{is_test_path, site_allowed};
 use crate::callgraph::CallGraph;
 use crate::config::{Config, Severity};
-use crate::rules::{Allow, Finding, PANIC_PATH, PANIC_REACH};
+use crate::rules::{Allow, Finding, PANIC_REACH};
 use std::collections::BTreeMap;
 
 /// Run the analysis. Fails (as a configuration error) if a declared
@@ -53,12 +53,7 @@ pub(crate) fn run(
             if site.token == "index" && !in_ingest {
                 continue;
             }
-            if site_allowed(
-                allows,
-                &node.file,
-                site.line,
-                &[PANIC_REACH.id, PANIC_PATH.id],
-            ) {
+            if site_allowed(allows, &node.file, site.line, &[PANIC_REACH.id]) {
                 continue;
             }
             let chain = graph.chain(&parents, id).join(" → ");
@@ -138,7 +133,7 @@ mod tests {
     fn allow_pragma_on_site_suppresses() {
         let fs = files(&[(
             "src/main.rs",
-            "fn main() { helper(); }\nfn helper() {\n    // lint:allow(panic-path): exercised invariant\n    Some(1).unwrap();\n}\n",
+            "fn main() { helper(); }\nfn helper() {\n    // lint:allow(panic-reach): exercised invariant\n    Some(1).unwrap();\n}\n",
         )]);
         let found = run_on(&fs, &cfg("src/main.rs::main")).expect("runs");
         assert!(found.is_empty(), "{found:#?}");

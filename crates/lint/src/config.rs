@@ -49,19 +49,11 @@ pub struct Config {
     pub skip: Vec<String>,
     /// Modules that render artifact text: sorted-iteration territory.
     pub render_paths: Vec<String>,
-    /// Files allowed to read the wall clock (the timing layer itself).
+    /// The timing layer: its wall-clock reads are not determinism taint.
     pub perf_exempt: Vec<String>,
-    /// Path prefixes under the panic-freedom contract.
-    pub panic_free: Vec<String>,
-    /// Ingest parsers: panic-freedom plus the slice-indexing ban.
+    /// Ingest parsers: the only files where panic-reach counts slice
+    /// indexing as a panic site.
     pub ingest_paths: Vec<String>,
-    /// Files allowed to call `process::exit` / own exit-code literals.
-    pub exit_allowed: Vec<String>,
-    /// Files allowed to print (binary entry points).
-    pub print_allowed: Vec<String>,
-    /// Files/dirs allowed to spawn threads (the parallel engine and the
-    /// serving layer); everything else must stay single-threaded.
-    pub threads_allowed: Vec<String>,
     /// Pipeline entry points for panic-reachability, as `(file, fn-name)`
     /// pairs parsed from `"path/to/file.rs::fn_name"` declarations.
     pub entry_points: Vec<(String, String)>,
@@ -195,11 +187,7 @@ impl Config {
             ("paths", "skip") => &mut self.skip,
             ("paths", "render") => &mut self.render_paths,
             ("paths", "perf-exempt") => &mut self.perf_exempt,
-            ("paths", "panic-free") => &mut self.panic_free,
             ("paths", "ingest") => &mut self.ingest_paths,
-            ("paths", "exit-allowed") => &mut self.exit_allowed,
-            ("paths", "print-allowed") => &mut self.print_allowed,
-            ("paths", "threads-allowed") => &mut self.threads_allowed,
             ("paths", "blocking-allowed") => &mut self.blocking_allowed,
             ("interprocedural", "sinks") => &mut self.sinks,
             ("interprocedural", "dead-pub") => &mut self.dead_pub,
@@ -277,19 +265,13 @@ mod tests {
     #[test]
     fn parses_sections_arrays_and_severities() {
         let cfg = Config::parse(
-            "# header\n[paths]\nskip = [\"vendor\", \"target\"] # trailing\nrender = [\n  \"crates/core/src/report.rs\",\n  \"crates/experiments/src/atlas_exps.rs\",\n]\n\n[rules.slice-index]\nseverity = \"warn\"\n",
+            "# header\n[paths]\nskip = [\"vendor\", \"target\"] # trailing\nrender = [\n  \"crates/core/src/report.rs\",\n  \"crates/experiments/src/atlas_exps.rs\",\n]\n\n[rules.hash-iter]\nseverity = \"warn\"\n",
         )
         .expect("parses");
         assert_eq!(cfg.skip, vec!["vendor", "target"]);
         assert_eq!(cfg.render_paths.len(), 2);
-        assert_eq!(
-            cfg.severity_of("slice-index", Severity::Deny),
-            Severity::Warn
-        );
-        assert_eq!(
-            cfg.severity_of("wall-clock", Severity::Deny),
-            Severity::Deny
-        );
+        assert_eq!(cfg.severity_of("hash-iter", Severity::Deny), Severity::Warn);
+        assert_eq!(cfg.severity_of("dead-pub", Severity::Deny), Severity::Deny);
     }
 
     #[test]

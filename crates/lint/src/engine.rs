@@ -19,19 +19,6 @@ use crate::rules::{self, Finding};
 use crate::scrub;
 use std::path::{Path, PathBuf};
 
-/// Lint a single in-memory file, dispatching on its file name. `rel_path`
-/// decides scope (render path, ingest, …), so tests can lint synthetic
-/// content as if it lived anywhere in the tree.
-pub fn lint_path_content(rel_path: &str, content: &str, cfg: &Config) -> Vec<Finding> {
-    if rel_path.ends_with("Cargo.toml") {
-        rules::lint_manifest(rel_path, content, cfg)
-    } else if rel_path.ends_with(".rs") {
-        rules::lint_rust(rel_path, &scrub::scrub(content), cfg)
-    } else {
-        Vec::new()
-    }
-}
-
 /// Walk `root` and lint the whole workspace: per-file rules plus the
 /// interprocedural analyses. Returns findings sorted by
 /// `(path, line, rule)`. I/O problems are reported as strings (path +
@@ -157,31 +144,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dispatch_by_file_name() {
-        let cfg = Config::parse("[paths]\npanic-free = [\"crates\"]\n").expect("cfg");
-        let rs = lint_path_content(
-            "crates/a/src/f.rs",
-            "fn f(o: Option<u8>) { o.unwrap(); }\n",
-            &cfg,
-        );
-        assert_eq!(rs.len(), 1);
-        let toml = lint_path_content("crates/a/Cargo.toml", "[dependencies]\nx = \"1\"\n", &cfg);
-        assert_eq!(toml.len(), 1);
-        assert!(lint_path_content("README.md", "anything", &cfg).is_empty());
-    }
-
-    #[test]
     fn deny_counting_respects_severity() {
-        let cfg = Config::parse(
-            "[rules.panic-path]\nseverity = \"warn\"\n[paths]\npanic-free = [\"crates\"]\n",
-        )
-        .expect("cfg");
-        let fs = lint_path_content(
-            "crates/a/src/f.rs",
-            "fn f(o: Option<u8>) { o.unwrap(); }\n",
-            &cfg,
-        );
-        assert_eq!(fs.len(), 1);
-        assert_eq!(deny_count(&fs), 0);
+        let finding = |severity| Finding {
+            path: "crates/a/src/f.rs".into(),
+            line: 1,
+            end_line: 1,
+            rule: "hash-iter".into(),
+            severity,
+            message: String::new(),
+        };
+        let fs = [finding(Severity::Warn), finding(Severity::Deny)];
+        assert_eq!(deny_count(&fs), 1);
     }
 }

@@ -5,20 +5,37 @@
 //! parallel engine is byte-identical to a single-threaded run because no
 //! artifact path reads wall-clock time, unseeded randomness, or
 //! unordered-map iteration order, and the whole workspace builds offline
-//! from vendored path dependencies. This crate turns those prose
-//! invariants into checked ones: a comment/string/attribute-aware
-//! scrubber (no `syn` — the build is offline), a rule engine with
-//! per-rule severities and justified `// lint:allow(<rule>): why`
-//! suppression pragmas, and text/JSON reporters for CI.
+//! from vendored path dependencies. The per-line halves of those
+//! invariants are clippy lints (`clippy.toml` and the crate roots); this
+//! crate checks the rest: a comment/string/attribute-aware scrubber (no
+//! `syn` — the build is offline), three per-file rules clippy has no
+//! equivalent for, the call-graph passes in [`analyses`], per-rule
+//! severities and justified `// lint:allow(<rule>): why` suppression
+//! pragmas, and text/JSON/SARIF reporters for CI.
 //!
 //! Which paths carry which invariants is declared in the checked-in
-//! `lint.toml` at the workspace root ([`config`]); the rules themselves
+//! `lint.toml` at the workspace root ([`config`]); the per-file rules
 //! live in [`rules`]. Run it as `dynamips lint` or the standalone
 //! `dynamips-lint` binary; exit codes are `0` (clean), `1` (at least one
 //! deny-severity finding), `2` (usage or configuration error).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+// Panic-freedom: shipping code degrades instead of panicking (tests are
+// exempt via clippy.toml). Library code renders to strings instead of
+// printing, and every `#[allow]` states its reason.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod analyses;
 pub mod baseline;
@@ -32,9 +49,7 @@ pub mod scrub;
 
 pub use baseline::{Baseline, BASELINE_FILE, BASELINE_SCHEMA};
 pub use config::{Config, Severity};
-pub use engine::{
-    deny_count, find_root, lint_path_content, lint_workspace, lint_workspace_with_overrides,
-};
+pub use engine::{deny_count, find_root, lint_workspace, lint_workspace_with_overrides};
 pub use report::{parse_json, render_text, to_json, to_sarif, LINT_SCHEMA};
 pub use rules::{explain, Finding, Rule, ALL_RULES};
 

@@ -9,13 +9,37 @@
 //! Exit codes: `0` clean, `1` at least one deny-severity finding, `2`
 //! usage or configuration error — the same contract as `dynamips`.
 
+// Panic-freedom, as in the library crate (tests are exempt via
+// clippy.toml); a binary may print. Every `#[allow]` states its reason.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+
 use dynamips_lint::{run, Baseline, Config, Format, ALL_RULES, BASELINE_FILE};
 use std::path::PathBuf;
 
-/// Exit code for usage/configuration errors.
-const EXIT_USAGE: i32 = 2;
-/// Exit code for a run with deny-severity findings.
-const EXIT_FINDINGS: i32 = 1;
+/// The nonzero exit codes; success is returning from `main`.
+enum Exit {
+    /// A run with deny-severity findings.
+    Findings = 1,
+    /// A usage or configuration error.
+    Usage = 2,
+}
+
+/// Terminate with `code`: the binary's only call to `process::exit`.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the binary's single exit point; its codes are `Exit` variants"
+)]
+fn exit(code: Exit) -> ! {
+    std::process::exit(code as i32)
+}
 
 fn usage() -> ! {
     eprintln!(
@@ -33,7 +57,7 @@ fn usage() -> ! {
          \x20                   syntax, then exit (unknown rule: exit 2)\n\
          exit code: 0 clean, 1 findings at deny severity, 2 usage/config error"
     );
-    std::process::exit(EXIT_USAGE);
+    exit(Exit::Usage);
 }
 
 fn main() {
@@ -78,7 +102,7 @@ fn main() {
                     }
                     None => {
                         eprintln!("dynamips-lint: unknown rule {id:?} (see --list-rules)");
-                        std::process::exit(EXIT_USAGE);
+                        exit(Exit::Usage);
                     }
                 }
             }
@@ -95,14 +119,14 @@ fn main() {
         })
         .unwrap_or_else(|| {
             eprintln!("dynamips-lint: no lint.toml found above the current directory");
-            std::process::exit(EXIT_USAGE);
+            exit(Exit::Usage);
         });
     let config_path = config_path.unwrap_or_else(|| root.join("lint.toml"));
     let config_text = match std::fs::read_to_string(&config_path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("dynamips-lint: cannot read {}: {e}", config_path.display());
-            std::process::exit(EXIT_USAGE);
+            exit(Exit::Usage);
         }
     };
 
@@ -113,21 +137,21 @@ fn main() {
             Ok(c) => c,
             Err(e) => {
                 eprintln!("dynamips-lint: {e}");
-                std::process::exit(EXIT_USAGE);
+                exit(Exit::Usage);
             }
         };
         let findings = match dynamips_lint::lint_workspace(&root, &cfg) {
             Ok(f) => f,
             Err(e) => {
                 eprintln!("dynamips-lint: {e}");
-                std::process::exit(EXIT_USAGE);
+                exit(Exit::Usage);
             }
         };
         let base = Baseline::from_findings(&findings);
         let path = root.join(BASELINE_FILE);
         if let Err(e) = std::fs::write(&path, base.to_json()) {
             eprintln!("dynamips-lint: cannot write {}: {e}", path.display());
-            std::process::exit(EXIT_USAGE);
+            exit(Exit::Usage);
         }
         println!(
             "wrote {} ({} finding(s) across {} entries) — diff before committing; the ratchet should only shrink",
@@ -142,12 +166,12 @@ fn main() {
         Ok(outcome) => {
             print!("{}", outcome.report);
             if outcome.denies > 0 {
-                std::process::exit(EXIT_FINDINGS);
+                exit(Exit::Findings);
             }
         }
         Err(e) => {
             eprintln!("dynamips-lint: {e}");
-            std::process::exit(EXIT_USAGE);
+            exit(Exit::Usage);
         }
     }
 }

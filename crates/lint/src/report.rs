@@ -237,17 +237,17 @@ mod tests {
                 path: "crates/a/src/f.rs".into(),
                 line: 7,
                 end_line: 7,
-                rule: "panic-path".into(),
+                rule: "panic-reach".into(),
                 severity: Severity::Deny,
-                message: "unwrap in panic-free code; return an error or degrade".into(),
+                message: "`unwrap` reachable from pipeline entry: main → f".into(),
             },
             Finding {
                 path: "crates/b/src/g.rs".into(),
                 line: 2,
                 end_line: 5,
-                rule: "slice-index".into(),
+                rule: "hash-iter".into(),
                 severity: Severity::Warn,
-                message: "slice indexing with \"quotes\" and\nnewline".into(),
+                message: "HashMap with \"quotes\" and\nnewline".into(),
             },
         ]
     }
@@ -273,7 +273,7 @@ mod tests {
     #[test]
     fn text_report_shape() {
         let text = render_text(&sample());
-        assert!(text.contains("crates/a/src/f.rs:7: deny[panic-path]"));
+        assert!(text.contains("crates/a/src/f.rs:7: deny[panic-reach]"));
         assert!(text.contains("1 deny, 1 warn"));
     }
 
@@ -282,7 +282,7 @@ mod tests {
         let sarif = to_sarif(&sample());
         assert!(sarif.contains("\"version\": \"2.1.0\""));
         assert!(sarif.contains("\"name\": \"dynamips-lint\""));
-        assert!(sarif.contains("\"ruleId\": \"panic-path\""));
+        assert!(sarif.contains("\"ruleId\": \"panic-reach\""));
         assert!(sarif.contains("\"level\": \"error\""));
         assert!(sarif.contains("\"level\": \"warning\""));
         assert!(sarif.contains("\"startLine\": 7, \"endLine\": 7"));

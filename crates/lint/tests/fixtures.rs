@@ -4,8 +4,7 @@
 //! the checked-in `lint.toml`.
 
 use dynamips_lint::{
-    deny_count, lint_path_content, lint_workspace, parse_json, to_json, Baseline, Config, Finding,
-    ALL_RULES,
+    deny_count, lint_workspace, parse_json, to_json, Baseline, Config, Finding, ALL_RULES,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -52,23 +51,15 @@ fn fixture_corpus_trips_every_rule() {
         ("dead-pub", 1),
         ("determinism-taint", 1),
         ("drop-order", 2),
-        ("exit-code", 2),
         ("gauge-balance", 1),
         ("hash-iter", 2),
         ("lock-across-blocking", 1),
         ("lock-order", 1),
         ("offline-deps", 2),
-        ("panic-path", 4),
         ("panic-reach", 1),
-        ("print-in-lib", 1),
         ("resource-leak", 2),
-        ("slice-index", 2),
         ("stale-baseline", 1),
-        ("thread-spawn", 3),
         ("unbounded-growth", 1),
-        ("unsafe-audit", 1),
-        ("unseeded-rng", 2),
-        ("wall-clock", 3),
     ];
     let got: Vec<(&str, usize)> = by_rule.iter().map(|(k, v)| (*k, *v)).collect();
     assert_eq!(got, expected, "full findings: {findings:#?}");
@@ -127,12 +118,12 @@ fn fixture_chains_are_reported() {
     );
 }
 
-/// The clean fixtures — perf exemption, justified pragmas, look-alike
-/// tokens in strings/comments/tests — produce no findings at all.
+/// The clean fixtures — justified pragmas, look-alike tokens in
+/// strings/comments/tests — produce no findings at all.
 #[test]
 fn clean_fixtures_stay_clean() {
     let findings = lint_fixtures();
-    for clean in ["src/perf.rs", "src/suppressed.rs", "src/tricky.rs"] {
+    for clean in ["src/main.rs", "src/suppressed.rs", "src/tricky.rs"] {
         let hits: Vec<&Finding> = findings.iter().filter(|f| f.path == clean).collect();
         assert!(hits.is_empty(), "{clean} should be clean: {hits:#?}");
     }
@@ -140,8 +131,8 @@ fn clean_fixtures_stay_clean() {
 
 /// The meta-test: the workspace itself, under the checked-in `lint.toml`
 /// and `lint-baseline.json` ratchet, has zero deny-severity findings —
-/// exactly what CI enforces. Any regression — a new unwrap in the
-/// pipeline, a wall-clock read in a renderer, a registry dependency, a
+/// exactly what CI enforces. Any regression — a panic reachable from
+/// main, a wall-clock read behind a renderer, a registry dependency, a
 /// finding beyond the baselined debt — fails this test.
 #[test]
 fn workspace_is_lint_clean() {
@@ -157,85 +148,10 @@ fn workspace_is_lint_clean() {
     // The baselined debt is the checked-in panic-reach backlog; it may
     // shrink (update the baseline) but the ratchet forbids growth.
     assert!(
-        outcome.baselined <= 10,
+        outcome.baselined <= 5,
         "baseline grew: {} suppressed findings",
         outcome.baselined
     );
-}
-
-/// A wall-clock read injected into an artifact-rendering module is caught
-/// under the real workspace configuration — the acceptance scenario for
-/// the byte-identical-artifacts guarantee.
-#[test]
-fn injected_wall_clock_in_render_module_is_caught() {
-    let cfg_text =
-        std::fs::read_to_string(workspace_root().join("lint.toml")).expect("workspace lint.toml");
-    let cfg = Config::parse(&cfg_text).expect("workspace config parses");
-    let injected = "pub fn table1() -> String {\n    let _t = std::time::Instant::now();\n    String::new()\n}\n";
-    let findings = lint_path_content("crates/core/src/report.rs", injected, &cfg);
-    assert_eq!(findings.len(), 1, "{findings:#?}");
-    assert_eq!(findings[0].rule, "wall-clock");
-    assert_eq!(findings[0].line, 2);
-    // The same content in the timing layer is exempt.
-    assert!(lint_path_content("crates/core/src/perf.rs", injected, &cfg).is_empty());
-}
-
-/// Exempting `crates/serve` from the wall-clock ban must not loosen the
-/// rule anywhere else: an `Instant::now()` injected into a non-serve
-/// crate is still caught under the real workspace configuration, while
-/// the identical content under `crates/serve/src` is exempt.
-#[test]
-fn serve_perf_exemption_does_not_leak_to_other_crates() {
-    let cfg_text =
-        std::fs::read_to_string(workspace_root().join("lint.toml")).expect("workspace lint.toml");
-    let cfg = Config::parse(&cfg_text).expect("workspace config parses");
-    let injected =
-        "pub fn sampled() -> u128 {\n    std::time::Instant::now().elapsed().as_millis()\n}\n";
-    for non_serve in [
-        "crates/atlas/src/lease.rs",
-        "crates/cdn/src/dataset.rs",
-        "crates/core/src/stats.rs",
-    ] {
-        let findings = lint_path_content(non_serve, injected, &cfg);
-        assert_eq!(findings.len(), 1, "{non_serve}: {findings:#?}");
-        assert_eq!(findings[0].rule, "wall-clock", "{non_serve}");
-    }
-    for serve_file in [
-        "crates/serve/src/server.rs",
-        "crates/serve/src/reactor.rs",
-        "crates/serve/src/poll.rs",
-    ] {
-        assert!(
-            lint_path_content(serve_file, injected, &cfg).is_empty(),
-            "{serve_file} is in the timing-exempt serving layer"
-        );
-    }
-}
-
-/// A thread spawn outside the declared concurrency layer is caught under
-/// the real workspace configuration; the same content inside the serving
-/// layer (or the engine) is allowed.
-#[test]
-fn injected_thread_spawn_outside_concurrency_layer_is_caught() {
-    let cfg_text =
-        std::fs::read_to_string(workspace_root().join("lint.toml")).expect("workspace lint.toml");
-    let cfg = Config::parse(&cfg_text).expect("workspace config parses");
-    let injected = "pub fn fan_out() {\n    let _ = std::thread::spawn(|| ()).join();\n}\n";
-    let findings = lint_path_content("crates/core/src/stats.rs", injected, &cfg);
-    assert_eq!(findings.len(), 1, "{findings:#?}");
-    assert_eq!(findings[0].rule, "thread-spawn");
-    assert_eq!(findings[0].line, 2);
-    for allowed in [
-        "crates/serve/src/server.rs",
-        "crates/serve/src/reactor.rs",
-        "crates/serve/src/poll.rs",
-        "crates/experiments/src/engine.rs",
-    ] {
-        assert!(
-            lint_path_content(allowed, injected, &cfg).is_empty(),
-            "{allowed} is in the declared concurrency layer"
-        );
-    }
 }
 
 /// The JSON report of the whole corpus round-trips losslessly.

@@ -1,9 +1,9 @@
 //! Fixture: pragma misuse. A pragma without a justification and one
 //! naming an unknown rule are themselves findings, and neither suppresses
-//! anything. Expected: bare-allow x2, panic-path x1.
+//! anything. Expected: bare-allow x2.
 
 pub fn f(o: Option<u32>) -> u32 {
-    // lint:allow(panic-path)
+    // lint:allow(panic-reach)
     o.unwrap()
 }
 

@@ -1,7 +1,7 @@
-//! Fixture: a transitive panic. This file is deliberately *outside* the
-//! panic-free path list, so the per-line panic-path rule stays silent —
-//! only the call-graph analysis can see that `main` reaches the unwrap
-//! two hops down (main → chain_entry → chain_helper).
+//! Fixture: a transitive panic. This file is in no lint.toml scope and
+//! nothing in it is a per-line finding; only the call-graph analysis can
+//! see that `main` reaches the unwrap two hops down
+//! (main → chain_entry → chain_helper).
 //! Expected: panic-reach x1.
 
 pub fn chain_entry() {

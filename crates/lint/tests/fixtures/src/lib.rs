@@ -1,7 +1,6 @@
-//! Fixture: a crate root missing both hygiene attributes, plus a library
-//! that prints. Expected: crate-root x2 (line 1), print-in-lib x1.
+//! Fixture: a crate root missing both hygiene attributes.
+//! Expected: crate-root x2 (line 1).
 
 pub fn greet() -> String {
-    println!("side effect in a library");
     "hi".to_string()
 }

@@ -2,9 +2,9 @@
 //! across a call boundary (no single function sees both orders), a guard
 //! held across a blocking socket write, a blocking sink on a reactor
 //! path (`reactor_loop` is this corpus's declared reactor entry), a
-//! `Condvar::wait` outside a loop, and a bare `unsafe` block with no
-//! `// SAFETY:` comment. Expected: lock-order x1, lock-across-blocking
-//! x1, blocking-in-reactor x1, condvar-wait-loop x1, unsafe-audit x1.
+//! `Condvar::wait` outside a loop.
+//! Expected: lock-order x1, lock-across-blocking x1,
+//! blocking-in-reactor x1, condvar-wait-loop x1.
 //! A zero-argument `Child::wait()` outside a loop is not a condvar wait
 //! and must yield nothing.
 
@@ -68,8 +68,4 @@ pub fn naked_wait(s: &Shared) {
 // Reaping a child process: `wait()` takes no guard, so no finding.
 pub fn reap(child: &mut std::process::Child) {
     let _ = child.wait();
-}
-
-pub fn peek(v: &[u8]) -> u8 {
-    unsafe { *v.as_ptr() }
 }

@@ -1,14 +1,6 @@
-//! Fixture: the binary's exit-code module. Exiting through named EXIT_*
-//! constants is the contract; a bare literal is flagged even here, and
-//! binaries may print. Expected: exit-code x1 (the literal).
-
-const EXIT_OK: i32 = 0;
+//! Fixture: the binary, and the corpus's panic-reach entry point.
+//! Expected: clean here (the chain it reaches ends in src/chain.rs).
 
 fn main() {
-    println!("binaries may print");
     chain_entry();
-    if std::env::args().count() > 1 {
-        std::process::exit(1);
-    }
-    std::process::exit(EXIT_OK);
 }

@@ -1,12 +1,11 @@
 //! Fixture: justified pragmas suppress findings, both standalone (covers
-//! the next code line) and trailing (covers its own line).
-//! Expected: clean.
+//! the next code line) and trailing (covers its own line). This file is
+//! in the render scope, so each unordered map would otherwise be a
+//! hash-iter finding. Expected: clean.
 
-pub fn locked(m: &std::sync::Mutex<u32>) -> u32 {
-    // lint:allow(panic-path): a poisoned lock is unrecoverable here
-    *m.lock().unwrap()
-}
+// lint:allow(hash-iter): keyed lookups only, never iterated into output
+use std::collections::HashMap;
 
-pub fn stamp() -> std::time::Instant {
-    std::time::Instant::now() // lint:allow(wall-clock): exercising trailing pragmas
+pub fn lookup(m: &HashMap<u32, u32>) -> Option<u32> { // lint:allow(hash-iter): keyed lookup
+    m.get(&7).copied()
 }

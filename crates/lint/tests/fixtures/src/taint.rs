@@ -1,8 +1,8 @@
 //! Fixture: transitive nondeterminism. `render_table` is declared an
 //! artifact sink in lint.toml; the wall-clock read two calls down taints
-//! it (render_table → helper_mid → helper_src).
-//! Expected: wall-clock x1 (the per-line rule at the site itself) plus
-//! determinism-taint x1 (the call-graph analysis at the same site).
+//! it (render_table → helper_mid → helper_src). The per-file scan has
+//! nothing to say about this file.
+//! Expected: determinism-taint x1.
 
 pub fn render_table() -> String {
     helper_mid()

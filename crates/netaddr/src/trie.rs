@@ -178,10 +178,9 @@ impl<V> Ipv4Trie<V> {
     /// its value.
     pub fn lookup(&self, addr: std::net::Ipv4Addr) -> Option<(Ipv4Prefix, &V)> {
         let bits = (u32::from(addr) as u128) << 96;
-        self.inner.lookup(bits).map(|(plen, v)| {
-            let pfx = Ipv4Prefix::new_truncated(addr, plen).expect("plen <= 32");
-            (pfx, v)
-        })
+        self.inner
+            .lookup(bits)
+            .map(|(plen, v)| (Ipv4Prefix::masked(u32::from(addr), plen), v))
     }
 
     /// Remove a prefix; returns the removed value.
@@ -204,8 +203,7 @@ impl<V> Ipv4Trie<V> {
     pub fn entries(&self) -> Vec<(Ipv4Prefix, &V)> {
         let mut out = Vec::with_capacity(self.len());
         self.inner.for_each(&mut |bits, plen, v| {
-            let pfx = Ipv4Prefix::from_bits((bits >> 96) as u32, plen).expect("canonical");
-            out.push((pfx, v));
+            out.push((Ipv4Prefix::masked((bits >> 96) as u32, plen), v));
         });
         out
     }
@@ -246,10 +244,9 @@ impl<V> Ipv6Trie<V> {
     /// Longest-prefix match for an address; returns the covering prefix and
     /// its value.
     pub fn lookup(&self, addr: std::net::Ipv6Addr) -> Option<(Ipv6Prefix, &V)> {
-        self.inner.lookup(u128::from(addr)).map(|(plen, v)| {
-            let pfx = Ipv6Prefix::new_truncated(addr, plen).expect("plen <= 128");
-            (pfx, v)
-        })
+        self.inner
+            .lookup(u128::from(addr))
+            .map(|(plen, v)| (Ipv6Prefix::masked(u128::from(addr), plen), v))
     }
 
     /// Longest-prefix match for a prefix (matches any covering prefix of
@@ -257,11 +254,7 @@ impl<V> Ipv6Trie<V> {
     pub fn lookup_prefix(&self, prefix: &Ipv6Prefix) -> Option<(Ipv6Prefix, &V)> {
         self.inner
             .lookup_at_most(prefix.bits(), prefix.len())
-            .map(|(plen, v)| {
-                let pfx =
-                    Ipv6Prefix::from_bits(prefix.bits() & mask128(plen), plen).expect("canonical");
-                (pfx, v)
-            })
+            .map(|(plen, v)| (Ipv6Prefix::masked(prefix.bits(), plen), v))
     }
 
     /// Remove a prefix; returns the removed value.
@@ -283,18 +276,9 @@ impl<V> Ipv6Trie<V> {
     pub fn entries(&self) -> Vec<(Ipv6Prefix, &V)> {
         let mut out = Vec::with_capacity(self.len());
         self.inner.for_each(&mut |bits, plen, v| {
-            let pfx = Ipv6Prefix::from_bits(bits, plen).expect("canonical");
-            out.push((pfx, v));
+            out.push((Ipv6Prefix::masked(bits, plen), v));
         });
         out
-    }
-}
-
-fn mask128(len: u8) -> u128 {
-    if len == 0 {
-        0
-    } else {
-        u128::MAX << (128 - len as u32)
     }
 }
 
@@ -426,5 +410,30 @@ mod tests {
         assert_eq!(t.len(), 2);
         t.remove(&p6("2001:db8::/48"));
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn lookup_and_entries_at_zero_and_full_length() {
+        let mut t4 = Ipv4Trie::new();
+        t4.insert(p4("0.0.0.0/0"), 0);
+        t4.insert(p4("192.0.2.7/32"), 32);
+        let (pfx, v) = t4.lookup(Ipv4Addr::new(192, 0, 2, 7)).unwrap();
+        assert_eq!((pfx, *v), (p4("192.0.2.7/32"), 32));
+        let (pfx, v) = t4.lookup(Ipv4Addr::new(192, 0, 2, 8)).unwrap();
+        assert_eq!((pfx, *v), (p4("0.0.0.0/0"), 0));
+        let got: Vec<_> = t4.entries().into_iter().map(|(p, v)| (p, *v)).collect();
+        assert_eq!(got, vec![(p4("0.0.0.0/0"), 0), (p4("192.0.2.7/32"), 32)]);
+
+        let mut t6 = Ipv6Trie::new();
+        t6.insert(p6("::/0"), 0);
+        t6.insert(p6("2001:db8::1/128"), 128);
+        let host: Ipv6Addr = "2001:db8::1".parse().unwrap();
+        let other: Ipv6Addr = "2001:db8::2".parse().unwrap();
+        let (pfx, v) = t6.lookup(host).unwrap();
+        assert_eq!((pfx, *v), (p6("2001:db8::1/128"), 128));
+        let (pfx, v) = t6.lookup(other).unwrap();
+        assert_eq!((pfx, *v), (p6("::/0"), 0));
+        let got: Vec<_> = t6.entries().into_iter().map(|(p, v)| (p, *v)).collect();
+        assert_eq!(got, vec![(p6("::/0"), 0), (p6("2001:db8::1/128"), 128)]);
     }
 }

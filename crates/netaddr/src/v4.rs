@@ -16,7 +16,10 @@ pub struct Ipv4Prefix {
     len: u8,
 }
 
-#[allow(clippy::len_without_is_empty)] // a prefix length, not a container
+#[allow(
+    clippy::len_without_is_empty,
+    reason = "`len` is a prefix length, not a container size"
+)]
 impl Ipv4Prefix {
     /// Maximum prefix length.
     pub const MAX_LEN: u8 = 32;
@@ -44,10 +47,21 @@ impl Ipv4Prefix {
                 max: Self::MAX_LEN,
             });
         }
-        Ok(Self {
-            bits: u32::from(addr) & mask(len),
+        Ok(Self::masked(u32::from(addr), len))
+    }
+
+    /// Construct from raw bits, masking away host bits, where the caller
+    /// guarantees `len <= MAX_LEN` (as the prefix trie does for every key
+    /// it stores). This path never panics in release builds: a longer
+    /// `len` is a caller bug that debug builds assert and release builds
+    /// saturate.
+    pub(crate) fn masked(bits: u32, len: u8) -> Self {
+        debug_assert!(len <= Self::MAX_LEN, "prefix length {len} out of range");
+        let len = len.min(Self::MAX_LEN);
+        Self {
+            bits: bits & mask(len),
             len,
-        })
+        }
     }
 
     /// The /32 prefix covering exactly `addr`.

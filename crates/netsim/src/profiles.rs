@@ -925,7 +925,10 @@ pub(crate) fn sky_uk(subscribers: u32, era: Era) -> IspConfig {
 /// A small fixed-line ISP with coupled periodic renumbering on both
 /// families — the template for Telefonica DE / M-net / ANTEL / Global
 /// Village, which the paper names as periodic IPv6 renumberers.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one argument per calibrated profile knob, named at each call site"
+)]
 fn small_periodic_isp(
     asn: u32,
     name: &str,
@@ -1042,7 +1045,10 @@ fn us_stable_isp(
 /// a heavy-tailed session-lifetime distribution. The paper finds 75% of
 /// mobile associations last ≤ 1 day with a tail to ~30 days; the EE-like
 /// outlier in RIPE reaches ~50 days.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one argument per calibrated profile knob, named at each call site"
+)]
 pub(crate) fn mobile_isp(
     asn: u32,
     name: &str,
@@ -1104,7 +1110,10 @@ pub(crate) fn mobile_isp(
 /// A generic stable fixed-line ISP used to populate registries in the CDN
 /// world. `delegated_len` and the CPE mix control the Figure-7 trailing-zero
 /// signature; `change_interval_days` controls Figure-3 association durations.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one argument per calibrated profile knob, named at each call site"
+)]
 pub(crate) fn background_fixed_isp(
     asn: u32,
     name: &str,

@@ -1155,6 +1155,7 @@ mod tests {
     fn resilient_get_retries_transport_errors_and_succeeds() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
+        #[allow(clippy::disallowed_methods, reason = "test server thread")]
         let server = thread::spawn(move || {
             // First connection: accept and hang up (torn exchange).
             let (first, _) = listener.accept().unwrap();
@@ -1222,6 +1223,7 @@ mod tests {
     fn post_is_sent_with_a_body_and_never_retried() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
+        #[allow(clippy::disallowed_methods, reason = "test server thread")]
         let server = thread::spawn(move || {
             // One good exchange: assert verb, framing, and body.
             let (mut stream, _) = listener.accept().unwrap();
@@ -1264,6 +1266,7 @@ mod tests {
     fn put_is_retried_after_a_transport_error() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
+        #[allow(clippy::disallowed_methods, reason = "test server thread")]
         let server = thread::spawn(move || {
             // First connection torn; PUT is idempotent by lease id, so
             // the client replays it on a fresh socket.
@@ -1296,6 +1299,7 @@ mod tests {
     fn delete_is_retried_after_a_transport_error() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
+        #[allow(clippy::disallowed_methods, reason = "test server thread")]
         let server = thread::spawn(move || {
             let (torn, _) = listener.accept().unwrap();
             drop(torn);
@@ -1326,6 +1330,7 @@ mod tests {
     fn keep_alive_connection_reuses_one_socket_and_honors_close() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
+        #[allow(clippy::disallowed_methods, reason = "test server thread")]
         let server = thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
             let mut served = 0u32;
@@ -1368,6 +1373,7 @@ mod tests {
     fn unparseable_retry_after_is_honored_at_the_cap_and_counted() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
+        #[allow(clippy::disallowed_methods, reason = "test server thread")]
         let server = thread::spawn(move || {
             for round in 0..2 {
                 let (mut stream, _) = listener.accept().unwrap();

@@ -160,6 +160,7 @@ pub fn run_loadtest(cfg: &LoadtestConfig) -> Result<LoadtestReport, String> {
 
 fn run_closed_loop(cfg: &LoadtestConfig, addr: &str, path: &str) -> Result<LoadtestReport, String> {
     let tickets = Arc::new(AtomicUsize::new(cfg.requests));
+    #[allow(clippy::disallowed_methods, reason = "load generator wall time")]
     let started = Instant::now();
     let mut handles = Vec::new();
     for _ in 0..cfg.concurrency.min(cfg.requests) {
@@ -167,9 +168,11 @@ fn run_closed_loop(cfg: &LoadtestConfig, addr: &str, path: &str) -> Result<Loadt
         let addr = addr.to_string();
         let path = path.to_string();
         let timeout_ms = cfg.timeout_ms;
+        #[allow(clippy::disallowed_methods, reason = "a load-generator client thread")]
         handles.push(std::thread::spawn(move || {
             let mut samples = Vec::new();
             while take_ticket(&tickets) {
+                #[allow(clippy::disallowed_methods, reason = "per-request latency")]
                 let t0 = Instant::now();
                 let sample = match client::http_get(&addr, &path, timeout_ms) {
                     Ok(got) => Sample {
@@ -207,6 +210,7 @@ fn run_closed_loop(cfg: &LoadtestConfig, addr: &str, path: &str) -> Result<Loadt
 fn run_open_loop(cfg: &LoadtestConfig, addr: &str, path: &str) -> Result<LoadtestReport, String> {
     let offsets = arrival_offsets_ms(cfg.seed, cfg.rate_rps, cfg.requests);
     let slots = cfg.concurrency.min(cfg.requests);
+    #[allow(clippy::disallowed_methods, reason = "load generator wall time")]
     let started = Instant::now();
     let mut handles = Vec::new();
     for slot in 0..slots {
@@ -214,6 +218,7 @@ fn run_open_loop(cfg: &LoadtestConfig, addr: &str, path: &str) -> Result<Loadtes
         let addr = addr.to_string();
         let path = path.to_string();
         let timeout_ms = cfg.timeout_ms;
+        #[allow(clippy::disallowed_methods, reason = "a load-generator client thread")]
         handles.push(std::thread::spawn(move || {
             let mut conn: Option<KeepAliveConnection> = None;
             let mut samples = Vec::with_capacity(my_offsets.len());

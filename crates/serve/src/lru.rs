@@ -253,6 +253,7 @@ mod tests {
         for _ in 0..8 {
             let cache = Arc::clone(&cache);
             let builds = Arc::clone(&builds);
+            #[allow(clippy::disallowed_methods, reason = "concurrent builders")]
             handles.push(std::thread::spawn(move || {
                 let got = cache.fetch_or_build(1, || {
                     builds.fetch_add(1, Ordering::SeqCst);

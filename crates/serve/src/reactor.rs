@@ -226,6 +226,7 @@ impl Reactor {
             conns: BTreeMap::new(),
             next_token: FIRST_CONN_TOKEN,
             wheel: TimerWheel::new(),
+            #[allow(clippy::disallowed_methods, reason = "timer wheel epoch")]
             epoch: Instant::now(),
             draining: false,
         })
@@ -319,6 +320,7 @@ impl Reactor {
                 deadline_gen: 0,
                 served: 0,
                 gauge: None,
+                #[allow(clippy::disallowed_methods, reason = "latency starts at accept")]
                 request_started: Instant::now(),
                 pending_status: 0,
             };
@@ -415,7 +417,12 @@ impl Reactor {
                 ) {
                     Some((outcome, consumed)) => {
                         conn.buf.drain(..consumed);
-                        conn.request_started = Instant::now();
+                        #[allow(
+                            clippy::disallowed_methods,
+                            reason = "latency starts at first byte"
+                        )]
+                        let now = Instant::now();
+                        conn.request_started = now;
                         Some(outcome)
                     }
                     None => None,

@@ -256,7 +256,9 @@ impl Server {
             workers.push(Some(spawn_worker(&shared, slot)));
         }
         let supervisor_shared = Arc::clone(&shared);
+        #[allow(clippy::disallowed_methods, reason = "the supervisor thread")]
         let supervisor = thread::spawn(move || supervisor_loop(&supervisor_shared, workers));
+        #[allow(clippy::disallowed_methods, reason = "the reactor thread")]
         let reactor_thread = thread::spawn(move || reactor.run_loop());
         Ok(Server {
             shared,
@@ -307,6 +309,7 @@ fn join_thread(handle: thread::JoinHandle<()>) {
 /// Spawn the worker for `slot`. A panic anywhere in request handling is
 /// caught at this boundary, counted, and reported to the supervisor;
 /// the thread then exits cleanly so `join` never re-raises.
+#[allow(clippy::disallowed_methods, reason = "each worker is its own thread")]
 fn spawn_worker(shared: &Arc<Shared>, slot: usize) -> thread::JoinHandle<()> {
     let shared = Arc::clone(shared);
     shared.live_workers.fetch_add(1, Ordering::SeqCst);

@@ -33,9 +33,9 @@ impl Handler for Gated {
 }
 
 fn wait_until(what: &str, cond: impl Fn() -> bool) {
-    // A sleep-counted bound (~10 s) rather than a deadline: the lint
-    // keeps wall-clock reads out of everything but the timing layer,
-    // tests included.
+    // A sleep-counted bound (~10 s) rather than a deadline: clippy's
+    // `disallowed_methods` keeps wall-clock reads out of everything but
+    // the timing layer, tests included.
     for _ in 0..5_000 {
         if cond() {
             return;
@@ -45,6 +45,7 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
     panic!("timed out waiting for {what}");
 }
 
+#[allow(clippy::disallowed_methods, reason = "one thread per client request")]
 fn spawn_get(addr: &str, path: &str) -> thread::JoinHandle<Result<FetchResult, String>> {
     let addr = addr.to_string();
     let path = path.to_string();

@@ -22,9 +22,9 @@ impl Handler for BoomOnMagic {
 }
 
 fn wait_until(what: &str, cond: impl Fn() -> bool) {
-    // A sleep-counted bound (~10 s) rather than a deadline: the lint
-    // keeps wall-clock reads out of everything but the timing layer,
-    // tests included.
+    // A sleep-counted bound (~10 s) rather than a deadline: clippy's
+    // `disallowed_methods` keeps wall-clock reads out of everything but
+    // the timing layer, tests included.
     for _ in 0..5_000 {
         if cond() {
             return;

@@ -44,6 +44,21 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+// Panic-freedom: shipping code degrades instead of panicking (tests are
+// exempt via clippy.toml). Library code renders to strings instead of
+// printing, and every `#[allow]` states its reason.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro,
+    clippy::allow_attributes_without_reason
+)]
 
 pub use dynamips_atlas as atlas;
 pub use dynamips_cdn as cdn;
