@@ -132,7 +132,7 @@ cargo test --workspace -q
 
 BIN=target/release/dynamips
 
-say "engine bench at reference scale (2 workers, timings)"
+say "engine bench at reference scale (2 workers, timings; 1 worker byte-identical)"
 rm -rf target/ci-artifacts
 "$BIN" --seed 2020 --atlas-scale 0.2 --cdn-scale 0.15 --threads 2 --timings \
     --out target/ci-artifacts all > target/ci-run-stdout.txt
@@ -141,6 +141,17 @@ rm -rf target/ci-artifacts
 sed -i "s/^  \"phases\": \[$/  \"phases\": [\n    {\"name\": \"lint\", \"ms\": ${LINT_MS}.000},/" \
     target/ci-artifacts/BENCH_all.json
 "$BIN" bench-check target/ci-artifacts/BENCH_all.json
+# One worker renders every job on the calling thread, two fan out: both
+# must write the same 22 artifact files byte for byte.
+rm -rf target/ci-artifacts-1
+"$BIN" --seed 2020 --atlas-scale 0.2 --cdn-scale 0.15 --threads 1 \
+    --out target/ci-artifacts-1 all > /dev/null
+n=0
+for f in target/ci-artifacts/*.txt; do
+    cmp "$f" "target/ci-artifacts-1/$(basename "$f")"
+    n=$((n + 1))
+done
+[ "$n" -eq 22 ] || { echo "expected 22 artifact files, found $n"; exit 1; }
 
 say "perfbench: batch-all on both recorded worlds and wire-mixed, every artifact against its digest"
 # Exits nonzero if any of the 22 artifacts' bytes differ from the digests

@@ -24,8 +24,8 @@ fn pipelines(c: &mut Criterion) {
     g.finish();
 }
 
-/// The engine end-to-end: world cache + concurrent analyses + render
-/// fan-out. `workers = 1` is the sequential baseline the byte-identity
+/// The engine end-to-end: one session's worlds + concurrent analyses +
+/// render fan-out. `workers = 1` is the sequential baseline the byte-identity
 /// guarantee is stated against; the multi-worker variant shows the
 /// speedup on machines that have the cores.
 fn engine_runs(c: &mut Criterion) {

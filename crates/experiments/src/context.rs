@@ -341,6 +341,12 @@ impl AtlasProducts {
         let sanitize_cfg = SanitizeConfig::default();
         let routing = world.routing();
 
+        // The one-worker path stays a plain loop on the calling thread.
+        // Run as a one-shard fan-out (probes generated here, sanitized on
+        // one shard thread, every check kept), `batch-all` at 1 worker
+        // went from 104-108 MB to 292-358 MB peak RSS in every run and
+        // +8% median CPU over 6 alternating pairs: series queued across
+        // threads triple the peak. Measure again before collapsing it.
         let mut acc = if workers <= 1 {
             let mut acc = Shard::new(wants);
             let mut index = 0usize;
@@ -457,25 +463,12 @@ impl AtlasAnalysis {
     pub fn compute(cfg: &ExperimentConfig) -> AtlasAnalysis {
         let world = atlas_world(cfg.seed, cfg.atlas_scale);
         let mut degradation = DegradationReport::new();
-        Self::compute_for_world(&world, 1, &mut degradation)
-    }
-
-    /// Collect, sanitize, and accumulate against a pre-built (possibly
-    /// cache-shared) Atlas world, sharding the sanitize+accumulate work
-    /// across `workers` threads. Probe *generation* stays sequential — the
-    /// collector threads one RNG and donor state through the probes — so
-    /// parallelism cannot perturb the synthesized series.
-    pub fn compute_for_world(
-        world: &World,
-        workers: usize,
-        degradation: &mut DegradationReport,
-    ) -> AtlasAnalysis {
         AtlasProducts::collect(
-            world,
+            &world,
             Window::atlas_paper(),
             ANALYSIS_ONLY,
-            workers,
-            degradation,
+            1,
+            &mut degradation,
         )
         .analysis
     }
@@ -499,30 +492,16 @@ impl AtlasAnalysis {
         )
     }
 
-    /// Streaming core shared by [`AtlasAnalysis::compute`] (collector-fed)
-    /// and [`AtlasAnalysis::compute_from_series`] (loader-fed): `for_each`
-    /// drives every probe series through the sink exactly once.
+    /// Sanitize and accumulate on one worker every probe series that
+    /// `for_each` drives through the sink (exactly once each): the
+    /// streaming core of [`AtlasAnalysis::compute_from_series`].
     pub fn compute_with(
         world: &World,
         window: Window,
         for_each: impl FnOnce(&mut dyn FnMut(ProbeSeries)),
         degradation: &mut DegradationReport,
     ) -> AtlasAnalysis {
-        Self::compute_with_workers(world, window, for_each, degradation, 1)
-    }
-
-    /// [`AtlasAnalysis::compute_with`] with the sanitize+accumulate path
-    /// sharded across `workers` threads; the result is identical to
-    /// `workers == 1` for any worker count.
-    pub fn compute_with_workers(
-        world: &World,
-        window: Window,
-        for_each: impl FnOnce(&mut dyn FnMut(ProbeSeries)),
-        degradation: &mut DegradationReport,
-        workers: usize,
-    ) -> AtlasAnalysis {
-        AtlasProducts::collect_with(world, window, for_each, ANALYSIS_ONLY, workers, degradation)
-            .analysis
+        AtlasProducts::collect_with(world, window, for_each, ANALYSIS_ONLY, 1, degradation).analysis
     }
 
     /// Stats for an AS by operator name.
@@ -738,8 +717,9 @@ mod tests {
         let world = atlas_world(5, 0.02);
         let mut d1 = DegradationReport::new();
         let mut d3 = DegradationReport::new();
-        let a1 = AtlasAnalysis::compute_for_world(&world, 1, &mut d1);
-        let a3 = AtlasAnalysis::compute_for_world(&world, 3, &mut d3);
+        let window = Window::atlas_paper();
+        let a1 = AtlasProducts::collect(&world, window, ANALYSIS_ONLY, 1, &mut d1).analysis;
+        let a3 = AtlasProducts::collect(&world, window, ANALYSIS_ONLY, 3, &mut d3).analysis;
 
         assert_eq!(d1.render(), d3.render());
         assert_same_analysis(&a1, &a3);

@@ -1,19 +1,26 @@
-//! Cached, parallel experiment engine.
+//! The experiment engine: one configuration's worlds and products, and
+//! the fan-out that renders artifacts from them.
 //!
-//! `dynamips all` renders 22 artifacts from two simulated worlds. The
-//! naive pipeline rebuilt the Atlas world once per extended artifact
-//! (9×) and rendered everything sequentially. This module fixes both:
+//! `dynamips all` renders 22 artifacts from two simulated worlds. A
+//! [`WarmSession`] owns everything one `(seed, atlas_scale, cdn_scale)`
+//! configuration computes: the Atlas and CDN worlds, each built at most
+//! once, and the analysis products, each filled at most once. Every
+//! renderer reads the session, so a batch [`run`] and a served render
+//! agree byte for byte.
 //!
-//! * [`WorldCache`] keys worlds by `(era, seed, scale)` and constructs
-//!   each distinct world exactly once, handing out `Arc<World>` clones to
-//!   every consumer (analyses, history collection, extended renderers).
-//! * [`run`] derives every Atlas product the request needs (the
-//!   analysis, the clean histories, the sanitizer's distortion sums) from
-//!   one collect-and-sanitize pass over the Atlas world, concurrently
-//!   with the CDN analysis, then fans the independent artifact renderers
-//!   across a worker pool. Results are returned in request order and
-//!   every renderer is a pure function of the shared analysis products,
-//!   so the output is byte-identical to a `workers == 1` run.
+//! [`run`] is a cold session plus two fan-outs over the same helper:
+//!
+//! * phase A fills every product the request needs: one
+//!   collect-and-sanitize pass over the Atlas world (the analysis, the
+//!   clean histories, the sanitizer's distortion sums), beside the CDN
+//!   analysis;
+//! * phase B renders the requested artifacts.
+//!
+//! The calling thread is one of the workers; with one worker no thread
+//! is spawned and everything runs on the caller in request order.
+//! Results land in request-order slots and every renderer is a pure
+//! function of the shared products, so the output is byte-identical
+//! across worker counts.
 //!
 //! The engine also times every phase and artifact, returning a
 //! [`PerfRecord`] the binary renders as the `--timings` table and writes
@@ -26,12 +33,11 @@ use crate::extended::{self, CleanHistories};
 use crate::{atlas_exps, cdn_exps, check, claims};
 use dynamips_core::degrade::DegradationReport;
 use dynamips_core::perf::{PerfEntry, PerfRecord};
-use dynamips_netsim::profiles::{atlas_world, cdn_world, Era};
+use dynamips_netsim::profiles::{atlas_world, cdn_world};
 use dynamips_netsim::time::Window;
 use dynamips_netsim::World;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::thread;
 use std::time::Instant;
 
@@ -67,80 +73,22 @@ pub fn artifact_names() -> Vec<&'static str> {
         .collect()
 }
 
+/// The request `dynamips all` expands to: every artifact but `seeds`
+/// (which multiplies the Atlas pipeline cost), in listing order.
+pub fn all_artifacts() -> Vec<String> {
+    artifact_names()
+        .into_iter()
+        .filter(|name| *name != "seeds")
+        .map(String::from)
+        .collect()
+}
+
 /// Is `name` an artifact the engine can render?
 pub fn is_known_artifact(name: &str) -> bool {
     ATLAS_ARTIFACTS.contains(&name)
         || CDN_ARTIFACTS.contains(&name)
         || EXTENDED_ARTIFACTS.contains(&name)
         || matches!(name, "claims" | "check" | "seeds")
-}
-
-/// Cache key: a world is fully determined by its era, seed, and scale.
-/// Scale is keyed by bit pattern so the map never compares floats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct WorldKey {
-    era: Era,
-    seed: u64,
-    scale_bits: u64,
-}
-
-/// Shared world cache: each distinct `(era, seed, scale)` world is built
-/// exactly once, even under concurrent requests, and shared via `Arc`.
-#[derive(Default)]
-pub struct WorldCache {
-    worlds: Mutex<HashMap<WorldKey, Arc<OnceLock<Arc<World>>>>>,
-    builds: AtomicUsize,
-}
-
-impl WorldCache {
-    /// Create an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Get or build the world for `(era, seed, scale)`.
-    pub fn world_for(&self, era: Era, seed: u64, scale: f64) -> Arc<World> {
-        let key = WorldKey {
-            era,
-            seed,
-            scale_bits: scale.to_bits(),
-        };
-        // Hold the map lock only to fetch the slot; construction happens
-        // outside it so concurrent requests for *different* worlds build
-        // in parallel, while OnceLock serializes requests for the same one.
-        let slot = {
-            // A poisoned map only means another thread panicked mid-insert;
-            // the entry API keeps the map structurally sound, so recover.
-            let mut map = self
-                .worlds
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            map.entry(key).or_default().clone()
-        };
-        slot.get_or_init(|| {
-            self.builds.fetch_add(1, Ordering::Relaxed);
-            Arc::new(match era {
-                Era::Atlas => atlas_world(seed, scale),
-                Era::Cdn => cdn_world(seed, scale),
-            })
-        })
-        .clone()
-    }
-
-    /// The Atlas-era world for `(seed, scale)`.
-    pub fn atlas(&self, seed: u64, scale: f64) -> Arc<World> {
-        self.world_for(Era::Atlas, seed, scale)
-    }
-
-    /// The CDN-era world for `(seed, scale)`.
-    pub fn cdn(&self, seed: u64, scale: f64) -> Arc<World> {
-        self.world_for(Era::Cdn, seed, scale)
-    }
-
-    /// How many worlds were actually constructed (cache misses).
-    pub fn builds(&self) -> usize {
-        self.builds.load(Ordering::Relaxed)
-    }
 }
 
 /// Resolve the worker count: explicit flag, then the `DYNAMIPS_THREADS`
@@ -177,9 +125,8 @@ pub struct EngineOutput {
     pub perf: PerfRecord,
 }
 
-/// Which shared products a request needs. Derived per artifact and
-/// unioned per request, so batch runs ([`run`]) and warm sessions
-/// ([`WarmSession`]) agree exactly on what phase A must compute.
+/// Which shared products a request needs, derived per artifact and
+/// unioned per request.
 #[derive(Debug, Clone, Copy, Default)]
 struct Needs {
     atlas: bool,
@@ -221,86 +168,39 @@ impl Needs {
                 world: acc.world || n.world,
             })
     }
-
-    /// The Atlas products one pass must fill, if any.
-    fn atlas_wants(&self) -> Option<AtlasWants> {
-        (self.atlas || self.histories || self.short_v4).then_some(AtlasWants {
-            analysis: self.atlas,
-            histories: self.histories,
-            short_v4: self.short_v4,
-        })
-    }
 }
 
-/// Everything a renderer may need, shared read-only across workers.
-struct EngineContext<'a> {
-    cfg: &'a ExperimentConfig,
-    atlas: Option<&'a AtlasAnalysis>,
-    cdn: Option<&'a CdnAnalysis>,
-    histories: Option<&'a CleanHistories>,
-    short_v4: Option<&'a ShortV4Share>,
-    atlas_world: Option<&'a World>,
-}
-
-// Phase A computes every product the artifacts requested in phase B read
-// (the `Needs` derivation above); a miss here is an engine wiring bug
-// worth crashing on, not a data-dependent condition to degrade.
-#[allow(
-    clippy::expect_used,
-    reason = "phase A wiring guarantees every product phase B reads"
-)]
-impl EngineContext<'_> {
-    fn atlas(&self) -> &AtlasAnalysis {
-        // lint:allow(panic-reach): phase A wiring guarantees the product; see impl comment
-        self.atlas.expect("atlas analysis computed")
-    }
-    fn cdn(&self) -> &CdnAnalysis {
-        // lint:allow(panic-reach): phase A wiring guarantees the product; see impl comment
-        self.cdn.expect("cdn analysis computed")
-    }
-    fn histories(&self) -> &CleanHistories {
-        // lint:allow(panic-reach): phase A wiring guarantees the product; see impl comment
-        self.histories.expect("histories collected")
-    }
-    fn short_v4(&self) -> &ShortV4Share {
-        // lint:allow(panic-reach): phase A wiring guarantees the product; see impl comment
-        self.short_v4.expect("short-v4 shares collected")
-    }
-    fn world(&self) -> &World {
-        // lint:allow(panic-reach): phase A wiring guarantees the product; see impl comment
-        self.atlas_world.expect("atlas world built")
-    }
-}
-
-/// Render one artifact from the shared products. Returns the text and
+/// Render one artifact from the session's products. Returns the text and
 /// whether it passed (only `check` can fail).
-fn render_one(name: &str, ctx: &EngineContext<'_>) -> (String, bool) {
+fn render_one(name: &str, s: &WarmSession) -> (String, bool) {
     let text = match name {
-        "table1" => atlas_exps::table1(ctx.atlas()),
-        "fig1" => atlas_exps::fig1(ctx.atlas()),
-        "fig5" => atlas_exps::fig5(ctx.atlas()),
-        "fig6" => atlas_exps::fig6(ctx.atlas()),
-        "fig8" => atlas_exps::fig8(ctx.atlas()),
-        "fig9" => atlas_exps::fig9(ctx.atlas()),
-        "table2" => atlas_exps::table2(ctx.atlas()),
-        "fig2" => cdn_exps::fig2(ctx.cdn()),
-        "fig3" => cdn_exps::fig3(ctx.cdn()),
-        "fig4" => cdn_exps::fig4(ctx.cdn()),
-        "fig7" => cdn_exps::fig7(ctx.cdn()),
-        "claims" => claims::render(ctx.atlas(), ctx.cdn()),
-        "check" => return check::render_and_ok(ctx.atlas(), ctx.cdn()),
-        "evolution" => extended::evolution_with(ctx.world(), ctx.histories()),
-        "pools" => extended::pool_boundaries_with(ctx.world(), ctx.histories()),
-        "scanplan" => extended::scan_plans_with(ctx.world(), ctx.histories()),
-        "targetgen" => extended::target_generation_with(ctx.world(), ctx.histories()),
-        "tracking" => extended::tracking_report_with(ctx.world()),
-        "anonymize" => extended::anonymize_audit_with(ctx.world()),
-        "blocklist" => extended::blocklist_sweep_with(ctx.world()),
-        "counting" => extended::counting_report_with(ctx.world(), ctx.cfg.seed),
-        "sanitizer" => {
-            extended::render_sanitizer(&ctx.atlas().sanitize, ctx.short_v4(), ctx.cfg.atlas_scale)
-        }
-        "seeds" => extended::seed_robustness(ctx.cfg),
+        "table1" => atlas_exps::table1(s.atlas_product()),
+        "fig1" => atlas_exps::fig1(s.atlas_product()),
+        "fig5" => atlas_exps::fig5(s.atlas_product()),
+        "fig6" => atlas_exps::fig6(s.atlas_product()),
+        "fig8" => atlas_exps::fig8(s.atlas_product()),
+        "fig9" => atlas_exps::fig9(s.atlas_product()),
+        "table2" => atlas_exps::table2(s.atlas_product()),
+        "fig2" => cdn_exps::fig2(s.cdn_product()),
+        "fig3" => cdn_exps::fig3(s.cdn_product()),
+        "fig4" => cdn_exps::fig4(s.cdn_product()),
+        "fig7" => cdn_exps::fig7(s.cdn_product()),
+        "claims" => claims::render(s.atlas_product(), s.cdn_product()),
+        "check" => return check::render_and_ok(s.atlas_product(), s.cdn_product()),
+        "evolution" => extended::evolution_with(s.atlas_world(), s.histories_product()),
+        "pools" => extended::pool_boundaries_with(s.atlas_world(), s.histories_product()),
+        "scanplan" => extended::scan_plans_with(s.atlas_world(), s.histories_product()),
+        "targetgen" => extended::target_generation_with(s.atlas_world(), s.histories_product()),
+        "tracking" => extended::tracking_report_with(s.atlas_world()),
+        "anonymize" => extended::anonymize_audit_with(s.atlas_world()),
+        "blocklist" => extended::blocklist_sweep_with(s.atlas_world()),
+        "counting" => extended::counting_report_with(s.atlas_world(), s.cfg.seed),
+        "sanitizer" => extended::render_sanitizer(
+            &s.atlas_product().sanitize,
+            s.short_v4_product(),
+            s.cfg.atlas_scale,
+        ),
+        "seeds" => extended::seed_robustness(&s.cfg),
         // `wanted` is prevalidated with is_known_artifact; if a name slips
         // through anyway, emit a failing artifact instead of panicking.
         other => return (format!("unknown artifact {other:?}\n"), false),
@@ -308,167 +208,73 @@ fn render_one(name: &str, ctx: &EngineContext<'_>) -> (String, bool) {
     (text, true)
 }
 
+/// Start a wall-time measurement. Timings go to the perf record only,
+/// never into artifact bytes.
+#[allow(clippy::disallowed_methods, reason = "engine wall time")]
+fn clock() -> Instant {
+    Instant::now()
+}
+
 fn ms(t: Instant) -> f64 {
     t.elapsed().as_secs_f64() * 1000.0
 }
 
-/// Compute every analysis the requested artifacts need (phase A, shared
-/// products in parallel), then render the artifacts across `workers`
-/// threads (phase B, fan-out). `wanted` must already be validated with
+fn phase(name: &str, wall_ms: f64) -> PerfEntry {
+    PerfEntry {
+        name: name.into(),
+        ms: wall_ms,
+    }
+}
+
+/// Run `job(i)` for every `i < n` on up to `workers` threads and return
+/// the results in index order. The calling thread is one of the workers:
+/// it spawns `workers.min(n) - 1` scoped helpers and then drains the
+/// shared index itself, so one worker spawns nothing and runs every job
+/// on the caller in index order. A job's panic is re-raised here.
+fn fan_out<T: Send + Sync>(workers: usize, n: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    let drain = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = slots.get(i) else { break };
+        // The index deals each slot to exactly one worker.
+        let _ = slot.set(job(i));
+    };
+    #[allow(clippy::disallowed_methods, reason = "scoped engine workers")]
+    thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers.min(n)).map(|_| scope.spawn(drain)).collect();
+        drain();
+        for helper in helpers {
+            crate::resume_worker(helper.join());
+        }
+    });
+    // Every slot is set: each index was dealt, and a panicking job
+    // re-raised above instead of leaving its slot empty.
+    slots.into_iter().filter_map(OnceLock::into_inner).collect()
+}
+
+/// Compute every product the requested artifacts need (phase A, on a
+/// cold session), then render the artifacts across `workers` threads
+/// (phase B). `wanted` must already be validated with
 /// [`is_known_artifact`].
 pub fn run(cfg: &ExperimentConfig, wanted: &[String], workers: usize) -> EngineOutput {
-    #[allow(clippy::disallowed_methods, reason = "engine wall time")]
-    let started = Instant::now();
-    let cache = WorldCache::new();
-
-    let needs = Needs::for_request(wanted);
-    let atlas_wants = needs.atlas_wants();
-
-    // --- Phase A: shared products.
-    //
-    // Two independent computations run concurrently: one pass over the
-    // Atlas world (collect, sanitize, and fill every Atlas product the
-    // request wants) and the CDN collect+analyze. Each task times itself.
-    let mut phases: Vec<PerfEntry> = Vec::new();
-
-    let atlas_world_handle: Option<(Arc<World>, f64)> = needs.world.then(|| {
-        #[allow(clippy::disallowed_methods, reason = "phase wall time")]
-        let t = Instant::now();
-        let w = cache.atlas(cfg.seed, cfg.atlas_scale);
-        (w, ms(t))
-    });
-    if let Some((_, world_ms)) = &atlas_world_handle {
-        phases.push(PerfEntry {
-            name: "atlas-world".into(),
-            ms: *world_ms,
-        });
-    }
-    // Every Atlas product implies `needs.world`, so the prefetch handle
-    // is populated whenever `atlas_job` is.
-    let atlas_job = atlas_wants.zip(atlas_world_handle.as_ref().map(|(w, _)| w));
-    let atlas_pass = |(wants, w): (AtlasWants, &Arc<World>)| {
-        #[allow(clippy::disallowed_methods, reason = "phase wall time")]
-        let t = Instant::now();
-        let mut deg = DegradationReport::new();
-        let products = AtlasProducts::collect(w, Window::atlas_paper(), wants, workers, &mut deg);
-        (products, ms(t))
-    };
-    let cdn_analysis_of = || {
-        #[allow(clippy::disallowed_methods, reason = "phase wall time")]
-        let tw = Instant::now();
-        let w = cache.cdn(cfg.seed, cfg.cdn_scale);
-        let world_ms = ms(tw);
-        #[allow(clippy::disallowed_methods, reason = "phase wall time")]
-        let t = Instant::now();
-        let mut deg = DegradationReport::new();
-        let c = CdnAnalysis::compute_for_world(&w, &mut deg);
-        (c, world_ms, ms(t))
-    };
-
-    #[allow(clippy::disallowed_methods, reason = "scoped engine workers")]
-    let (atlas, cdn) = if workers <= 1 {
-        (atlas_job.map(atlas_pass), needs.cdn.then(cdn_analysis_of))
-    } else {
-        thread::scope(|scope| {
-            let ja = atlas_job.map(|job| scope.spawn(move || atlas_pass(job)));
-            let jc = needs.cdn.then(|| scope.spawn(cdn_analysis_of));
-            (
-                ja.map(|j| crate::resume_worker(j.join())),
-                jc.map(|j| crate::resume_worker(j.join())),
-            )
-        })
-    };
-
-    let (mut atlas_analysis, mut histories, mut short_v4) = (None, None, None);
-    if let Some((products, t)) = atlas {
-        atlas_analysis = needs.atlas.then_some(products.analysis);
-        histories = needs.histories.then_some(products.histories);
-        short_v4 = needs.short_v4.then_some(products.short_v4);
-        phases.push(PerfEntry {
-            name: "atlas-analysis".into(),
-            ms: t,
-        });
-    }
-    let mut cdn_analysis: Option<CdnAnalysis> = None;
-    if let Some((analysis, world_ms, t)) = cdn {
-        cdn_analysis = Some(analysis);
-        phases.push(PerfEntry {
-            name: "cdn-world".into(),
-            ms: world_ms,
-        });
-        phases.push(PerfEntry {
-            name: "cdn-analysis".into(),
-            ms: t,
-        });
-    }
-
-    let atlas_world: Option<Arc<World>> = atlas_world_handle.map(|(w, _)| w);
-    let ctx = EngineContext {
-        cfg,
-        atlas: atlas_analysis.as_ref(),
-        cdn: cdn_analysis.as_ref(),
-        histories: histories.as_ref(),
-        short_v4: short_v4.as_ref(),
-        atlas_world: atlas_world.as_deref(),
-    };
-
-    // --- Phase B: render fan-out.
-    //
-    // A shared atomic index deals artifacts to workers; each result lands
-    // in its request-order slot, so output order never depends on timing.
-    let slots: Vec<OnceLock<(String, bool, f64)>> =
-        wanted.iter().map(|_| OnceLock::new()).collect();
-    let render = |i: usize| {
-        #[allow(clippy::disallowed_methods, reason = "artifact wall time")]
-        let t = Instant::now();
-        let (text, ok) = render_one(&wanted[i], &ctx);
-        // The dealing index hands each slot to exactly one worker; if a
-        // slot were somehow rendered twice the first result wins.
-        let _ = slots[i].set((text, ok, ms(t)));
-    };
-    if workers <= 1 {
-        (0..wanted.len()).for_each(render);
-    } else {
-        let next = AtomicUsize::new(0);
-        #[allow(clippy::disallowed_methods, reason = "scoped engine workers")]
-        thread::scope(|scope| {
-            for _ in 0..workers.min(wanted.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= wanted.len() {
-                        break;
-                    }
-                    render(i);
-                });
-            }
-        });
-    }
-
-    let mut artifacts = Vec::with_capacity(wanted.len());
-    let mut artifact_times = Vec::with_capacity(wanted.len());
-    for (name, slot) in wanted.iter().zip(slots) {
-        // Every index below wanted.len() was dealt to a worker; an empty
-        // slot would be an engine bug — surface it as a failed artifact.
-        let (text, ok, t) = slot
-            .into_inner()
-            .unwrap_or_else(|| ("artifact not rendered (engine bug)\n".into(), false, 0.0));
-        artifact_times.push(PerfEntry {
-            name: name.clone(),
-            ms: t,
-        });
-        artifacts.push(RenderedArtifact {
-            name: name.clone(),
-            text,
-            ok,
-        });
-    }
-
+    let started = clock();
+    let session = WarmSession::warm(*cfg, workers);
+    let phases = session.prepare(wanted);
+    let (artifacts, artifact_times) = fan_out(workers, wanted.len(), |i| {
+        let t = clock();
+        let artifact = session.render_artifact(&wanted[i]);
+        let time = phase(&artifact.name, ms(t));
+        (artifact, time)
+    })
+    .into_iter()
+    .unzip();
     let perf = PerfRecord {
         seed: cfg.seed,
         atlas_scale: cfg.atlas_scale,
         cdn_scale: cfg.cdn_scale,
         workers,
-        worlds_built: cache.builds(),
+        worlds_built: session.worlds_built(),
         total_ms: ms(started),
         phases,
         artifacts: artifact_times,
@@ -476,21 +282,31 @@ pub fn run(cfg: &ExperimentConfig, wanted: &[String], workers: usize) -> EngineO
     EngineOutput { artifacts, perf }
 }
 
+/// One job of phase A ([`WarmSession::prepare`]).
+#[derive(Debug, Clone, Copy)]
+enum Job {
+    /// One Atlas pass filling these products.
+    Atlas(AtlasWants),
+    /// The CDN world and its analysis.
+    Cdn,
+}
+
 /// A warm, reusable render session for one configuration: worlds and
 /// analysis products are computed on first demand and then retained, so
 /// repeated [`WarmSession::render_artifact`] calls against the same
 /// `(seed, atlas_scale, cdn_scale)` are pure lookups plus the renderer
-/// itself. This is the serving layer's render-to-bytes entry point; a
-/// batch [`run`] and a warm session agree byte-for-byte because both
-/// funnel through [`render_one`] over products built by the same code.
+/// itself. This is the serving layer's render-to-bytes entry point, and
+/// [`run`] renders through it too.
 ///
-/// The session is `Sync`: concurrent renders share the products through
-/// `OnceLock`, which also guarantees each product is built exactly once
-/// even when many requests arrive before the first build finishes.
+/// The session is `Sync`: concurrent renders share the worlds and
+/// products through `OnceLock`, which also guarantees each is built
+/// exactly once even when many requests arrive before the first build
+/// finishes.
 pub struct WarmSession {
     cfg: ExperimentConfig,
     workers: usize,
-    cache: WorldCache,
+    atlas_world: OnceLock<World>,
+    cdn_world: OnceLock<World>,
     atlas: OnceLock<AtlasAnalysis>,
     cdn: OnceLock<CdnAnalysis>,
     histories: OnceLock<CleanHistories>,
@@ -504,7 +320,8 @@ impl WarmSession {
         WarmSession {
             cfg,
             workers: workers.max(1),
-            cache: WorldCache::new(),
+            atlas_world: OnceLock::new(),
+            cdn_world: OnceLock::new(),
             atlas: OnceLock::new(),
             cdn: OnceLock::new(),
             histories: OnceLock::new(),
@@ -517,19 +334,95 @@ impl WarmSession {
         &self.cfg
     }
 
-    /// Distinct worlds constructed so far (at most two: Atlas + CDN).
+    /// Worlds constructed so far (at most two: Atlas + CDN).
     pub fn worlds_built(&self) -> usize {
-        self.cache.builds()
+        usize::from(self.atlas_world.get().is_some()) + usize::from(self.cdn_world.get().is_some())
     }
 
-    /// One Atlas pass filling just `wants`. Products are built lazily,
-    /// one per pass, so a session that only serves figures never
-    /// retains histories.
-    fn atlas_pass(&self, wants: AtlasWants) -> AtlasProducts {
-        let w = self.cache.atlas(self.cfg.seed, self.cfg.atlas_scale);
-        let mut deg = DegradationReport::new();
-        AtlasProducts::collect(&w, Window::atlas_paper(), wants, self.workers, &mut deg)
+    /// Phase A: fill every product `wanted` needs that the session lacks,
+    /// all Atlas products in one pass, beside the CDN analysis. Returns
+    /// the timed phases, in order, of the work it did: `atlas-world`,
+    /// `atlas-analysis`, `cdn-world`, `cdn-analysis`.
+    fn prepare(&self, wanted: &[String]) -> Vec<PerfEntry> {
+        let needs = Needs::for_request(wanted);
+        let mut phases = Vec::new();
+        if needs.world && self.atlas_world.get().is_none() {
+            let t = clock();
+            self.atlas_world();
+            phases.push(phase("atlas-world", ms(t)));
+        }
+        let wants = AtlasWants {
+            analysis: needs.atlas && self.atlas.get().is_none(),
+            histories: needs.histories && self.histories.get().is_none(),
+            short_v4: needs.short_v4 && self.short_v4.get().is_none(),
+        };
+        let jobs: Vec<Job> = (wants.analysis || wants.histories || wants.short_v4)
+            .then_some(Job::Atlas(wants))
+            .into_iter()
+            .chain((needs.cdn && self.cdn.get().is_none()).then_some(Job::Cdn))
+            .collect();
+        phases.extend(
+            fan_out(self.workers, jobs.len(), |i| self.run_job(jobs[i]))
+                .into_iter()
+                .flatten(),
+        );
+        phases
     }
+
+    /// Run one phase-A job, timing its phases.
+    fn run_job(&self, job: Job) -> Vec<PerfEntry> {
+        let t = clock();
+        match job {
+            Job::Atlas(wants) => {
+                let products = self.atlas_pass(wants);
+                // A concurrent render may have filled a product first;
+                // both are built by the same code from the same world.
+                if wants.analysis {
+                    let _ = self.atlas.set(products.analysis);
+                }
+                if wants.histories {
+                    let _ = self.histories.set(products.histories);
+                }
+                if wants.short_v4 {
+                    let _ = self.short_v4.set(products.short_v4);
+                }
+                vec![phase("atlas-analysis", ms(t))]
+            }
+            Job::Cdn => {
+                self.cdn_world();
+                let world_ms = ms(t);
+                let t = clock();
+                self.cdn_product();
+                vec![phase("cdn-world", world_ms), phase("cdn-analysis", ms(t))]
+            }
+        }
+    }
+
+    fn atlas_world(&self) -> &World {
+        self.atlas_world
+            .get_or_init(|| atlas_world(self.cfg.seed, self.cfg.atlas_scale))
+    }
+
+    fn cdn_world(&self) -> &World {
+        self.cdn_world
+            .get_or_init(|| cdn_world(self.cfg.seed, self.cfg.cdn_scale))
+    }
+
+    /// One Atlas pass filling just `wants`.
+    fn atlas_pass(&self, wants: AtlasWants) -> AtlasProducts {
+        let mut deg = DegradationReport::new();
+        AtlasProducts::collect(
+            self.atlas_world(),
+            Window::atlas_paper(),
+            wants,
+            self.workers,
+            &mut deg,
+        )
+    }
+
+    // A product that no `prepare` filled is built here on first use, one
+    // pass per product, so a session that only serves figures never
+    // retains histories.
 
     fn atlas_product(&self) -> &AtlasAnalysis {
         self.atlas.get_or_init(|| {
@@ -543,9 +436,8 @@ impl WarmSession {
 
     fn cdn_product(&self) -> &CdnAnalysis {
         self.cdn.get_or_init(|| {
-            let w = self.cache.cdn(self.cfg.seed, self.cfg.cdn_scale);
             let mut deg = DegradationReport::new();
-            CdnAnalysis::compute_for_world(&w, &mut deg)
+            CdnAnalysis::compute_for_world(self.cdn_world(), &mut deg)
         })
     }
 
@@ -572,21 +464,9 @@ impl WarmSession {
     /// Render one artifact to text, computing (and caching) exactly the
     /// products it needs. `name` should be prevalidated with
     /// [`is_known_artifact`]; unknown names yield a failed artifact, not
-    /// a panic, mirroring [`run`].
+    /// a panic.
     pub fn render_artifact(&self, name: &str) -> RenderedArtifact {
-        let needs = Needs::for_artifact(name);
-        let atlas_world = needs
-            .world
-            .then(|| self.cache.atlas(self.cfg.seed, self.cfg.atlas_scale));
-        let ctx = EngineContext {
-            cfg: &self.cfg,
-            atlas: needs.atlas.then(|| self.atlas_product()),
-            cdn: needs.cdn.then(|| self.cdn_product()),
-            histories: needs.histories.then(|| self.histories_product()),
-            short_v4: needs.short_v4.then(|| self.short_v4_product()),
-            atlas_world: atlas_world.as_deref(),
-        };
-        let (text, ok) = render_one(name, &ctx);
+        let (text, ok) = render_one(name, self);
         RenderedArtifact {
             name: name.to_string(),
             text,
@@ -615,30 +495,52 @@ pub fn render_timings(perf: &PerfRecord) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn world_cache_builds_each_distinct_world_once() {
-        let cache = WorldCache::new();
-        let w1 = cache.atlas(5, 0.01);
-        let w2 = cache.atlas(5, 0.01);
-        assert!(Arc::ptr_eq(&w1, &w2));
-        assert_eq!(cache.builds(), 1);
-        // Different era, seed, or scale are distinct worlds.
-        cache.cdn(5, 0.01);
-        cache.atlas(6, 0.01);
-        cache.atlas(5, 0.02);
-        assert_eq!(cache.builds(), 4);
+    fn cold_session() -> WarmSession {
+        let cfg = ExperimentConfig {
+            seed: 7,
+            atlas_scale: 0.02,
+            cdn_scale: 0.02,
+        };
+        WarmSession::warm(cfg, 2)
     }
 
+    /// Phase A fills every product of the `dynamips all` request, and
+    /// both worlds, before any render, with the four phases in order.
     #[test]
-    fn world_cache_is_race_free_under_concurrent_requests() {
-        let cache = WorldCache::new();
-        #[allow(clippy::disallowed_methods, reason = "concurrent world requests")]
+    fn prepare_fills_every_product_before_any_render() {
+        let session = cold_session();
+        let phases = session.prepare(&all_artifacts());
+        let names: Vec<&str> = phases.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["atlas-world", "atlas-analysis", "cdn-world", "cdn-analysis"]
+        );
+        assert!(session.atlas_world.get().is_some(), "atlas world");
+        assert!(session.cdn_world.get().is_some(), "cdn world");
+        assert!(session.atlas.get().is_some(), "atlas analysis");
+        assert!(session.cdn.get().is_some(), "cdn analysis");
+        assert!(session.histories.get().is_some(), "clean histories");
+        assert!(session.short_v4.get().is_some(), "short-v4 shares");
+        assert_eq!(session.worlds_built(), 2);
+        // A warm session has nothing left to prepare.
+        assert!(session.prepare(&all_artifacts()).is_empty());
+    }
+
+    /// Concurrent first requests on one cold session build its world once.
+    #[test]
+    fn concurrent_renders_on_a_cold_session_build_one_world() {
+        let session = cold_session();
+        let start = std::sync::Barrier::new(4);
+        #[allow(clippy::disallowed_methods, reason = "concurrent render requests")]
         thread::scope(|scope| {
             for _ in 0..4 {
-                scope.spawn(|| cache.atlas(7, 0.01));
+                scope.spawn(|| {
+                    start.wait();
+                    session.render_artifact("fig1")
+                });
             }
         });
-        assert_eq!(cache.builds(), 1);
+        assert_eq!(session.worlds_built(), 1);
     }
 
     #[test]

@@ -3,13 +3,12 @@
 //!
 //! Unlike the `table*`/`fig*` artifacts, these need per-probe histories
 //! or ground-truth subscriber identity, which the streaming figure
-//! pipeline deliberately discards. Each artifact has two entry points:
-//! a `*(cfg)` convenience that builds its own world, and a `*_with(...)`
-//! form taking a pre-built world (and, where applicable, pre-collected
-//! [`clean_histories`]) so the engine can share one world across all of
-//! them. The engine fills the histories and the `sanitizer` artifact's
-//! numbers from the same single Atlas pass that builds the analysis
-//! ([`crate::context`]); [`clean_histories`] and
+//! pipeline deliberately discards. Each artifact renders from a pre-built
+//! world and, where applicable, pre-collected [`CleanHistories`], so the
+//! engine's [`crate::engine::WarmSession`] shares one world and one
+//! Atlas pass across all of them: the histories and the `sanitizer`
+//! artifact's numbers come from the same single pass that builds the
+//! analysis ([`crate::context`]). [`clean_histories`] and
 //! [`sanitizer_report_with`] ask that pass for their one product.
 
 use crate::context::{AtlasProducts, AtlasWants, ExperimentConfig, ShortV4Share};
@@ -49,13 +48,6 @@ pub fn clean_histories(world: &World, window: Window) -> CleanHistories {
 
 /// Year-over-year evolution of assignment durations (Section 3.2,
 /// "Evolution over time").
-pub fn evolution(cfg: &ExperimentConfig) -> String {
-    let world = atlas_world(cfg.seed, cfg.atlas_scale);
-    let by_as = clean_histories(&world, Window::atlas_paper());
-    evolution_with(&world, &by_as)
-}
-
-/// [`evolution`] against a pre-built world and history collection.
 pub fn evolution_with(world: &World, by_as: &CleanHistories) -> String {
     use dynamips_core::evolution::YearlySurvival;
 
@@ -122,13 +114,6 @@ pub fn evolution_with(world: &World, by_as: &CleanHistories) -> String {
 }
 
 /// Pool-boundary inference vs. the configured ground truth (Section 5.2).
-pub fn pool_boundaries(cfg: &ExperimentConfig) -> String {
-    let world = atlas_world(cfg.seed, cfg.atlas_scale);
-    let by_as = clean_histories(&world, Window::atlas_paper());
-    pool_boundaries_with(&world, &by_as)
-}
-
-/// [`pool_boundaries`] against a pre-built world and history collection.
 pub fn pool_boundaries_with(world: &World, by_as: &CleanHistories) -> String {
     let mut t = TextTable::new(&[
         "AS",
@@ -173,13 +158,6 @@ pub fn pool_boundaries_with(world: &World, by_as: &CleanHistories) -> String {
 
 /// Scan-plan evaluation (Section 6, active scanning): derive boundaries
 /// from the first half of the window, relocate assignments from the second.
-pub fn scan_plans(cfg: &ExperimentConfig) -> String {
-    let world = atlas_world(cfg.seed, cfg.atlas_scale);
-    let by_as = clean_histories(&world, Window::atlas_paper());
-    scan_plans_with(&world, &by_as)
-}
-
-/// [`scan_plans`] against a pre-built world and history collection.
 pub fn scan_plans_with(world: &World, by_as: &CleanHistories) -> String {
     let full = Window::atlas_paper();
     let mid = SimTime(full.start.hours() + full.hours() / 2);
@@ -293,13 +271,6 @@ pub fn scan_plans_with(world: &World, by_as: &CleanHistories) -> String {
 /// Target-generation comparison (Section 2.3 / 6): at an equal probe
 /// budget, how do Entropy/IP-lite and 6Gen-lite compare with the
 /// boundary-guided plan at relocating second-half /64 assignments?
-pub fn target_generation(cfg: &ExperimentConfig) -> String {
-    let world = atlas_world(cfg.seed, cfg.atlas_scale);
-    let by_as = clean_histories(&world, Window::atlas_paper());
-    target_generation_with(&world, &by_as)
-}
-
-/// [`target_generation`] against a pre-built world and history collection.
 pub fn target_generation_with(world: &World, by_as: &CleanHistories) -> String {
     use dynamips_core::hitlist::hit_rate;
     use dynamips_core::targetgen::{sixgen_targets, NibbleModel};
@@ -379,11 +350,6 @@ pub fn target_generation_with(world: &World, by_as: &CleanHistories) -> String {
 
 /// Host-trackability comparison (Section 2.3): privacy addresses vs. the
 /// /64 network prefix vs. EUI-64 relocation, per network.
-pub fn tracking_report(cfg: &ExperimentConfig) -> String {
-    tracking_report_with(&atlas_world(cfg.seed, cfg.atlas_scale))
-}
-
-/// [`tracking_report`] against a pre-built world.
 pub fn tracking_report_with(world: &World) -> String {
     use dynamips_core::stats::quantile;
     use dynamips_core::tracking::{evaluate, TrackingKey};
@@ -453,11 +419,6 @@ pub fn tracking_report_with(world: &World) -> String {
 
 /// Truncation-anonymization audit against ground-truth subscriber identity
 /// (Section 6, privacy).
-pub fn anonymize_audit(cfg: &ExperimentConfig) -> String {
-    anonymize_audit_with(&atlas_world(cfg.seed, cfg.atlas_scale))
-}
-
-/// [`anonymize_audit`] against a pre-built world.
 pub fn anonymize_audit_with(world: &World) -> String {
     // A 90-day snapshot is what a shared dataset would cover.
     let window = Window::new(SimTime(0), SimTime(90 * 24));
@@ -499,11 +460,6 @@ pub fn anonymize_audit_with(world: &World) -> String {
 }
 
 /// Blocklist policy sweep against ground truth (Section 6, reputation).
-pub fn blocklist_sweep(cfg: &ExperimentConfig) -> String {
-    blocklist_sweep_with(&atlas_world(cfg.seed, cfg.atlas_scale))
-}
-
-/// [`blocklist_sweep`] against a pre-built world.
 pub fn blocklist_sweep_with(world: &World) -> String {
     let window = Window::new(SimTime(0), SimTime(120 * 24));
     let mut out = String::from(
@@ -562,12 +518,7 @@ pub fn blocklist_sweep_with(world: &World) -> String {
 
 /// User-counting experiment (Section 2.3): how badly do naive per-address
 /// and per-/64 estimators overcount the true subscriber population?
-pub fn counting_report(cfg: &ExperimentConfig) -> String {
-    counting_report_with(&atlas_world(cfg.seed, cfg.atlas_scale), cfg.seed)
-}
-
-/// [`counting_report`] against a pre-built world; `seed` drives the
-/// per-home device synthesis.
+/// `seed` drives the per-home device synthesis.
 pub fn counting_report_with(world: &World, seed: u64) -> String {
     use dynamips_cdn::devices::{observe_devices, DeviceConfig};
     use dynamips_core::counting::estimate_counts;
@@ -613,12 +564,7 @@ pub fn counting_report_with(world: &World, seed: u64) -> String {
 
 /// Sanitizer accounting and value (Appendix A.1): what the filters remove,
 /// and how the duration distribution would be distorted without them.
-pub fn sanitizer_report(cfg: &ExperimentConfig) -> String {
-    sanitizer_report_with(&atlas_world(cfg.seed, cfg.atlas_scale), cfg.atlas_scale)
-}
-
-/// [`sanitizer_report`] against a pre-built world; `atlas_scale` only
-/// labels the output.
+/// `atlas_scale` only labels the output.
 pub fn sanitizer_report_with(world: &World, atlas_scale: f64) -> String {
     let wants = AtlasWants {
         short_v4: true,
@@ -777,14 +723,20 @@ pub fn dump_cdn(cfg: &ExperimentConfig, path: &std::path::Path) -> std::io::Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::WarmSession;
 
-    fn cfg() -> ExperimentConfig {
-        ExperimentConfig::small(3)
+    /// Render `name` through one engine session shared by these tests.
+    fn render(name: &str) -> String {
+        static SESSION: std::sync::OnceLock<WarmSession> = std::sync::OnceLock::new();
+        SESSION
+            .get_or_init(|| WarmSession::warm(ExperimentConfig::small(3), 1))
+            .render_artifact(name)
+            .text
     }
 
     #[test]
     fn evolution_renders_yearly_rows() {
-        let text = evolution(&cfg());
+        let text = render("evolution");
         assert!(text.contains("DTAG"));
         assert!(text.contains("2015"), "{text}");
         assert!(text.contains("survival change"));
@@ -792,7 +744,7 @@ mod tests {
 
     #[test]
     fn pool_boundaries_recover_ground_truth_grain() {
-        let text = pool_boundaries(&cfg());
+        let text = render("pools");
         // DTAG's configured region is /40 and should be recovered.
         let dtag_line = text
             .lines()
@@ -803,7 +755,7 @@ mod tests {
 
     #[test]
     fn scan_plans_hit_future_assignments() {
-        let text = scan_plans(&cfg());
+        let text = render("scanplan");
         // DTAG churns enough to be plannable at any scale; its hit rate is
         // capped by the scrambling-CPE share (the paper's evasion point),
         // but must be far above zero.
@@ -824,7 +776,7 @@ mod tests {
 
     #[test]
     fn anonymize_audit_flags_netcologne() {
-        let text = anonymize_audit(&cfg());
+        let text = render("anonymize");
         let row = text
             .lines()
             .find(|l| l.starts_with("Netcologne"))
@@ -836,7 +788,7 @@ mod tests {
 
     #[test]
     fn blocklist_sweep_renders_grid() {
-        let text = blocklist_sweep(&cfg());
+        let text = render("blocklist");
         assert!(text.contains("--- DTAG ---"));
         assert!(text.contains("efficacy"));
         assert!(text.contains("/56"));

@@ -10,7 +10,7 @@
 //!
 //! Each `table*`/`fig*` module renders one artifact from those products as
 //! plain text in the paper's layout. The [`engine`] module orchestrates a
-//! full run: a world cache builds each distinct `(era, seed, scale)` world
+//! full run: a session builds each of the configuration's two worlds
 //! exactly once, the analyses compute concurrently, and the artifact
 //! renderers fan out across a worker pool — byte-identical to a
 //! single-thread run. The [`chaos`] module drives the adversarial-ingest

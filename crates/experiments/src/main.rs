@@ -772,14 +772,7 @@ fn main() {
 
     let ran_all = wanted.iter().any(|w| w == "all");
     if ran_all {
-        wanted = engine::ATLAS_ARTIFACTS
-            .iter()
-            .chain(engine::CDN_ARTIFACTS.iter())
-            .map(|s| s.to_string())
-            .chain(std::iter::once("claims".to_string()))
-            .chain(std::iter::once("check".to_string()))
-            .chain(engine::EXTENDED_ARTIFACTS.iter().map(|s| s.to_string()))
-            .collect();
+        wanted = engine::all_artifacts();
     }
 
     // Dataset dumps take a path operand and short-circuit.

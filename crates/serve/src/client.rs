@@ -226,7 +226,7 @@ fn header_value(head: &str, name: &str) -> Option<String> {
 /// one socket, with responses framed strictly by `Content-Length`
 /// instead of EOF. Used by the open-loop load generator (thousands of
 /// concurrent connections would otherwise each burn a three-way
-/// handshake per request) and, opt-in, by [`ResilientClient`].
+/// handshake per request).
 ///
 /// The connection stops being reusable when the server answers
 /// `connection: close` or omits `Content-Length` (EOF framing consumes
@@ -621,7 +621,6 @@ pub struct ClientMetrics {
     server_5xx: AtomicU64,
     retry_after_honored: AtomicU64,
     retry_after_unparseable: AtomicU64,
-    conn_reuses: AtomicU64,
     breaker_opens: AtomicU64,
     breaker_probes: AtomicU64,
     breaker_closes: AtomicU64,
@@ -689,12 +688,6 @@ impl ClientMetrics {
         "`Retry-After` headers present but not delta-seconds (honored at the cap)."
     );
     counter!(
-        bump_conn_reuses,
-        conn_reuses_total,
-        conn_reuses,
-        "Requests sent on a reused (keep-alive) pooled connection."
-    );
-    counter!(
         bump_breaker_opens,
         breaker_opens_total,
         breaker_opens,
@@ -722,7 +715,7 @@ impl ClientMetrics {
     /// One-line summary for reports.
     pub fn render(&self) -> String {
         format!(
-            "attempts={} retries={} ok={} transport-errors={} http-5xx={} retry-after={} retry-after-unparseable={} conn-reuses={} breaker(open={} probe={} close={} fast-fail={})",
+            "attempts={} retries={} ok={} transport-errors={} http-5xx={} retry-after={} retry-after-unparseable={} breaker(open={} probe={} close={} fast-fail={})",
             self.attempts_total(),
             self.retries_total(),
             self.successes_total(),
@@ -730,7 +723,6 @@ impl ClientMetrics {
             self.server_5xx_total(),
             self.retry_after_honored_total(),
             self.retry_after_unparseable_total(),
-            self.conn_reuses_total(),
             self.breaker_opens_total(),
             self.breaker_probes_total(),
             self.breaker_closes_total(),
@@ -751,20 +743,13 @@ pub struct ResilientClient {
     breakers: Mutex<BTreeMap<String, CircuitBreaker>>,
     jitter: Mutex<JitterSource>,
     metrics: ClientMetrics,
-    /// Opt-in keep-alive pooling (see [`ResilientClient::with_connection_reuse`]).
-    reuse_connections: bool,
-    /// Idle keep-alive connections per endpoint, capped at [`POOL_CAP`].
-    pool: Mutex<BTreeMap<String, Vec<KeepAliveConnection>>>,
 }
-
-/// Idle pooled connections kept per endpoint.
-const POOL_CAP: usize = 8;
 
 impl ResilientClient {
     /// A client with `policy` and per-endpoint breakers under
-    /// `breaker_cfg`. Connection reuse is off by default — callers that
-    /// tear servers (or proxies) down between requests keep the strict
-    /// one-exchange-per-socket behavior unless they opt in.
+    /// `breaker_cfg`. Every attempt is one strict exchange on a fresh
+    /// socket, so callers that tear servers (or proxies) down between
+    /// requests never meet a stale connection.
     pub fn new(policy: RetryPolicy, breaker_cfg: BreakerConfig) -> ResilientClient {
         let jitter = JitterSource::seeded(policy.jitter_seed);
         ResilientClient {
@@ -773,59 +758,7 @@ impl ResilientClient {
             breakers: Mutex::new(BTreeMap::new()),
             jitter: Mutex::new(jitter),
             metrics: ClientMetrics::new(),
-            reuse_connections: false,
-            pool: Mutex::new(BTreeMap::new()),
         }
-    }
-
-    /// Enable HTTP/1.1 keep-alive connection pooling: successful
-    /// exchanges park their socket for the next request to the same
-    /// endpoint. A pooled socket the server has since closed is
-    /// discarded and the request transparently falls back to a fresh
-    /// connection — staleness never surfaces as a transport error.
-    pub fn with_connection_reuse(mut self) -> ResilientClient {
-        self.reuse_connections = true;
-        self
-    }
-
-    fn pop_pooled(&self, addr: &str) -> Option<KeepAliveConnection> {
-        self.pool
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get_mut(addr)
-            .and_then(Vec::pop)
-    }
-
-    fn push_pooled(&self, addr: &str, conn: KeepAliveConnection) {
-        let mut pool = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
-        let idle = pool.entry(addr.to_string()).or_default();
-        if idle.len() < POOL_CAP {
-            idle.push(conn);
-        }
-    }
-
-    /// One GET over the pool: try a parked connection first (a stale one
-    /// falls back to a fresh socket inside the same attempt), park the
-    /// socket again when it stayed reusable.
-    fn pooled_get(&self, addr: &str, path: &str, timeout_ms: u64) -> Result<FetchResult, String> {
-        if let Some(mut conn) = self.pop_pooled(addr) {
-            if let Ok(result) = conn.roundtrip(path) {
-                self.metrics.bump_conn_reuses();
-                if conn.is_reusable() {
-                    self.push_pooled(addr, conn);
-                }
-                return Ok(result);
-            }
-            // Stale pooled socket (server closed it while parked):
-            // fall through to a fresh connection without consuming a
-            // retry attempt.
-        }
-        let mut conn = KeepAliveConnection::connect(addr, timeout_ms)?;
-        let result = conn.roundtrip(path)?;
-        if conn.is_reusable() {
-            self.push_pooled(addr, conn);
-        }
-        Ok(result)
     }
 
     /// The client-side counters.
@@ -858,13 +791,7 @@ impl ResilientClient {
     /// caller sees the status) and the last transport error as `Err`.
     pub fn fetch(&self, addr: &str, path: &str, timeout_ms: u64) -> Result<FetchResult, String> {
         let max_attempts = self.policy.max_attempts.max(1);
-        self.exchange(addr, max_attempts, || {
-            if self.reuse_connections {
-                self.pooled_get(addr, path, timeout_ms)
-            } else {
-                http_get(addr, path, timeout_ms)
-            }
-        })
+        self.exchange(addr, max_attempts, || http_get(addr, path, timeout_ms))
     }
 
     /// `POST path` with `body`: **never retried**. A POST that times out

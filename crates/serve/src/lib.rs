@@ -23,8 +23,7 @@
 //! - [`metrics`]: atomic counters/gauges/histogram with a Prometheus
 //!   text rendering at `GET /metrics`.
 //! - [`lru`]: the bounded LRU the artifact handler uses to keep warm
-//!   simulation worlds and rendered artifacts, mirroring the engine's
-//!   `WorldCache` protocol.
+//!   simulation sessions and rendered artifacts.
 //! - [`client`] / [`loadtest`]: a strict one-shot HTTP client, a
 //!   [`KeepAliveConnection`] with `Content-Length` framing, and the
 //!   load generator behind `dynamips loadtest` — closed-loop or

@@ -1,10 +1,10 @@
 //! A small, thread-safe, bounded LRU keyed by `Ord` keys, filled only
 //! through [`LruCache::fetch_or_build`].
 //!
-//! The shape mirrors the engine's `WorldCache` two-phase protocol: the
-//! map lock is held only long enough to claim a per-key `OnceLock` slot;
-//! the (potentially very expensive) value construction runs outside the
-//! lock inside `OnceLock::get_or_init`, so concurrent requests for the
+//! Lookups are two-phase: the map lock is held only long enough to
+//! claim a per-key `OnceLock` slot; the (potentially very expensive)
+//! value construction runs outside the lock inside
+//! `OnceLock::get_or_init`, so concurrent requests for the
 //! same key build the value exactly once while requests for other keys
 //! proceed unblocked. A builder that panics leaves its slot empty
 //! (`get_or_init` stores nothing), so the next lookup of that key builds
