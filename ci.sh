@@ -238,5 +238,9 @@ rm -f target/BENCH_chaos_serve.json
 "$BIN" chaos-serve --seed 7 --rate 0.0 --rate 0.2 --requests 12 --timeout-ms 800 \
     --bench-out target/BENCH_chaos_serve.json
 "$BIN" bench-check target/BENCH_chaos_serve.json
+# Three sessions (ground truth + one per rate), each building the Atlas
+# and the CDN world.
+grep -q '"worlds_built": 6' target/BENCH_chaos_serve.json \
+    || { echo "chaos-serve: expected 6 worlds built"; exit 1; }
 
 say "ci: all stages passed"

@@ -95,6 +95,8 @@ struct PointOutcome {
     worker_panics: u64,
     /// Whether the server drained to zero open connections on join.
     drained: bool,
+    /// Worlds the point's artifact sessions built.
+    worlds_built: usize,
     elapsed_ms: f64,
 }
 
@@ -117,8 +119,8 @@ fn point_seed(seed: u64, index: usize) -> u64 {
 }
 
 /// Render every sweep artifact straight from a warm engine session: the
-/// ground truth the served bytes must match.
-fn expected_bytes(cfg: &ExperimentConfig, workers: usize) -> Result<Vec<Vec<u8>>, String> {
+/// ground truth the served bytes must match, and the worlds it built.
+fn expected_bytes(cfg: &ExperimentConfig, workers: usize) -> Result<(Vec<Vec<u8>>, usize), String> {
     let session = WarmSession::warm(*cfg, workers);
     let mut out = Vec::with_capacity(SWEEP_ARTIFACTS.len());
     for name in SWEEP_ARTIFACTS {
@@ -130,7 +132,7 @@ fn expected_bytes(cfg: &ExperimentConfig, workers: usize) -> Result<Vec<Vec<u8>>
         }
         out.push(rendered.text.into_bytes());
     }
-    Ok(out)
+    Ok((out, session.worlds_built()))
 }
 
 /// Run one sweep point: fresh server, warm it, route `requests` through
@@ -160,8 +162,13 @@ fn run_point(
         2,
         Arc::clone(&metrics),
     ));
-    let server = Server::start("127.0.0.1:0", serve_cfg, handler, Arc::clone(&metrics))
-        .map_err(|e| format!("rate {rate}: cannot bind server: {e}"))?;
+    let server = Server::start(
+        "127.0.0.1:0",
+        serve_cfg,
+        handler.clone(),
+        Arc::clone(&metrics),
+    )
+    .map_err(|e| format!("rate {rate}: cannot bind server: {e}"))?;
     let server_addr = server.local_addr();
 
     // Warm the service directly (not through the proxy) with a generous
@@ -215,7 +222,7 @@ fn run_point(
     for i in 0..opts.requests {
         let which = i % SWEEP_ARTIFACTS.len();
         let path = format!("/artifacts/{}", SWEEP_ARTIFACTS[which]);
-        match client.fetch(&proxy_addr, &path, opts.timeout_ms) {
+        match client.request(&proxy_addr, "GET", &path, "", opts.timeout_ms) {
             Ok(resp) if (200..300).contains(&resp.status) => {
                 ok_2xx += 1;
                 if resp.body != expected[which] {
@@ -257,6 +264,7 @@ fn run_point(
         mismatches,
         worker_panics: summary.worker_panics,
         drained,
+        worlds_built: handler.worlds_built_by_sessions(),
         elapsed_ms: started.elapsed().as_secs_f64() * 1_000.0,
     })
 }
@@ -297,8 +305,8 @@ pub fn run(cfg: &ExperimentConfig, opts: &ChaosServeOptions, workers: usize) -> 
     let started = Instant::now();
     #[allow(clippy::disallowed_methods, reason = "warm-up wall time")]
     let warm_started = Instant::now();
-    let expected = match expected_bytes(cfg, workers) {
-        Ok(expected) => expected,
+    let (expected, expected_worlds) = match expected_bytes(cfg, workers) {
+        Ok(truth) => truth,
         Err(why) => {
             return ChaosServeOutcome {
                 text: format!("chaos-serve: FAIL — {why}\n"),
@@ -415,8 +423,9 @@ pub fn run(cfg: &ExperimentConfig, opts: &ChaosServeOptions, workers: usize) -> 
         atlas_scale: cfg.atlas_scale,
         cdn_scale: cfg.cdn_scale,
         workers,
-        // One warm ground-truth session plus one per sweep point.
-        worlds_built: points.len() + 1,
+        // The ground-truth session's worlds plus every point's: each
+        // session renders Atlas and CDN artifacts, so builds both.
+        worlds_built: expected_worlds + points.iter().map(|p| p.worlds_built).sum::<usize>(),
         total_ms: started.elapsed().as_secs_f64() * 1_000.0,
         phases,
         artifacts,
@@ -447,7 +456,7 @@ mod tests {
         assert!(outcome.ok, "{}", outcome.text);
         assert!(outcome.text.contains("chaos-serve: OK"), "{}", outcome.text);
         let parsed = PerfRecord::parse(&outcome.perf.to_json()).expect("round-trip");
-        assert_eq!(parsed.worlds_built, 2);
+        assert_eq!(parsed.worlds_built, 4);
         assert!(parsed
             .artifacts
             .iter()

@@ -394,7 +394,7 @@ pub fn run_url(url: &str, cycles: u64, timeout_ms: u64) -> Result<String, String
         // honest without outrunning lease lifetimes.
         let now = cycle / 64;
         let body = format!("pool=grace0&client={cycle}&lifetime=100&now={now}");
-        let resp = client.post(&addr, "/leases", &body, timeout_ms)?;
+        let resp = client.request(&addr, "POST", "/leases", &body, timeout_ms)?;
         if resp.status != 201 {
             return Err(format!(
                 "cycle {cycle}: POST /leases -> {} ({})",
@@ -404,8 +404,9 @@ pub fn run_url(url: &str, cycles: u64, timeout_ms: u64) -> Result<String, String
         }
         let id = body_field(&resp.body, "id")?;
         granted += 1;
-        let renew = client.put(
+        let renew = client.request(
             &addr,
+            "PUT",
             &format!("/leases/{id}/renew"),
             &format!("lifetime=100&now={now}"),
             timeout_ms,
@@ -413,20 +414,20 @@ pub fn run_url(url: &str, cycles: u64, timeout_ms: u64) -> Result<String, String
         if renew.status != 200 {
             return Err(format!("cycle {cycle}: PUT renew -> {}", renew.status));
         }
-        let release = client.delete(&addr, &format!("/leases/{id}"), timeout_ms)?;
+        let release = client.request(&addr, "DELETE", &format!("/leases/{id}"), "", timeout_ms)?;
         if release.status != 200 {
             return Err(format!("cycle {cycle}: DELETE -> {}", release.status));
         }
     }
     // Drained: the RAII gauge is back to zero and every pool conserves.
-    let metrics = client.fetch(&addr, "/ipam-metrics", timeout_ms)?;
+    let metrics = client.request(&addr, "GET", "/ipam-metrics", "", timeout_ms)?;
     let page = String::from_utf8_lossy(&metrics.body).to_string();
     if !page.contains("dynamips_ipam_leases_active 0\n") {
         return Err(format!(
             "leases_active gauge did not return to zero:\n{page}"
         ));
     }
-    let pools = client.fetch(&addr, "/pools", timeout_ms)?;
+    let pools = client.request(&addr, "GET", "/pools", "", timeout_ms)?;
     let table = String::from_utf8_lossy(&pools.body).to_string();
     if pools.status != 200 || !table.contains("conservation=ok") {
         return Err(format!("GET /pools -> {}:\n{table}", pools.status));

@@ -85,6 +85,15 @@ impl ArtifactService {
         self.sessions.len()
     }
 
+    /// Worlds built by the warm sessions currently resident.
+    pub fn worlds_built_by_sessions(&self) -> usize {
+        self.sessions
+            .resident_values()
+            .iter()
+            .map(|session| session.worlds_built())
+            .sum()
+    }
+
     /// Resolve the request configuration: the service default overlaid
     /// with `seed` / `atlas_scale` / `cdn_scale` query parameters.
     fn config_from_query(&self, req: &Request) -> Result<ExperimentConfig, String> {

@@ -155,8 +155,9 @@ fn client_verbs_drive_the_full_lease_lifecycle() {
 
     // POST via the client (single attempt by policy).
     let grant = client
-        .post(
+        .request(
             &addr,
+            "POST",
             "/leases",
             "pool=res&client=7&lifetime=8&location=2",
             10_000,
@@ -169,8 +170,9 @@ fn client_verbs_drive_the_full_lease_lifecycle() {
 
     // PUT renew pushes expiry out (idempotent, retried transparently).
     let renew = client
-        .put(
+        .request(
             &addr,
+            "PUT",
             &format!("/leases/{id}/renew"),
             "lifetime=100",
             10_000,
@@ -185,11 +187,11 @@ fn client_verbs_drive_the_full_lease_lifecycle() {
     // DELETE releases; a second DELETE of the same id is a clean 404,
     // which is what makes the verb safe to retry.
     let del = client
-        .delete(&addr, &format!("/leases/{id}"), 10_000)
+        .request(&addr, "DELETE", &format!("/leases/{id}"), "", 10_000)
         .expect("delete");
     assert_eq!(del.status, 200);
     let again = client
-        .delete(&addr, &format!("/leases/{id}"), 10_000)
+        .request(&addr, "DELETE", &format!("/leases/{id}"), "", 10_000)
         .expect("second delete");
     assert_eq!(again.status, 404);
 

@@ -1,24 +1,25 @@
 //! A minimal blocking HTTP/1.1 client over `std::net::TcpStream`, used
-//! by the load generator, the CI smoke, the chaos sweep, and the serve
-//! tests. The strict one-shot path ([`http_get`]) sends
-//! `Connection: close` and reads the body to EOF; the keep-alive path
-//! ([`KeepAliveConnection`]) frames responses by `Content-Length` and
-//! reuses one socket for sequential requests.
+//! by the load generator, the CI smoke, the chaos sweep, `ipam-sim
+//! --url` and the serve tests.
 //!
-//! Two layers live here. The transport layer ([`http_get`] /
-//! [`http_request`]) performs a single strict exchange: it tries every
-//! resolved address of the endpoint, requires an `HTTP/1.`-prefixed
-//! status line, and cross-checks `Content-Length` against the bytes
-//! actually received — so torn writes and corrupted responses surface
-//! as errors instead of silently wrong bodies. The resilience layer
-//! ([`ResilientClient`]) wraps it with a bounded [`RetryPolicy`]
-//! (exponential backoff, deterministic seeded jitter via
+//! Every exchange runs through one core. A [`Connection`] writes one
+//! request, and one private framer reads its response. The framer parses
+//! the head once, requires an `HTTP/1.`-prefixed status line, reads
+//! exactly `Content-Length` body bytes and rejects any byte past the
+//! declared length, so torn writes and corrupted responses surface as
+//! errors instead of silently wrong bodies. A keep-alive exchange
+//! ([`Connection::request`]) leaves the socket open for the next one; a
+//! one-shot exchange ([`http_send`], [`http_get`]) sends
+//! `Connection: close` on a fresh socket and reads to EOF. Connecting
+//! tries every resolved address of the endpoint.
+//!
+//! [`ResilientClient::request`] wraps one-shot exchanges with a bounded
+//! [`RetryPolicy`] (exponential backoff, deterministic seeded jitter via
 //! [`JitterSource`], `Retry-After` honored) and a per-endpoint
 //! [`CircuitBreaker`], with every retry and breaker transition counted
-//! in [`ClientMetrics`]. Only idempotent exchanges are ever retried:
-//! `GET`, plus `PUT`/`DELETE` (idempotent by target — lease endpoints
-//! key them by lease id). `POST` is exposed but pinned to a single
-//! attempt, and raw [`http_request`] exchanges are never replayed.
+//! in [`ClientMetrics`]. Only the idempotent methods `GET`, `PUT` and
+//! `DELETE` are ever retried (lease endpoints key `PUT`/`DELETE` by
+//! lease id); any other method gets exactly one attempt.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -31,14 +32,10 @@ use std::time::Duration;
 /// server streaming more than this is answered with an error, not OOM.
 const MAX_RESPONSE_BYTES: usize = 64 << 20;
 
-/// What the server said (or didn't) about when to retry.
-///
-/// `Retry-After` may legally be either delta-seconds or an HTTP-date.
-/// This client only parses the delta-seconds form, but an HTTP-date is
-/// still an *explicit server backoff request* — collapsing it to
-/// "absent" (the old behavior) made the retry policy ignore exactly the
-/// servers that asked most clearly to be left alone. The unparseable
-/// case is therefore its own state, honored at the policy's cap.
+/// What the server said (or didn't) about when to retry. `Retry-After`
+/// may be delta-seconds or an HTTP-date; this client parses only the
+/// first, but an HTTP-date is still an explicit request to back off, so
+/// it is its own state, honored at the policy's cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetryAfter {
     /// No `Retry-After` header was sent.
@@ -56,7 +53,8 @@ pub enum RetryAfter {
 pub struct FetchResult {
     /// HTTP status code from the status line.
     pub status: u16,
-    /// Response body (after the blank line), read to EOF.
+    /// Response body: exactly `Content-Length` bytes, or everything up
+    /// to EOF when the server sent no length.
     pub body: Vec<u8>,
     /// The server's `Retry-After` hint, if any.
     pub retry_after: RetryAfter,
@@ -80,14 +78,12 @@ pub fn split_url(url: &str) -> Result<(String, String), String> {
 /// `GET path` against `addr` (a `host:port`), with one timeout applied
 /// to connect, read, and write independently.
 pub fn http_get(addr: &str, path: &str, timeout_ms: u64) -> Result<FetchResult, String> {
-    let request = format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    http_request(addr, &request, timeout_ms)
+    http_send(addr, "GET", path, "", timeout_ms)
 }
 
-/// One strict exchange of `method path` with an explicit body against
-/// `addr`, framed by `Content-Length` and `Connection: close`. The
-/// transport layer never retries; idempotency decisions belong to
-/// [`ResilientClient`].
+/// One strict exchange of `method path` with `body` against `addr`, on
+/// a fresh socket closed by the exchange. The transport layer never
+/// retries; idempotency decisions belong to [`ResilientClient`].
 pub fn http_send(
     addr: &str,
     method: &str,
@@ -95,45 +91,7 @@ pub fn http_send(
     body: &str,
     timeout_ms: u64,
 ) -> Result<FetchResult, String> {
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    http_request(addr, &request, timeout_ms)
-}
-
-/// Send raw `request` bytes to `addr` and parse whatever comes back as
-/// an HTTP response. Exposed so degraded-mode tests can send torn or
-/// mutated request text through the same transport path.
-pub fn http_request(addr: &str, request: &str, timeout_ms: u64) -> Result<FetchResult, String> {
-    let timeout = Duration::from_millis(timeout_ms.max(1));
-    let mut stream = connect_any(addr, timeout)?;
-    stream
-        .set_read_timeout(Some(timeout))
-        .map_err(|e| format!("set_read_timeout: {e}"))?;
-    stream
-        .set_write_timeout(Some(timeout))
-        .map_err(|e| format!("set_write_timeout: {e}"))?;
-    stream
-        .write_all(request.as_bytes())
-        .map_err(|e| format!("write {addr}: {e}"))?;
-    let mut raw = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => {
-                raw.extend_from_slice(chunk.get(..n).unwrap_or(&[]));
-                if raw.len() > MAX_RESPONSE_BYTES {
-                    return Err(format!(
-                        "response from {addr} exceeds {MAX_RESPONSE_BYTES} bytes"
-                    ));
-                }
-            }
-            Err(e) => return Err(format!("read {addr}: {e}")),
-        }
-    }
-    parse_response(&raw)
+    Connection::open(addr, timeout_ms)?.exchange(method, path, body, true)
 }
 
 /// Resolve `addr` and try to connect to every resolved address in
@@ -144,37 +102,28 @@ fn connect_any(addr: &str, timeout: Duration) -> Result<TcpStream, String> {
         .to_socket_addrs()
         .map_err(|e| format!("resolve {addr}: {e}"))?
         .collect();
-    if addrs.is_empty() {
-        return Err(format!("resolve {addr}: no addresses"));
-    }
-    let total = addrs.len();
-    let mut last: Option<(SocketAddr, std::io::Error)> = None;
-    for sockaddr in addrs {
-        match TcpStream::connect_timeout(&sockaddr, timeout) {
+    let mut last = format!("resolve {addr}: no addresses");
+    for sockaddr in &addrs {
+        match TcpStream::connect_timeout(sockaddr, timeout) {
             Ok(stream) => return Ok(stream),
-            Err(e) => last = Some((sockaddr, e)),
+            Err(e) => {
+                last = format!(
+                    "connect {addr}: {e} (last tried {sockaddr}; {} address(es) attempted)",
+                    addrs.len()
+                )
+            }
         }
     }
-    match last {
-        Some((sockaddr, e)) => Err(format!(
-            "connect {addr}: {e} (last tried {sockaddr}; {total} address(es) attempted)"
-        )),
-        None => Err(format!("resolve {addr}: no addresses")),
-    }
+    Err(last)
 }
 
-/// Strict response parsing: the status line must be `HTTP/1.`-shaped
-/// and, when the server declared `Content-Length`, the body must match
-/// it exactly — a shorter body is a torn write, a longer one is trailing
-/// garbage, and both are reported as transport errors so retry logic
-/// can treat them as such.
-fn parse_response(raw: &[u8]) -> Result<FetchResult, String> {
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .map(|p| p + 4)
-        .ok_or_else(|| "response has no head/body separator".to_string())?;
-    let head = String::from_utf8_lossy(raw.get(..head_end).unwrap_or(raw)).to_string();
+/// Parse a response head (status line through the blank line) into the
+/// response it starts, its declared `Content-Length`, and whether the
+/// server keeps the connection open after it. A declared length that
+/// would take the response past `MAX_RESPONSE_BYTES` is refused here,
+/// before any of the body is buffered.
+fn parse_head(raw: &[u8], addr: &str) -> Result<(FetchResult, Option<usize>, bool), String> {
+    let head = String::from_utf8_lossy(raw);
     let status_line = head.lines().next().unwrap_or("");
     if !status_line.starts_with("HTTP/1.") {
         return Err(format!("status line {status_line:?} is not HTTP/1.x"));
@@ -184,31 +133,77 @@ fn parse_response(raw: &[u8]) -> Result<FetchResult, String> {
         .nth(1)
         .and_then(|code| code.parse::<u16>().ok())
         .ok_or_else(|| format!("bad status line {status_line:?}"))?;
-    let body = raw.get(head_end..).unwrap_or(&[]).to_vec();
-    if let Some(declared) = header_value(&head, "content-length") {
-        match declared.parse::<usize>() {
-            Ok(n) if n == body.len() => {}
-            Ok(n) => {
-                return Err(format!(
-                    "content-length {n} but {} body bytes arrived (torn response)",
-                    body.len()
-                ))
+    let length = header_value(&head, "content-length")
+        .map(|v| {
+            v.parse::<usize>()
+                .map_err(|_| format!("unparseable content-length {v:?}"))
+        })
+        .transpose()?;
+    if let Some(len) = length.filter(|len| raw.len().saturating_add(*len) > MAX_RESPONSE_BYTES) {
+        return Err(format!("content-length {len} from {addr} exceeds the cap"));
+    }
+    let retry_after = header_value(&head, "retry-after").map_or(RetryAfter::Absent, |v| {
+        v.parse()
+            .map_or(RetryAfter::UnparseableHint, RetryAfter::Seconds)
+    });
+    let close = header_value(&head, "connection").is_some_and(|v| v.eq_ignore_ascii_case("close"));
+    let result = FetchResult {
+        status,
+        body: Vec::new(),
+        retry_after,
+    };
+    Ok((result, length, length.is_some() && !close))
+}
+
+/// The one response framer: read the head to `\r\n\r\n`, then exactly
+/// `Content-Length` body bytes. With `to_eof` (the exchange ends the
+/// connection), or when the server sent no length, it reads on to EOF.
+/// A body that differs from the declared length, short (a torn write)
+/// or long (bytes belonging to no request), is a transport error, so
+/// retry logic treats it as one. Returns the response and whether the
+/// connection may carry another exchange.
+fn read_response(
+    stream: &mut impl Read,
+    addr: &str,
+    to_eof: bool,
+) -> Result<(FetchResult, bool), String> {
+    let mut raw = Vec::with_capacity(1024);
+    let mut chunk = [0u8; 4096];
+    // Once the head is in: where the body starts, and the parsed head.
+    let mut head = None;
+    loop {
+        if head.is_none() {
+            if let Some(end) = raw.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4) {
+                head = Some((end, parse_head(raw.get(..end).unwrap_or(&raw), addr)?));
             }
-            Err(_) => return Err(format!("unparseable content-length {declared:?}")),
+        }
+        // Stop once a declared length is met, or overrun when reading to EOF.
+        if let Some((end, (_, Some(len), _))) = &head {
+            if raw.len() > end + len || (raw.len() == end + len && !to_eof) {
+                break;
+            }
+        }
+        if raw.len() > MAX_RESPONSE_BYTES {
+            return Err(format!(
+                "response from {addr} exceeds {MAX_RESPONSE_BYTES} bytes"
+            ));
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => raw.extend_from_slice(chunk.get(..n).unwrap_or(&[])),
+            Err(e) => return Err(format!("read {addr}: {e}")),
         }
     }
-    let retry_after = match header_value(&head, "retry-after") {
-        None => RetryAfter::Absent,
-        Some(v) => match v.parse::<u64>() {
-            Ok(secs) => RetryAfter::Seconds(secs),
-            Err(_) => RetryAfter::UnparseableHint,
-        },
-    };
-    Ok(FetchResult {
-        status,
-        body,
-        retry_after,
-    })
+    let (end, (mut result, length, keep_alive)) =
+        head.ok_or_else(|| format!("read {addr}: connection closed mid-response head"))?;
+    result.body = raw.split_off(end);
+    if let Some(n) = length.filter(|n| *n != result.body.len()) {
+        return Err(format!(
+            "content-length {n} but {} body bytes arrived (torn response)",
+            result.body.len()
+        ));
+    }
+    Ok((result, keep_alive && !to_eof))
 }
 
 /// The (trimmed) value of the first header named `name`, matched
@@ -222,35 +217,34 @@ fn header_value(head: &str, name: &str) -> Option<String> {
     })
 }
 
-/// A client-side HTTP/1.1 keep-alive connection: sequential `GET`s on
-/// one socket, with responses framed strictly by `Content-Length`
-/// instead of EOF. Used by the open-loop load generator (thousands of
-/// concurrent connections would otherwise each burn a three-way
-/// handshake per request).
+/// A client HTTP/1.1 connection: one socket carrying sequential
+/// exchanges, each response read by the one framer. The open-loop load
+/// generator keeps these alive (thousands of concurrent connections
+/// would otherwise each burn a three-way handshake per request);
+/// [`http_send`] opens one for a single exchange that closes it.
 ///
 /// The connection stops being reusable when the server answers
 /// `connection: close` or omits `Content-Length` (EOF framing consumes
-/// the socket); [`KeepAliveConnection::is_reusable`] reports which.
-pub struct KeepAliveConnection {
+/// the socket), or when an exchange fails (the stream position is
+/// unknown afterwards); [`Connection::is_reusable`] reports which.
+pub struct Connection {
     stream: TcpStream,
     addr: String,
     reusable: bool,
     served: u64,
 }
 
-impl KeepAliveConnection {
+impl Connection {
     /// Connect to `addr` with `timeout_ms` applied to connect, read,
     /// and write independently.
-    pub fn connect(addr: &str, timeout_ms: u64) -> Result<KeepAliveConnection, String> {
+    pub fn open(addr: &str, timeout_ms: u64) -> Result<Connection, String> {
         let timeout = Duration::from_millis(timeout_ms.max(1));
         let stream = connect_any(addr, timeout)?;
         stream
             .set_read_timeout(Some(timeout))
-            .map_err(|e| format!("set_read_timeout: {e}"))?;
-        stream
-            .set_write_timeout(Some(timeout))
-            .map_err(|e| format!("set_write_timeout: {e}"))?;
-        Ok(KeepAliveConnection {
+            .and_then(|()| stream.set_write_timeout(Some(timeout)))
+            .map_err(|e| format!("set socket timeouts: {e}"))?;
+        Ok(Connection {
             stream,
             addr: addr.to_string(),
             reusable: true,
@@ -268,108 +262,45 @@ impl KeepAliveConnection {
         self.served
     }
 
-    /// `GET path`, reusing the established socket. Any error poisons
-    /// the connection (the stream position is unknown afterwards).
-    pub fn roundtrip(&mut self, path: &str) -> Result<FetchResult, String> {
+    /// `method path` with `body`, asking the server to keep the socket
+    /// open for the next request.
+    pub fn request(&mut self, method: &str, path: &str, body: &str) -> Result<FetchResult, String> {
+        self.exchange(method, path, body, false)
+    }
+
+    /// The one exchange: write the request, frame its response. `close`
+    /// sends `Connection: close` and reads the response to EOF. A `GET`
+    /// without a body carries no `Content-Length`; every other request
+    /// declares its body's length.
+    fn exchange(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: &str,
+        close: bool,
+    ) -> Result<FetchResult, String> {
         if !self.reusable {
             return Err(format!("connection to {} is no longer reusable", self.addr));
         }
+        let length = if method == "GET" && body.is_empty() {
+            String::new()
+        } else {
+            format!("Content-Length: {}\r\n", body.len())
+        };
+        let disposition = if close { "close" } else { "keep-alive" };
         let request = format!(
-            "GET {path} HTTP/1.1\r\nHost: {}\r\nConnection: keep-alive\r\n\r\n",
+            "{method} {path} HTTP/1.1\r\nHost: {}\r\n{length}Connection: {disposition}\r\n\r\n{body}",
             self.addr
         );
-        if let Err(e) = self.stream.write_all(request.as_bytes()) {
-            self.reusable = false;
-            return Err(format!("write {}: {e}", self.addr));
-        }
-        match self.read_one_response() {
-            Ok(result) => {
-                self.served += 1;
-                Ok(result)
-            }
-            Err(e) => {
-                self.reusable = false;
-                Err(e)
-            }
-        }
-    }
-
-    /// Read exactly one response: head to `\r\n\r\n`, then
-    /// `Content-Length` body bytes (or to EOF when no length was sent,
-    /// which consumes the connection).
-    fn read_one_response(&mut self) -> Result<FetchResult, String> {
-        let addr = self.addr.clone();
-        let mut raw = Vec::with_capacity(1024);
-        let mut chunk = [0u8; 4096];
-        let head_end = loop {
-            if let Some(pos) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
-                break pos + 4;
-            }
-            if raw.len() > MAX_RESPONSE_BYTES {
-                return Err(format!("response head from {addr} exceeds the buffer cap"));
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(format!("read {addr}: connection closed mid-response")),
-                Ok(n) => raw.extend_from_slice(chunk.get(..n).unwrap_or(&[])),
-                Err(e) => return Err(format!("read {addr}: {e}")),
-            }
-        };
-        let head = String::from_utf8_lossy(raw.get(..head_end).unwrap_or(&raw)).to_string();
-        let declared = match header_value(&head, "content-length") {
-            Some(v) => Some(
-                v.parse::<usize>()
-                    .map_err(|_| format!("unparseable content-length {v:?} from {addr}"))?,
-            ),
-            None => None,
-        };
-        match declared {
-            Some(len) => {
-                let need = head_end
-                    .checked_add(len)
-                    .filter(|n| *n <= MAX_RESPONSE_BYTES)
-                    .ok_or_else(|| format!("content-length {len} from {addr} exceeds the cap"))?;
-                while raw.len() < need {
-                    match self.stream.read(&mut chunk) {
-                        Ok(0) => {
-                            return Err(format!("read {addr}: connection closed mid-body"));
-                        }
-                        Ok(n) => raw.extend_from_slice(chunk.get(..n).unwrap_or(&[])),
-                        Err(e) => return Err(format!("read {addr}: {e}")),
-                    }
-                }
-                if raw.len() > need {
-                    // Bytes past the declared body belong to no request
-                    // we made: the framing is broken.
-                    return Err(format!(
-                        "read {addr}: {} bytes past the declared content-length",
-                        raw.len() - need
-                    ));
-                }
-            }
-            None => {
-                // EOF framing: legal, but consumes the connection.
-                self.reusable = false;
-                loop {
-                    match self.stream.read(&mut chunk) {
-                        Ok(0) => break,
-                        Ok(n) => {
-                            raw.extend_from_slice(chunk.get(..n).unwrap_or(&[]));
-                            if raw.len() > MAX_RESPONSE_BYTES {
-                                return Err(format!("response from {addr} exceeds the cap"));
-                            }
-                        }
-                        Err(e) => return Err(format!("read {addr}: {e}")),
-                    }
-                }
-            }
-        }
-        if header_value(&head, "connection")
-            .map(|v| v.eq_ignore_ascii_case("close"))
-            .unwrap_or(false)
-        {
-            self.reusable = false;
-        }
-        parse_response(&raw)
+        // Poisoned until a cleanly framed response says otherwise.
+        self.reusable = false;
+        self.stream
+            .write_all(request.as_bytes())
+            .map_err(|e| format!("write {}: {e}", self.addr))?;
+        let (result, reusable) = read_response(&mut self.stream, &self.addr, close)?;
+        self.reusable = reusable;
+        self.served += 1;
+        Ok(result)
     }
 }
 
@@ -406,7 +337,8 @@ impl JitterSource {
     }
 }
 
-/// Bounded-retry policy for idempotent GETs.
+/// Bounded-retry policy for the idempotent methods (`GET`, `PUT`,
+/// `DELETE`).
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Total attempts, including the first (floored at 1).
@@ -627,16 +559,18 @@ pub struct ClientMetrics {
     breaker_fast_fails: AtomicU64,
 }
 
-macro_rules! counter {
-    ($bump:ident, $get:ident, $field:ident, $doc:literal) => {
-        #[doc = $doc]
-        pub fn $get(&self) -> u64 {
+/// One documented getter per `getter => field` counter.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $get:ident => $field:ident,)*) => {
+        $($(#[$doc])* pub fn $get(&self) -> u64 {
             self.$field.load(Ordering::Relaxed)
-        }
-        fn $bump(&self) {
-            self.$field.fetch_add(1, Ordering::Relaxed);
-        }
+        })*
     };
+}
+
+/// Count one event on a [`ClientMetrics`] counter.
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 impl ClientMetrics {
@@ -645,72 +579,30 @@ impl ClientMetrics {
         ClientMetrics::default()
     }
 
-    counter!(
-        bump_attempts,
-        attempts_total,
-        attempts,
-        "Network attempts made (excludes fast-fails)."
-    );
-    counter!(
-        bump_retries,
-        retries_total,
-        retries,
-        "Attempts that were retries of an earlier failure."
-    );
-    counter!(
-        bump_successes,
-        successes_total,
-        successes,
-        "Requests that returned a definitive response."
-    );
-    counter!(
-        bump_transport_errors,
-        transport_errors_total,
-        transport_errors,
-        "Attempts that died in transport (connect/read/parse)."
-    );
-    counter!(
-        bump_server_5xx,
-        server_5xx_total,
-        server_5xx,
-        "Attempts answered with a retryable 5xx."
-    );
-    counter!(
-        bump_retry_after,
-        retry_after_honored_total,
-        retry_after_honored,
-        "Backoffs governed by a server `Retry-After`."
-    );
-    counter!(
-        bump_retry_after_unparseable,
-        retry_after_unparseable_total,
-        retry_after_unparseable,
-        "`Retry-After` headers present but not delta-seconds (honored at the cap)."
-    );
-    counter!(
-        bump_breaker_opens,
-        breaker_opens_total,
-        breaker_opens,
-        "Breaker transitions into open."
-    );
-    counter!(
-        bump_breaker_probes,
-        breaker_probes_total,
-        breaker_probes,
-        "Breaker transitions into half-open (probe admitted)."
-    );
-    counter!(
-        bump_breaker_closes,
-        breaker_closes_total,
-        breaker_closes,
-        "Breaker transitions back to closed."
-    );
-    counter!(
-        bump_breaker_fast_fails,
-        breaker_fast_fails_total,
-        breaker_fast_fails,
-        "Calls fast-failed by an open breaker."
-    );
+    counters! {
+        /// Network attempts made (excludes fast-fails).
+        attempts_total => attempts,
+        /// Attempts that were retries of an earlier failure.
+        retries_total => retries,
+        /// Requests that returned a definitive response.
+        successes_total => successes,
+        /// Attempts that died in transport (connect/read/parse).
+        transport_errors_total => transport_errors,
+        /// Attempts answered with a retryable 5xx.
+        server_5xx_total => server_5xx,
+        /// Backoffs governed by a server `Retry-After`.
+        retry_after_honored_total => retry_after_honored,
+        /// `Retry-After` headers present but not delta-seconds (honored at the cap).
+        retry_after_unparseable_total => retry_after_unparseable,
+        /// Breaker transitions into open.
+        breaker_opens_total => breaker_opens,
+        /// Breaker transitions into half-open (probe admitted).
+        breaker_probes_total => breaker_probes,
+        /// Breaker transitions back to closed.
+        breaker_closes_total => breaker_closes,
+        /// Calls fast-failed by an open breaker.
+        breaker_fast_fails_total => breaker_fast_fails,
+    }
 
     /// One-line summary for reports.
     pub fn render(&self) -> String {
@@ -731,9 +623,14 @@ impl ClientMetrics {
     }
 }
 
+/// Methods [`ResilientClient::request`] may replay: idempotent by
+/// definition (`GET`) or by target (`PUT`/`DELETE` on a lease id). Any
+/// other method, a misspelt one included, gets a single attempt.
+const IDEMPOTENT_METHODS: [&str; 3] = ["GET", "PUT", "DELETE"];
+
 /// A retrying, circuit-breaking client over the strict transport
-/// layer. Retries only idempotent exchanges by construction — `GET`,
-/// and `PUT`/`DELETE` keyed by lease id; `POST` gets exactly one
+/// layer. Retries only the idempotent methods — `GET`, and
+/// `PUT`/`DELETE` keyed by lease id; any other method gets exactly one
 /// attempt. Every decision that affects the schedule (jitter,
 /// cooldown) is seeded, so a given failure sequence always produces
 /// the same retry trace.
@@ -784,126 +681,83 @@ impl ResilientClient {
         f(breaker)
     }
 
-    /// `GET path` against `addr` with retries and circuit breaking.
-    /// Definitive responses (anything below 500) are returned as `Ok`
-    /// immediately; transport errors and 5xx are retried up to the
-    /// policy bound, after which the last 5xx is returned as `Ok` (the
-    /// caller sees the status) and the last transport error as `Err`.
-    pub fn fetch(&self, addr: &str, path: &str, timeout_ms: u64) -> Result<FetchResult, String> {
-        let max_attempts = self.policy.max_attempts.max(1);
-        self.exchange(addr, max_attempts, || http_get(addr, path, timeout_ms))
-    }
-
-    /// `POST path` with `body`: **never retried**. A POST that times out
-    /// may still have been applied server-side (the lease may exist), so
-    /// replaying it is not safe — the single attempt's outcome, success
-    /// or error, is surfaced as-is. The breaker still observes it.
-    pub fn post(
+    /// `method path` with `body` against `addr`, with retries and
+    /// circuit breaking. Definitive responses (anything below 500) are
+    /// returned as `Ok` immediately; transport errors and 5xx are retried
+    /// up to the policy bound, after which the last 5xx is returned as
+    /// `Ok` (the caller sees the status) and the last transport error as
+    /// `Err`. Only methods on the idempotent allow-list are retried: a
+    /// `POST` that timed out may still have been applied server-side (the
+    /// lease may exist), so it, and any method the list does not name,
+    /// gets one attempt whose outcome is surfaced as-is. The breaker
+    /// observes every attempt.
+    pub fn request(
         &self,
         addr: &str,
+        method: &str,
         path: &str,
         body: &str,
         timeout_ms: u64,
     ) -> Result<FetchResult, String> {
-        self.exchange(addr, 1, || http_send(addr, "POST", path, body, timeout_ms))
-    }
-
-    /// `PUT path` with `body`, retried like a GET: PUT is idempotent by
-    /// target (renewing lease `<id>` twice lands in the same state), so
-    /// replaying a possibly-applied attempt is safe.
-    pub fn put(
-        &self,
-        addr: &str,
-        path: &str,
-        body: &str,
-        timeout_ms: u64,
-    ) -> Result<FetchResult, String> {
-        let max_attempts = self.policy.max_attempts.max(1);
-        self.exchange(addr, max_attempts, || {
-            http_send(addr, "PUT", path, body, timeout_ms)
-        })
-    }
-
-    /// `DELETE path`, retried like a GET: deleting lease `<id>` twice
-    /// is idempotent (the second attempt sees 404, a definitive
-    /// response, not a retryable error).
-    pub fn delete(&self, addr: &str, path: &str, timeout_ms: u64) -> Result<FetchResult, String> {
-        let max_attempts = self.policy.max_attempts.max(1);
-        self.exchange(addr, max_attempts, || {
-            http_send(addr, "DELETE", path, "", timeout_ms)
-        })
-    }
-
-    /// The shared attempt loop: breaker admission, bounded retries with
-    /// seeded backoff, `Retry-After` honored. `max_attempts` is the verb
-    /// policy — 1 for non-idempotent POST, the retry-policy bound for
-    /// idempotent GET/PUT/DELETE.
-    fn exchange(
-        &self,
-        addr: &str,
-        max_attempts: u32,
-        one_attempt: impl Fn() -> Result<FetchResult, String>,
-    ) -> Result<FetchResult, String> {
+        let max_attempts = if IDEMPOTENT_METHODS.contains(&method) {
+            self.policy.max_attempts.max(1)
+        } else {
+            1
+        };
         let mut attempt: u32 = 0;
         loop {
             attempt += 1;
             match self.with_breaker(addr, |b| b.admit()) {
                 BreakerDecision::Allow => {}
-                BreakerDecision::Probe => self.metrics.bump_breaker_probes(),
+                BreakerDecision::Probe => bump(&self.metrics.breaker_probes),
                 BreakerDecision::FastFail => {
-                    self.metrics.bump_breaker_fast_fails();
+                    bump(&self.metrics.breaker_fast_fails);
                     return Err(format!("circuit breaker open for {addr} (fast fail)"));
                 }
             }
-            self.metrics.bump_attempts();
+            bump(&self.metrics.attempts);
             if attempt > 1 {
-                self.metrics.bump_retries();
+                bump(&self.metrics.retries);
             }
-            match one_attempt() {
+            let outcome = http_send(addr, method, path, body, timeout_ms);
+            let retry_after = match &outcome {
                 Ok(result) if result.status < 500 => {
                     if self.with_breaker(addr, |b| b.record_success()) {
-                        self.metrics.bump_breaker_closes();
+                        bump(&self.metrics.breaker_closes);
                     }
-                    self.metrics.bump_successes();
-                    return Ok(result);
+                    bump(&self.metrics.successes);
+                    return outcome;
                 }
+                // Retryable server error.
                 Ok(result) => {
-                    // Retryable server error.
-                    self.metrics.bump_server_5xx();
-                    if self.with_breaker(addr, |b| b.record_failure()) {
-                        self.metrics.bump_breaker_opens();
-                    }
+                    bump(&self.metrics.server_5xx);
                     if result.retry_after == RetryAfter::UnparseableHint {
-                        self.metrics.bump_retry_after_unparseable();
+                        bump(&self.metrics.retry_after_unparseable);
                     }
-                    if attempt >= max_attempts {
-                        return Ok(result);
-                    }
-                    let (wait_ms, honored) = {
-                        let mut jitter = self.jitter.lock().unwrap_or_else(PoisonError::into_inner);
-                        self.policy
-                            .retry_wait_ms(attempt + 1, &result.retry_after, &mut jitter)
-                    };
-                    if honored {
-                        self.metrics.bump_retry_after();
-                    }
-                    std::thread::sleep(Duration::from_millis(wait_ms));
+                    result.retry_after
                 }
-                Err(e) => {
-                    self.metrics.bump_transport_errors();
-                    if self.with_breaker(addr, |b| b.record_failure()) {
-                        self.metrics.bump_breaker_opens();
-                    }
-                    if attempt >= max_attempts {
-                        return Err(format!("{e} (after {attempt} attempts)"));
-                    }
-                    let wait_ms = {
-                        let mut jitter = self.jitter.lock().unwrap_or_else(PoisonError::into_inner);
-                        self.policy.backoff_ms(attempt + 1, &mut jitter)
-                    };
-                    std::thread::sleep(Duration::from_millis(wait_ms));
+                Err(_) => {
+                    bump(&self.metrics.transport_errors);
+                    RetryAfter::Absent
                 }
+            };
+            if self.with_breaker(addr, |b| b.record_failure()) {
+                bump(&self.metrics.breaker_opens);
             }
+            // The last 5xx is surfaced as a response, the last transport
+            // error as an error.
+            if attempt >= max_attempts {
+                return outcome.map_err(|e| format!("{e} (after {attempt} attempts)"));
+            }
+            let (wait_ms, honored) = {
+                let mut jitter = self.jitter.lock().unwrap_or_else(PoisonError::into_inner);
+                self.policy
+                    .retry_wait_ms(attempt + 1, &retry_after, &mut jitter)
+            };
+            if honored {
+                bump(&self.metrics.retry_after_honored);
+            }
+            std::thread::sleep(Duration::from_millis(wait_ms));
         }
     }
 }
@@ -931,38 +785,42 @@ mod tests {
         assert!(split_url("http:///path").is_err());
     }
 
+    /// Frame `raw` as a one-shot (read-to-EOF) exchange.
+    fn framed(raw: &[u8]) -> Result<FetchResult, String> {
+        read_response(&mut &raw[..], "test", true).map(|(result, _)| result)
+    }
+
     #[test]
     fn parses_responses_and_rejects_garbage() {
         let ok =
-            parse_response(b"HTTP/1.1 404 Not Found\r\nx: y\r\nRetry-After: 3\r\n\r\nmissing\n")
-                .unwrap();
+            framed(b"HTTP/1.1 404 Not Found\r\nx: y\r\nRetry-After: 3\r\n\r\nmissing\n").unwrap();
         assert_eq!(
             (ok.status, ok.body.as_slice(), ok.retry_after),
             (404, b"missing\n".as_slice(), RetryAfter::Seconds(3))
         );
         // An HTTP-date Retry-After is present-but-unparseable, not absent.
-        let dated = parse_response(
+        let dated = framed(
             b"HTTP/1.1 503 Unavailable\r\nRetry-After: Fri, 31 Dec 1999 23:59:59 GMT\r\n\r\nbusy\n",
         )
         .unwrap();
         assert_eq!(dated.retry_after, RetryAfter::UnparseableHint);
-        let bare = parse_response(b"HTTP/1.1 200 OK\r\n\r\nok\n").unwrap();
+        let bare = framed(b"HTTP/1.1 200 OK\r\n\r\nok\n").unwrap();
         assert_eq!(bare.retry_after, RetryAfter::Absent);
-        assert!(parse_response(b"not http at all").is_err());
-        assert!(parse_response(b"HTTP/1.1 banana\r\n\r\n").is_err());
+        assert!(framed(b"not http at all").is_err());
+        assert!(framed(b"HTTP/1.1 banana\r\n\r\n").is_err());
         // A corrupted status line is a transport error even with a
         // plausible shape after the damage.
-        assert!(parse_response(b"XTTP/1.1 200 OK\r\n\r\nok").is_err());
+        assert!(framed(b"XTTP/1.1 200 OK\r\n\r\nok").is_err());
     }
 
     #[test]
     fn content_length_mismatch_is_a_torn_response() {
-        let torn = parse_response(b"HTTP/1.1 200 OK\r\ncontent-length: 10\r\n\r\nhal");
+        let torn = framed(b"HTTP/1.1 200 OK\r\ncontent-length: 10\r\n\r\nhal");
         assert!(torn.unwrap_err().contains("torn response"));
-        let exact = parse_response(b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nhal").unwrap();
+        let exact = framed(b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nhal").unwrap();
         assert_eq!(exact.body, b"hal");
         // No declared length: body is whatever EOF delimited.
-        let lenless = parse_response(b"HTTP/1.1 200 OK\r\n\r\nwhatever").unwrap();
+        let lenless = framed(b"HTTP/1.1 200 OK\r\n\r\nwhatever").unwrap();
         assert_eq!(lenless.body, b"whatever");
     }
 
@@ -1089,14 +947,7 @@ mod tests {
             drop(first);
             // Second connection: answer properly.
             let (mut second, _) = listener.accept().unwrap();
-            let mut buf = [0u8; 2048];
-            let mut head = Vec::new();
-            while !head.windows(4).any(|w| w == b"\r\n\r\n") {
-                match second.read(&mut buf) {
-                    Ok(0) | Err(_) => break,
-                    Ok(n) => head.extend_from_slice(&buf[..n]),
-                }
-            }
+            read_one_request(&mut second, b"");
             second
                 .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 3\r\n\r\nok\n")
                 .unwrap();
@@ -1111,7 +962,7 @@ mod tests {
             },
             BreakerConfig::default(),
         );
-        let got = client.fetch(&addr, "/x", 2_000).unwrap();
+        let got = client.request(&addr, "GET", "/x", "", 2_000).unwrap();
         assert_eq!((got.status, got.body.as_slice()), (200, b"ok\n".as_slice()));
         let m = client.metrics();
         assert_eq!(m.attempts_total(), 2);
@@ -1175,10 +1026,12 @@ mod tests {
             drop(torn);
         });
         let client = ResilientClient::new(tight_policy(), BreakerConfig::default());
-        let ok = client.post(&addr, "/leases", "pool=v4", 2_000).unwrap();
+        let ok = client
+            .request(&addr, "POST", "/leases", "pool=v4", 2_000)
+            .unwrap();
         assert_eq!((ok.status, ok.body.as_slice()), (201, b"id\n".as_slice()));
         let before = client.metrics().attempts_total();
-        let err = client.post(&addr, "/leases", "pool=v4", 2_000);
+        let err = client.request(&addr, "POST", "/leases", "pool=v4", 2_000);
         assert!(err.is_err(), "torn POST surfaces as an error: {err:?}");
         assert!(
             err.unwrap_err().contains("after 1 attempts"),
@@ -1213,7 +1066,7 @@ mod tests {
         });
         let client = ResilientClient::new(tight_policy(), BreakerConfig::default());
         let got = client
-            .put(&addr, "/leases/7/renew", "lifetime=60", 2_000)
+            .request(&addr, "PUT", "/leases/7/renew", "lifetime=60", 2_000)
             .unwrap();
         assert_eq!((got.status, got.body.as_slice()), (200, b"ok\n".as_slice()));
         assert_eq!(client.metrics().attempts_total(), 2);
@@ -1243,7 +1096,9 @@ mod tests {
                 .unwrap();
         });
         let client = ResilientClient::new(tight_policy(), BreakerConfig::default());
-        let got = client.delete(&addr, "/leases/7", 2_000).unwrap();
+        let got = client
+            .request(&addr, "DELETE", "/leases/7", "", 2_000)
+            .unwrap();
         assert_eq!(
             (got.status, got.body.as_slice()),
             (200, b"gone\n".as_slice())
@@ -1284,15 +1139,18 @@ mod tests {
                 stream.write_all(resp.as_bytes()).unwrap();
             }
         });
-        let mut conn = KeepAliveConnection::connect(&addr, 2_000).unwrap();
+        let mut conn = Connection::open(&addr, 2_000).unwrap();
         for n in 1..=3u32 {
-            let got = conn.roundtrip("/x").unwrap();
+            let got = conn.request("GET", "/x", "").unwrap();
             assert_eq!(got.status, 200);
             assert_eq!(got.body, format!("resp {n}\n").into_bytes());
         }
         assert!(!conn.is_reusable(), "server said connection: close");
         assert_eq!(conn.requests_served(), 3);
-        assert!(conn.roundtrip("/x").is_err(), "poisoned after close");
+        assert!(
+            conn.request("GET", "/x", "").is_err(),
+            "poisoned after close"
+        );
         server.join().unwrap();
     }
 
@@ -1304,14 +1162,7 @@ mod tests {
         let server = thread::spawn(move || {
             for round in 0..2 {
                 let (mut stream, _) = listener.accept().unwrap();
-                let mut buf = [0u8; 2048];
-                let mut head = Vec::new();
-                while !head.windows(4).any(|w| w == b"\r\n\r\n") {
-                    match stream.read(&mut buf) {
-                        Ok(0) | Err(_) => break,
-                        Ok(n) => head.extend_from_slice(&buf[..n]),
-                    }
-                }
+                read_one_request(&mut stream, b"");
                 let resp: &[u8] = if round == 0 {
                     b"HTTP/1.1 503 Unavailable\r\ncontent-length: 5\r\nRetry-After: Fri, 31 Dec 1999 23:59:59 GMT\r\nconnection: close\r\n\r\nbusy\n"
                 } else {
@@ -1330,7 +1181,7 @@ mod tests {
             },
             BreakerConfig::default(),
         );
-        let got = client.fetch(&addr, "/x", 2_000).unwrap();
+        let got = client.request(&addr, "GET", "/x", "", 2_000).unwrap();
         assert_eq!(got.status, 200);
         let m = client.metrics();
         assert_eq!(m.retry_after_unparseable_total(), 1);
@@ -1362,12 +1213,131 @@ mod tests {
                 cooldown_rejects: 10,
             },
         );
-        let err = client.fetch(&addr, "/x", 100).unwrap_err();
+        let err = client.request(&addr, "GET", "/x", "", 100).unwrap_err();
         assert!(err.contains("after 3 attempts"), "{err}");
         assert_eq!(client.breaker_state(&addr), BreakerState::Open);
-        let fast = client.fetch(&addr, "/x", 100).unwrap_err();
+        let fast = client.request(&addr, "GET", "/x", "", 100).unwrap_err();
         assert!(fast.contains("circuit breaker open"), "{fast}");
         assert_eq!(client.metrics().breaker_opens_total(), 1);
         assert!(client.metrics().breaker_fast_fails_total() >= 1);
+    }
+
+    /// One framer outcome as text: `status body retry-after keep|end`,
+    /// or the error.
+    fn outcome(raw: &[u8], to_eof: bool) -> String {
+        match read_response(&mut &raw[..], "test", to_eof) {
+            Ok((r, keep)) => {
+                let body = String::from_utf8_lossy(&r.body);
+                let after = if keep { "keep" } else { "end" };
+                format!("{} {body} {:?} {after}", r.status, r.retry_after)
+            }
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn framer_cases_in_both_modes() {
+        const EXACT: &[u8] = b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nhal";
+        const TORN: &[u8] = b"HTTP/1.1 200 OK\r\ncontent-length: 10\r\n\r\nhal";
+        const PAST: &[u8] = b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nhalf";
+        const LENLESS: &[u8] = b"HTTP/1.1 200 OK\r\n\r\nrest";
+        const CLOSE: &[u8] = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\nok";
+        const NOT_HTTP1: &[u8] = b"XTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok";
+        const DATED: &[u8] = b"HTTP/1.1 503 Busy\r\nContent-Length: 0\r\n\
+            Retry-After: Fri, 31 Dec 1999 23:59:59 GMT\r\n\r\n";
+        const MID_HEAD: &[u8] = b"HTTP/1.1 200 OK\r\nContent-Le";
+        // (response, outcome framed keep-alive, outcome read to EOF)
+        let cases = [
+            (EXACT, "200 hal Absent keep", "200 hal Absent end"),
+            (TORN, "(torn response)", "(torn response)"),
+            (PAST, "3 but 4 body bytes", "3 but 4 body bytes"),
+            (LENLESS, "200 rest Absent end", "200 rest Absent end"),
+            (CLOSE, "200 ok Absent end", "200 ok Absent end"),
+            (NOT_HTTP1, "is not HTTP/1.x", "is not HTTP/1.x"),
+            (DATED, "UnparseableHint keep", "UnparseableHint end"),
+            (MID_HEAD, "mid-response head", "mid-response head"),
+        ];
+        for (raw, keep_alive, one_shot) in cases {
+            for (to_eof, want) in [(false, keep_alive), (true, one_shot)] {
+                let got = outcome(raw, to_eof);
+                assert!(got.contains(want), "{got}");
+            }
+        }
+        // A length past the cap is refused from the head alone: one 4 KiB
+        // read, none of the body buffered.
+        let over = MAX_RESPONSE_BYTES + 1;
+        let mut raw = format!("HTTP/1.1 200 OK\r\nContent-Length: {over}\r\n\r\n").into_bytes();
+        raw.resize(raw.len() + 100_000, b'x');
+        for to_eof in [false, true] {
+            let mut unread = raw.as_slice();
+            let err = read_response(&mut unread, "test", to_eof).unwrap_err();
+            assert!(err.contains("exceeds the cap"), "{err}");
+            assert!(unread.len() >= raw.len() - 4096, "{}", unread.len());
+        }
+    }
+
+    #[test]
+    fn request_bytes_on_the_wire_are_pinned() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        // Body tails of the requests each connection carries.
+        let conns: [&[&[u8]]; 5] = [
+            &[b""],
+            &[b"", b""],
+            &[b"pool=v4"],
+            &[b"lifetime=60"],
+            &[b""],
+        ];
+        #[allow(clippy::disallowed_methods, reason = "test server thread")]
+        let server = thread::spawn(move || {
+            let mut seen = Vec::new();
+            for tails in conns {
+                let (mut stream, _) = listener.accept().unwrap();
+                for tail in tails {
+                    seen.push(String::from_utf8(read_one_request(&mut stream, tail)).unwrap());
+                    stream
+                        .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 0\r\n\r\n")
+                        .unwrap();
+                }
+            }
+            seen
+        });
+        http_get(&addr, "/a", 2_000).unwrap();
+        let mut conn = Connection::open(&addr, 2_000).unwrap();
+        conn.request("GET", "/b", "").unwrap();
+        conn.request("GET", "/c", "").unwrap();
+        drop(conn);
+        let client = ResilientClient::new(tight_policy(), BreakerConfig::default());
+        let ok = |method, path, body| client.request(&addr, method, path, body, 2_000).unwrap();
+        ok("POST", "/leases", "pool=v4");
+        ok("PUT", "/leases/7/renew", "lifetime=60");
+        ok("DELETE", "/leases/7", "");
+        let (h, close) = (format!("Host: {addr}\r\n"), "Connection: close\r\n\r\n");
+        let want = [
+            format!("GET /a HTTP/1.1\r\n{h}{close}"),
+            format!("GET /b HTTP/1.1\r\n{h}Connection: keep-alive\r\n\r\n"),
+            format!("GET /c HTTP/1.1\r\n{h}Connection: keep-alive\r\n\r\n"),
+            format!("POST /leases HTTP/1.1\r\n{h}Content-Length: 7\r\n{close}pool=v4"),
+            format!("PUT /leases/7/renew HTTP/1.1\r\n{h}Content-Length: 11\r\n{close}lifetime=60"),
+            format!("DELETE /leases/7 HTTP/1.1\r\n{h}Content-Length: 0\r\n{close}"),
+        ];
+        assert_eq!(server.join().unwrap(), want);
+    }
+
+    #[test]
+    fn methods_off_the_idempotent_list_get_one_attempt() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        drop(listener);
+        let breaker = BreakerConfig {
+            failure_threshold: 100,
+            cooldown_rejects: 1,
+        };
+        let client = ResilientClient::new(tight_policy(), breaker);
+        for method in ["POST", "PATCH", "get", "DELET", "GET"] {
+            let err = client.request(&addr, method, "/x", "", 100).unwrap_err();
+            let n = if method == "GET" { 3 } else { 1 };
+            assert!(err.contains(&format!("after {n} attempts")), "{err}");
+        }
     }
 }

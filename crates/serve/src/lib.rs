@@ -24,21 +24,22 @@
 //!   text rendering at `GET /metrics`.
 //! - [`lru`]: the bounded LRU the artifact handler uses to keep warm
 //!   simulation sessions and rendered artifacts.
-//! - [`client`] / [`loadtest`]: a strict one-shot HTTP client, a
-//!   [`KeepAliveConnection`] with `Content-Length` framing, and the
-//!   load generator behind `dynamips loadtest` — closed-loop or
-//!   open-loop with a seed-deterministic Poisson arrival schedule that
-//!   measures scheduled-start-to-response latency (no coordinated
-//!   omission), reported as `dynamips-bench-v1`.
+//! - [`client`] / [`loadtest`]: an HTTP client whose one exchange core
+//!   (a [`Connection`] plus one strict response framer) serves one-shot
+//!   and keep-alive requests alike, and the load generator behind
+//!   `dynamips loadtest` — closed-loop or open-loop with a
+//!   seed-deterministic Poisson arrival schedule that measures
+//!   scheduled-start-to-response latency (no coordinated omission),
+//!   reported as `dynamips-bench-v1`.
 //!
 //! Failure model (PR 6): the worker pool is supervised — worker panics
 //! are caught, counted, and the slot respawned with exponential
 //! backoff and a crash-loop cap. The client side layers a
 //! [`RetryPolicy`] (bounded attempts, seeded-jitter backoff,
 //! `Retry-After` honored — including present-but-unparseable HTTP-date
-//! hints, capped — GET-only) and a per-endpoint [`CircuitBreaker`]
-//! over the strict transport, with every transition counted in
-//! [`ClientMetrics`]; `chaos::net`'s fault-injecting proxy drives the
+//! hints, capped — for the idempotent `GET`/`PUT`/`DELETE` only) and a
+//! per-endpoint [`CircuitBreaker`] over the strict transport, with
+//! every transition counted in [`ClientMetrics`]; `chaos::net`'s fault-injecting proxy drives the
 //! whole stack in the `dynamips chaos-serve` sweep.
 //!
 //! The application side (artifact rendering) is deliberately not here:
@@ -83,9 +84,8 @@ mod reactor;
 pub mod server;
 
 pub use client::{
-    http_get, http_request, http_send, BreakerConfig, BreakerDecision, BreakerState,
-    CircuitBreaker, ClientMetrics, FetchResult, JitterSource, KeepAliveConnection, ResilientClient,
-    RetryAfter, RetryPolicy,
+    http_get, http_send, BreakerConfig, BreakerDecision, BreakerState, CircuitBreaker,
+    ClientMetrics, Connection, FetchResult, JitterSource, ResilientClient, RetryAfter, RetryPolicy,
 };
 pub use http::{scan_head, scan_request, Disposition, Request, Response};
 pub use loadtest::{arrival_offsets_ms, run_loadtest, LoadtestConfig, LoadtestReport};

@@ -15,7 +15,7 @@
 //! actually imposed; a generator running behind schedule is counted
 //! (`late_sends`), never silently absorbed. Requests are striped over
 //! `concurrency` sender slots that reuse keep-alive connections
-//! ([`crate::client::KeepAliveConnection`]), which is what makes
+//! ([`crate::client::Connection`]), which is what makes
 //! thousands of concurrent connections practical.
 //!
 //! Per-request latencies are pooled and summarized as nearest-rank
@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use dynamips_core::perf::{PerfEntry, PerfRecord};
 
-use crate::client::{self, JitterSource, KeepAliveConnection};
+use crate::client::{self, Connection, JitterSource};
 
 /// How far behind schedule a send may start before it is counted late,
 /// milliseconds. Covers OS sleep granularity without hiding real lag.
@@ -220,7 +220,7 @@ fn run_open_loop(cfg: &LoadtestConfig, addr: &str, path: &str) -> Result<Loadtes
         let timeout_ms = cfg.timeout_ms;
         #[allow(clippy::disallowed_methods, reason = "a load-generator client thread")]
         handles.push(std::thread::spawn(move || {
-            let mut conn: Option<KeepAliveConnection> = None;
+            let mut conn: Option<Connection> = None;
             let mut samples = Vec::with_capacity(my_offsets.len());
             let mut late_sends = 0usize;
             for offset_ms in my_offsets {
@@ -273,25 +273,23 @@ fn run_open_loop(cfg: &LoadtestConfig, addr: &str, path: &str) -> Result<Loadtes
 /// close idle connections at its `idle_timeout_ms` — that is not a
 /// transport error, just a reconnect).
 fn keep_alive_get(
-    conn_slot: &mut Option<KeepAliveConnection>,
+    conn_slot: &mut Option<Connection>,
     addr: &str,
     path: &str,
     timeout_ms: u64,
 ) -> Result<client::FetchResult, String> {
-    if let Some(mut conn) = conn_slot.take() {
-        if let Ok(result) = conn.roundtrip(path) {
-            if conn.is_reusable() {
-                *conn_slot = Some(conn);
-            }
-            return Ok(result);
+    let parked = conn_slot
+        .take()
+        .map(|mut conn| (conn.request("GET", path, ""), conn));
+    let (result, conn) = match parked {
+        Some((Ok(result), conn)) => (result, conn),
+        // Stale (or nothing parked): one try on a fresh connection.
+        _ => {
+            let mut conn = Connection::open(addr, timeout_ms)?;
+            (conn.request("GET", path, "")?, conn)
         }
-        // Stale: drop it and retry once on a fresh connection.
-    }
-    let mut conn = KeepAliveConnection::connect(addr, timeout_ms)?;
-    let result = conn.roundtrip(path)?;
-    if conn.is_reusable() {
-        *conn_slot = Some(conn);
-    }
+    };
+    *conn_slot = Some(conn).filter(Connection::is_reusable);
     Ok(result)
 }
 

@@ -114,6 +114,16 @@ impl<K: Ord + Clone, V> LruCache<K, V> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The resident values whose build has finished, in key order.
+    pub fn resident_values(&self) -> Vec<Arc<V>> {
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        inner
+            .map
+            .values()
+            .filter_map(|entry| entry.slot.get().cloned())
+            .collect()
+    }
 }
 
 /// Evict least-recently-used entries (never `keep`) until the map fits

@@ -545,8 +545,7 @@ mod tests {
         )
         .unwrap();
         let addr = server.local_addr().to_string();
-        let resp =
-            client::http_request(&addr, "POST / HTTP/1.1\r\nHost: x\r\n\r\n", 2_000).unwrap();
+        let resp = client::http_send(&addr, "POST", "/", "", 2_000).unwrap();
         assert_eq!(resp.status, 405);
         let handle = server.shutdown_handle();
         assert!(!handle.is_shutting_down());

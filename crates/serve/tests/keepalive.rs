@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dynamips_serve::{
-    http_get, Handler, KeepAliveConnection, Metrics, Request, Response, ServeConfig, Server,
+    http_get, Connection, Handler, Metrics, Request, Response, ServeConfig, Server,
 };
 
 /// Path-echoing handler so every request has a distinguishable body.
@@ -38,11 +38,11 @@ fn one_socket_serves_n_requests_byte_identical_to_n_fresh_connections() {
     let server = start(&metrics);
     let addr = server.local_addr().to_string();
 
-    let mut conn = KeepAliveConnection::connect(&addr, 5_000).expect("connect");
+    let mut conn = Connection::open(&addr, 5_000).expect("connect");
     let mut kept = Vec::new();
     for i in 0..N {
         let got = conn
-            .roundtrip(&format!("/app/{i}"))
+            .request("GET", &format!("/app/{i}"), "")
             .expect("keep-alive get");
         kept.push((got.status, got.body));
     }
