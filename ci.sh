@@ -141,6 +141,8 @@ rm -rf target/ci-artifacts
 sed -i "s/^  \"phases\": \[$/  \"phases\": [\n    {\"name\": \"lint\", \"ms\": ${LINT_MS}.000},/" \
     target/ci-artifacts/BENCH_all.json
 "$BIN" bench-check target/ci-artifacts/BENCH_all.json
+# The checked-in record is regenerated by hand: hold it to the same schema.
+"$BIN" bench-check BENCH_all.json
 # One worker renders every job on the calling thread, two fan out: both
 # must write the same 22 artifact files byte for byte.
 rm -rf target/ci-artifacts-1
@@ -153,7 +155,7 @@ for f in target/ci-artifacts/*.txt; do
 done
 [ "$n" -eq 22 ] || { echo "expected 22 artifact files, found $n"; exit 1; }
 
-say "perfbench: batch-all on both recorded worlds and wire-mixed, every artifact against its digest"
+say "perfbench: batch-all on both recorded worlds, traced, and wire-mixed, every artifact against its digest"
 # Exits nonzero if any of the 22 artifacts' bytes differ from the digests
 # in perfbench/oracles/, so a kernel rewrite cannot change output unseen.
 # The second run checks the held-out world (seed 20201201).
@@ -161,6 +163,11 @@ cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload batch-all --seed 1 --seconds 1 --trace 0
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload batch-all --seed 1 --seconds 1 --trace 0 --held-out
+# Only the traced run checks that every workload's stage tree closes (no
+# residual below its slack) and that a 2-worker engine::run writes the
+# same digests (~1 min).
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload batch-all --seed 1 --seconds 2 --trace 1
 # Served bytes: wire-mixed exits nonzero if any artifact body the live
 # server returns differs from its recorded digest.
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \

@@ -12,7 +12,6 @@ use crate::changes::ProbeHistory;
 use crate::poolinfer::infer_pool_boundary;
 use crate::subscriber::infer_subscriber_len_mode;
 use dynamips_netaddr::{common_prefix_len_v6, Ipv6Prefix};
-use std::collections::HashSet;
 
 /// A target-generation plan for one network.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,11 +43,9 @@ impl ScanPlan {
         let mut pools: Vec<Ipv6Prefix> = seeds
             .iter()
             .map(|s| s.supernet(pool_len).unwrap_or(*s))
-            // lint:allow(determinism-taint): dedup only; sorted right after
-            .collect::<HashSet<_>>()
-            .into_iter()
             .collect();
-        pools.sort();
+        pools.sort_unstable();
+        pools.dedup();
         let span = subscriber_len - pool_len;
         let targets_per_pool = if span >= 64 { u64::MAX } else { 1u64 << span };
         Some(ScanPlan {
@@ -150,13 +147,33 @@ fn cpl_percentile_pool_len(histories: &[&ProbeHistory]) -> Option<u8> {
 /// Evaluate a target list against ground truth: what fraction of
 /// `actual` /64s (e.g. the network's post-renumbering assignments) are
 /// covered?
+///
+/// The actual /64s are sorted once into groups of equal bits with their
+/// multiplicity; each target binary-searches the groups and claims its
+/// group at most once. So a repeated target counts once, a repeated
+/// actual /64 counts each time, and no set of the (up to 2^19) targets
+/// is built.
 pub fn hit_rate(targets: &[Ipv6Prefix], actual: &[Ipv6Prefix]) -> f64 {
     if actual.is_empty() {
         return 0.0;
     }
-    // lint:allow(determinism-taint): membership tests only; never iterated
-    let set: HashSet<u128> = targets.iter().map(|t| t.bits()).collect();
-    let hits = actual.iter().filter(|a| set.contains(&a.bits())).count();
+    let mut bits: Vec<u128> = actual.iter().map(|a| a.bits()).collect();
+    bits.sort_unstable();
+    // (bits, occurrences not yet claimed by a target)
+    let mut groups: Vec<(u128, usize)> = Vec::new();
+    for b in bits {
+        match groups.last_mut() {
+            Some((last, count)) if *last == b => *count += 1,
+            _ => groups.push((b, 1)),
+        }
+    }
+    let mut hits = 0usize;
+    for t in targets {
+        if let Ok(i) = groups.binary_search_by_key(&t.bits(), |g| g.0) {
+            // Taking the count claims the group: a repeated target adds 0.
+            hits += std::mem::take(&mut groups[i].1);
+        }
+    }
     hits as f64 / actual.len() as f64
 }
 
@@ -170,6 +187,69 @@ mod tests {
     use dynamips_netsim::SimTime;
     use dynamips_routing::Asn;
     use rand::Rng;
+    use std::collections::HashSet;
+
+    /// [`hit_rate`] over a hash set of the targets: the reference oracle.
+    fn hit_rate_by_set(targets: &[Ipv6Prefix], actual: &[Ipv6Prefix]) -> f64 {
+        if actual.is_empty() {
+            return 0.0;
+        }
+        let set: HashSet<u128> = targets.iter().map(|t| t.bits()).collect();
+        let hits = actual.iter().filter(|a| set.contains(&a.bits())).count();
+        hits as f64 / actual.len() as f64
+    }
+
+    #[test]
+    fn hit_rate_matches_hash_set_oracle() {
+        let mut rng = derive_rng(23, 3);
+        // /64s from a space of `space` slots: a small space repeats
+        // targets and actuals and makes them overlap.
+        fn draw(rng: &mut impl Rng, space: u128) -> Vec<Ipv6Prefix> {
+            let n = [0, 1, 10, 300][rng.gen_range(0..4)];
+            (0..n)
+                .map(|_| {
+                    let slot = rng.gen_range(0..space);
+                    Ipv6Prefix::from_bits((0x2001_0db8u128 << 96) | (slot << 64), 64).unwrap()
+                })
+                .collect()
+        }
+        for _ in 0..500 {
+            let space = [1, 4, 64, 1 << 20][rng.gen_range(0..4)];
+            let targets = draw(&mut rng, space);
+            let actual = draw(&mut rng, space);
+            assert_eq!(
+                hit_rate(&targets, &actual).to_bits(),
+                hit_rate_by_set(&targets, &actual).to_bits(),
+                "{targets:?} vs {actual:?}"
+            );
+        }
+        // Duplicate targets count once; duplicate actuals count each time.
+        let a: Ipv6Prefix = "2001:db8::/64".parse().unwrap();
+        let b: Ipv6Prefix = "2001:db8:0:1::/64".parse().unwrap();
+        assert_eq!(hit_rate(&[a, a, a], &[a, b]), 0.5);
+        assert_eq!(hit_rate(&[a, a], &[a, a, a, b]), 0.75);
+        assert_eq!(hit_rate(&[b, a, b], &[a, b, a, b]), 1.0);
+    }
+
+    #[test]
+    fn derive_dedups_pools_in_order() {
+        let histories: Vec<ProbeHistory> = (0..20u64)
+            .map(|i| probe(i, "2001:db8:4000::/40", 30))
+            .collect();
+        let refs: Vec<&ProbeHistory> = histories.iter().collect();
+        // Seeds from two /40 pools, repeated and out of order.
+        let other = probe(50, "2001:db8:1000::/40", 3);
+        let seeds: Vec<Ipv6Prefix> = [&histories[0], &other, &histories[1], &other]
+            .iter()
+            .flat_map(|h| h.v6.iter().map(|s| s.value))
+            .collect();
+        let plan = ScanPlan::derive(&refs, &seeds).unwrap();
+        let pools: Vec<Ipv6Prefix> = vec![
+            "2001:db8:1000::/40".parse().unwrap(),
+            "2001:db8:4000::/40".parse().unwrap(),
+        ];
+        assert_eq!(plan.pools, pools);
+    }
 
     fn probe(seed: u64, pool: &str, n: usize) -> ProbeHistory {
         let mut rng = derive_rng(seed, 3);

@@ -19,25 +19,59 @@
 //! `K`), which would bias the estimate long.
 
 use crate::changes::ProbeHistory;
-use std::collections::HashSet;
 
-/// Unique supernets of the probe's /64s at length `len`.
-fn unique_at(history: &ProbeHistory, len: u8) -> usize {
-    history
-        .v6
-        .iter()
-        .map(|s| s.value.supernet(len).unwrap_or(s.value).bits())
-        .collect::<HashSet<u128>>()
-        .len()
+/// One probe's unique-supernet count at every prefix length, from one sort
+/// of its /64s.
+///
+/// In the sorted, deduplicated list of /64 bits, the `L`-prefixes form
+/// contiguous runs, and two neighbours start different runs exactly when
+/// their common prefix is shorter than `L` bits. So a non-empty list has
+/// `unique(L) = 1 + #{adjacent pairs with cpl < L}` supernets at `L`.
+struct UniqueCounts {
+    /// Distinct /64s seen.
+    distinct: usize,
+    /// `splits[l]`: adjacent distinct pairs whose common prefix is shorter
+    /// than `l` bits, for `l` in `0..=128`.
+    splits: [u32; 129],
 }
 
-/// Per-probe containment test; `None` if the probe is uninformative.
-fn probe_contained(history: &ProbeHistory, len: u8, max_pools: usize) -> Option<bool> {
-    if unique_at(history, 64) < 2 * max_pools {
-        return None;
+impl UniqueCounts {
+    fn of(history: &ProbeHistory) -> UniqueCounts {
+        let mut bits: Vec<u128> = history.v6.iter().map(|s| s.value.bits()).collect();
+        bits.sort_unstable();
+        bits.dedup();
+        // Bucket each distinct pair by its common prefix length (at most
+        // 127), counted at `cpl + 1`, the first length that splits it;
+        // the prefix sum then counts every pair split at or below `l`.
+        let mut splits = [0u32; 129];
+        for w in bits.windows(2) {
+            splits[(w[0] ^ w[1]).leading_zeros() as usize + 1] += 1;
+        }
+        for l in 1..splits.len() {
+            splits[l] += splits[l - 1];
+        }
+        UniqueCounts {
+            distinct: bits.len(),
+            splits,
+        }
     }
-    let at = unique_at(history, len);
-    Some(at <= max_pools && at == unique_at(history, len.saturating_sub(2)))
+
+    /// Unique supernets of the probe's /64s at length `len`.
+    fn at(&self, len: u8) -> usize {
+        if self.distinct == 0 {
+            return 0;
+        }
+        1 + self.splits[usize::from(len.min(128))] as usize
+    }
+
+    /// Per-probe containment test; `None` if the probe is uninformative.
+    fn contained(&self, len: u8, max_pools: usize) -> Option<bool> {
+        if self.at(64) < 2 * max_pools {
+            return None;
+        }
+        let at = self.at(len);
+        Some(at <= max_pools && at == self.at(len.saturating_sub(2)))
+    }
 }
 
 /// Result of a pool-boundary estimation over a probe population.
@@ -68,13 +102,14 @@ pub fn infer_pool_boundary(
     max_pools: usize,
     min_containment: f64,
 ) -> Option<PoolBoundary> {
+    let counts: Vec<UniqueCounts> = histories.iter().map(|h| UniqueCounts::of(h)).collect();
     let mut profile: Vec<(u8, f64)> = Vec::new();
     let mut informative = 0usize;
     for len in candidates {
         let mut contained = 0usize;
         let mut total = 0usize;
-        for h in histories {
-            if let Some(ok) = probe_contained(h, len, max_pools) {
+        for c in &counts {
+            if let Some(ok) = c.contained(len, max_pools) {
                 total += 1;
                 if ok {
                     contained += 1;
@@ -111,6 +146,176 @@ mod tests {
     use dynamips_netsim::SimTime;
     use dynamips_routing::Asn;
     use rand::Rng;
+    use std::collections::HashSet;
+
+    /// Unique supernets at `len`, hashing every one: the reference oracle
+    /// for [`UniqueCounts::at`].
+    fn unique_at(history: &ProbeHistory, len: u8) -> usize {
+        history
+            .v6
+            .iter()
+            .map(|s| s.value.supernet(len).unwrap_or(s.value).bits())
+            .collect::<HashSet<u128>>()
+            .len()
+    }
+
+    /// The reference oracle for [`UniqueCounts::contained`].
+    fn probe_contained(history: &ProbeHistory, len: u8, max_pools: usize) -> Option<bool> {
+        if unique_at(history, 64) < 2 * max_pools {
+            return None;
+        }
+        let at = unique_at(history, len);
+        Some(at <= max_pools && at == unique_at(history, len.saturating_sub(2)))
+    }
+
+    /// [`infer_pool_boundary`] with every history rescanned at every
+    /// length through [`probe_contained`]: the reference oracle.
+    fn infer_by_rescan(
+        histories: &[&ProbeHistory],
+        candidates: impl Iterator<Item = u8>,
+        max_pools: usize,
+        min_containment: f64,
+    ) -> Option<PoolBoundary> {
+        let mut profile: Vec<(u8, f64)> = Vec::new();
+        let mut informative = 0usize;
+        for len in candidates {
+            let mut contained = 0usize;
+            let mut total = 0usize;
+            for h in histories {
+                if let Some(ok) = probe_contained(h, len, max_pools) {
+                    total += 1;
+                    if ok {
+                        contained += 1;
+                    }
+                }
+            }
+            if total == 0 {
+                return None;
+            }
+            informative = total;
+            profile.push((len, contained as f64 / total as f64));
+        }
+        profile.sort_by_key(|(len, _)| *len);
+        let best = profile
+            .iter()
+            .rev()
+            .find(|(_, frac)| *frac >= min_containment)?;
+        Some(PoolBoundary {
+            pool_len: best.0,
+            containment: best.1,
+            probes: informative,
+            profile,
+        })
+    }
+
+    /// `n` /64s drawn from `pools` random pools of length `pool_len` under
+    /// 2001:db8::/32, each at one of `slots` low slots: a small `slots`
+    /// repeats /64s.
+    fn random_history(
+        rng: &mut impl Rng,
+        n: usize,
+        pools: u32,
+        pool_len: u8,
+        slots: u64,
+    ) -> ProbeHistory {
+        let bases: Vec<u128> = (0..pools)
+            .map(|_| {
+                let pool: u128 = rng.gen_range(0..1u128 << (pool_len - 32));
+                (0x2001_0db8u128 << 96) | (pool << (128 - pool_len))
+            })
+            .collect();
+        let v6 = (0..n)
+            .map(|i| {
+                let base = bases[rng.gen_range(0..bases.len())];
+                let slot = u128::from(rng.gen_range(0..slots));
+                Span {
+                    value: Ipv6Prefix::from_bits(base | (slot << 64), 64).unwrap(),
+                    first: SimTime(i as u64 * 24),
+                    last: SimTime(i as u64 * 24 + 23),
+                }
+            })
+            .collect();
+        ProbeHistory {
+            probe: ProbeId(1),
+            virtual_index: 0,
+            asn: Asn(64500),
+            v4: vec![],
+            v6,
+        }
+    }
+
+    /// A boundary with every `f64` as its exact bits.
+    type BoundaryBits = (u8, u64, usize, Vec<(u8, u64)>);
+
+    fn boundary_bits(b: &Option<PoolBoundary>) -> Option<BoundaryBits> {
+        b.as_ref().map(|b| {
+            (
+                b.pool_len,
+                b.containment.to_bits(),
+                b.probes,
+                b.profile.iter().map(|&(l, f)| (l, f.to_bits())).collect(),
+            )
+        })
+    }
+
+    #[test]
+    fn unique_counts_match_hash_set_oracle() {
+        let mut rng = derive_rng(23, 1);
+        let mut sizes = HashSet::new();
+        for _ in 0..200 {
+            // 0 and 1 are the empty and single-prefix histories; one slot
+            // makes every draw in a pool the same /64.
+            let n = [0, 1, 2, 7, 40][rng.gen_range(0..5)];
+            let pool_len = [33, 40, 48, 56][rng.gen_range(0..4)];
+            let slots = [1, 3, 1 << 20][rng.gen_range(0..3)];
+            let pools = rng.gen_range(1..4);
+            let h = random_history(&mut rng, n, pools, pool_len, slots);
+            let counts = UniqueCounts::of(&h);
+            sizes.insert(unique_at(&h, 64));
+            for len in (0..=130).chain([200, u8::MAX]) {
+                assert_eq!(counts.at(len), unique_at(&h, len), "len {len}: {h:?}");
+                for max_pools in [0, 1, 4] {
+                    assert_eq!(
+                        counts.contained(len, max_pools),
+                        probe_contained(&h, len, max_pools),
+                        "len {len}, max_pools {max_pools}: {h:?}"
+                    );
+                }
+            }
+        }
+        assert!(sizes.contains(&0) && sizes.contains(&1), "{sizes:?}");
+    }
+
+    #[test]
+    fn boundary_matches_rescan_oracle() {
+        let mut rng = derive_rng(23, 2);
+        let mut found = 0;
+        for _ in 0..24 {
+            let pool_len = [36, 40, 44, 48][rng.gen_range(0..4)];
+            let min = [0.5, 0.9, 1.0][rng.gen_range(0..3)];
+            let histories: Vec<ProbeHistory> = (0..rng.gen_range(1..16))
+                .map(|_| {
+                    let n = [0, 1, 3, 8, 30, 60][rng.gen_range(0..6)];
+                    let slots = [2, 256, 1 << 16][rng.gen_range(0..3)];
+                    let pools = rng.gen_range(1..3);
+                    random_history(&mut rng, n, pools, pool_len, slots)
+                })
+                .collect();
+            let refs: Vec<&ProbeHistory> = histories.iter().collect();
+            for max_pools in [0, 1, 2, 4, 8] {
+                for (lo, hi) in [(16, 56), (0, 64), (50, 80)] {
+                    let got = infer_pool_boundary(&refs, lo..=hi, max_pools, min);
+                    assert_eq!(
+                        boundary_bits(&got),
+                        boundary_bits(&infer_by_rescan(&refs, lo..=hi, max_pools, min)),
+                        "max_pools {max_pools}, min {min}, {lo}..={hi}"
+                    );
+                    found += usize::from(got.is_some());
+                }
+            }
+        }
+        assert!(found > 100, "boundaries found: {found}");
+    }
 
     /// Build a probe that draws `n` random /64s out of one /40 pool.
     fn probe_in_pool(seed: u64, pool: &str, n: usize) -> ProbeHistory {

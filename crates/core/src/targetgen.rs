@@ -17,7 +17,7 @@
 use dynamips_netaddr::Ipv6Prefix;
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Per-nibble frequency model over the 16 network nibbles of a /64.
 #[derive(Debug, Clone)]
@@ -161,8 +161,9 @@ impl Eq for MergeHead {}
 /// 6Gen-lite: group sorted seeds into clusters whose covering prefix is at
 /// least `min_cluster_len` long, then spend `limit` targets enumerating the
 /// /64s of the densest clusters first. Returns targets including the seeds
-/// themselves.
+/// themselves. Seeds are /64s; no target is returned twice.
 pub fn sixgen_targets(seeds: &[Ipv6Prefix], min_cluster_len: u8, limit: usize) -> Vec<Ipv6Prefix> {
+    debug_assert!(seeds.iter().all(|s| s.len() == 64), "seeds must be /64s");
     if seeds.is_empty() || limit == 0 {
         return Vec::new();
     }
@@ -205,25 +206,28 @@ pub fn sixgen_targets(seeds: &[Ipv6Prefix], min_cluster_len: u8, limit: usize) -
         db.total_cmp(&da)
     });
 
+    // The covers are disjoint, so enumerating them never repeats a /64.
+    // Each cluster is a run of the sorted, distinct seed /64s, and its
+    // cover is either that one seed or the prefix of the run at a common
+    // prefix length >= `min_cluster_len`. Two prefixes overlap only if one
+    // holds the other; say the cover P of an earlier run and another
+    // cover overlap, and Q is the larger of the two. Q holds seeds of
+    // both runs, so it holds every seed sorted between them (a prefix
+    // holds a contiguous range of /64s), among them s, the seed that
+    // closed P's run. Holding two distinct seeds, Q is no single /64, so
+    // len(Q) >= `min_cluster_len`. Holding both P and s, Q bounds
+    // cpl(P, s) >= len(Q) >= `min_cluster_len`. But s closed P's run
+    // because cpl(P, s) < `min_cluster_len`.
     let mut out: Vec<Ipv6Prefix> = Vec::with_capacity(limit);
-    // lint:allow(determinism-taint): dedup guard only; never iterated
-    let mut emitted: HashSet<u128> = HashSet::new();
     for c in &clusters {
         if out.len() >= limit {
             break;
         }
         let count = c.cover.num_subprefixes(64).unwrap_or(u64::MAX);
         let budget = (limit - out.len()) as u64;
-        for i in 0..count.min(budget) {
-            // i < num_subprefixes(64) by the loop bound; skip rather than
-            // panic if the invariant slips.
-            let Ok(t) = c.cover.nth_subprefix(64, i) else {
-                continue;
-            };
-            if emitted.insert(t.bits()) {
-                out.push(t);
-            }
-        }
+        // i < num_subprefixes(64) by the loop bound; skip rather than
+        // panic if the invariant slips.
+        out.extend((0..count.min(budget)).filter_map(|i| c.cover.nth_subprefix(64, i).ok()));
     }
     out
 }
@@ -234,6 +238,7 @@ mod tests {
     use crate::hitlist::hit_rate;
     use dynamips_netsim::rngutil::derive_rng;
     use rand::Rng;
+    use std::collections::HashSet;
 
     fn p(s: &str) -> Ipv6Prefix {
         s.parse().unwrap()
@@ -443,6 +448,118 @@ mod tests {
         assert_eq!(set.len(), 5, "no duplicates");
         assert!(sixgen_targets(&seeds, 48, 0).is_empty());
         assert!(sixgen_targets(&[], 48, 10).is_empty());
+    }
+
+    /// [`sixgen_targets`] with an `emitted` set dropping any repeated
+    /// /64: the reference oracle.
+    fn sixgen_with_emitted_set(
+        seeds: &[Ipv6Prefix],
+        min_cluster_len: u8,
+        limit: usize,
+    ) -> Vec<Ipv6Prefix> {
+        if seeds.is_empty() || limit == 0 {
+            return Vec::new();
+        }
+        let mut sorted: Vec<Ipv6Prefix> = seeds.to_vec();
+        sorted.sort();
+        sorted.dedup();
+        // (cover, seeds)
+        let mut clusters: Vec<(Ipv6Prefix, usize)> = Vec::new();
+        for seed in &sorted {
+            match clusters.last_mut() {
+                Some((cover, n)) => {
+                    let cpl = dynamips_netaddr::common_prefix_len_v6(cover, seed);
+                    if cpl >= min_cluster_len {
+                        *cover = cover.supernet(cpl).unwrap_or(*cover);
+                        *n += 1;
+                    } else {
+                        clusters.push((*seed, 1));
+                    }
+                }
+                None => clusters.push((*seed, 1)),
+            }
+        }
+        let density = |(cover, n): &(Ipv6Prefix, usize)| {
+            *n as f64 / cover.num_subprefixes(64).unwrap_or(u64::MAX) as f64
+        };
+        clusters.sort_by(|a, b| density(b).total_cmp(&density(a)));
+        let mut out: Vec<Ipv6Prefix> = Vec::with_capacity(limit);
+        let mut emitted: HashSet<u128> = HashSet::new();
+        for (cover, _) in &clusters {
+            if out.len() >= limit {
+                break;
+            }
+            let count = cover.num_subprefixes(64).unwrap_or(u64::MAX);
+            let budget = (limit - out.len()) as u64;
+            for i in 0..count.min(budget) {
+                let t = cover.nth_subprefix(64, i).unwrap();
+                if emitted.insert(t.bits()) {
+                    out.push(t);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn sixgen_matches_emitted_set_oracle_without_repeats() {
+        let mut rng = derive_rng(23, 4);
+        let mut cut = 0;
+        for _ in 0..400 {
+            // Seeds from a few /48 regions at a variable spread, so
+            // clusters nest, touch and repeat seeds.
+            let regions: Vec<u128> = (0..rng.gen_range(1..4))
+                .map(|_| rng.gen_range(0..1u128 << 16) << 80)
+                .collect();
+            let spread_bits = rng.gen_range(0..17u32);
+            let seeds: Vec<Ipv6Prefix> = (0..[1, 2, 8, 40][rng.gen_range(0..4)])
+                .map(|_| {
+                    let region = regions[rng.gen_range(0..regions.len())];
+                    let low = rng.gen_range(0..1u128 << spread_bits);
+                    Ipv6Prefix::from_bits((0x2001u128 << 112) | region | (low << 64), 64).unwrap()
+                })
+                .collect();
+            let min_cluster_len = [0, 16, 44, 48, 56, 60, 63, 64][rng.gen_range(0..8)];
+            let limit = [1, 3, 17, 256, 5000][rng.gen_range(0..5)];
+            let got = sixgen_targets(&seeds, min_cluster_len, limit);
+            assert_eq!(
+                got,
+                sixgen_with_emitted_set(&seeds, min_cluster_len, limit),
+                "min_cluster_len {min_cluster_len}, limit {limit}, {seeds:?}"
+            );
+            let distinct: HashSet<u128> = got.iter().map(|t| t.bits()).collect();
+            assert_eq!(distinct.len(), got.len(), "a /64 emitted twice");
+            // The budget ran out inside a cluster's enumeration.
+            cut += usize::from(got.len() == limit);
+        }
+        assert!(cut > 50, "budgets that cut a cluster: {cut}");
+    }
+
+    #[test]
+    fn sixgen_min_cluster_len_extremes() {
+        let seeds = vec![
+            p("2003:40:a0:aa00::/64"),
+            p("2a00:9999:0:1::/64"),
+            p("2003:40:a0:aa03::/64"),
+            p("2003:40:a0:aa03::/64"),
+        ];
+        // 0: one cluster over every seed, its cover 2000::/4 cut by the
+        // budget.
+        let all = sixgen_targets(&seeds, 0, 100);
+        assert_eq!(all, sixgen_with_emitted_set(&seeds, 0, 100));
+        assert_eq!(all.len(), 100);
+        assert_eq!(all[0], p("2000::/64"));
+        // 64: every distinct seed is its own /64 cluster.
+        let own = sixgen_targets(&seeds, 64, 100);
+        assert_eq!(own, sixgen_with_emitted_set(&seeds, 64, 100));
+        assert_eq!(
+            own,
+            vec![
+                p("2003:40:a0:aa00::/64"),
+                p("2003:40:a0:aa03::/64"),
+                p("2a00:9999:0:1::/64"),
+            ]
+        );
     }
 
     #[test]
