@@ -15,11 +15,40 @@ cargo fmt --all --check
 say "cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
-say "clippy probes: each per-line invariant fails in scope and passes where exempt"
-# The per-line invariants are clippy lints (clippy.toml and the crate
-# roots). Each probe injects one violation into a scratch copy of the
-# tracked workspace and runs clippy on one crate: in scope it must fail
-# naming the expected lint, in an exempt scope it must pass.
+# offline_sources DIR: every package in the resolve of DIR's workspace
+# and of DIR/perfbench is a path package (its `source` is null), so the
+# build needs no registry and no git.
+offline_sources() {
+    for m in "$1/Cargo.toml" "$1/perfbench/Cargo.toml"; do
+        cargo metadata --offline --locked --format-version 1 --manifest-path "$m" \
+            > target/metadata.json || return 1
+        n=$(grep -o '"source":"' target/metadata.json | wc -l)
+        [ "$n" -eq 0 ] || { echo "$m: $n registry or git source(s)"; return 1; }
+    done
+}
+# lints_inherited DIR: every member of DIR's workspace outside vendor/
+# opts into the root [workspace.lints] table; a member without
+# `[lints] workspace = true` would get no workspace lints at all.
+lints_inherited() {
+    cargo metadata --offline --no-deps --format-version 1 --manifest-path "$1/Cargo.toml" \
+        > target/metadata.json || return 1
+    for m in $(grep -o '"manifest_path":"[^"]*"' target/metadata.json | cut -d'"' -f4 \
+        | grep -v '/vendor/[^/]*/Cargo.toml$'); do
+        awk '/^\[/ { s = ($0 == "[lints]") } s && /^workspace *= *true/ { f = 1 } END { exit !f }' \
+            "$m" || { echo "$m: no [lints] workspace = true"; return 1; }
+    done
+}
+
+say "offline dependency sources and inherited workspace lints"
+offline_sources .
+lints_inherited .
+
+say "clippy probes: each per-file invariant fails in scope and passes where exempt"
+# The per-file invariants are clippy lints (clippy.toml, the workspace
+# [lints] table and the crate roots) and the two manifest checks above.
+# Each probe injects one violation into a scratch copy of the tracked
+# workspace and runs clippy on one crate (or the check): in scope it must
+# fail naming the expected lint, in an exempt scope it must pass.
 PROBE=target/clippy-probe
 rm -rf "$PROBE"
 mkdir -p "$PROBE/ws"
@@ -98,6 +127,37 @@ probe fail dynamips-experiments crates/experiments/src/main.rs disallowed_method
 # An exit code is an `Exit` variant: a literal code does not type-check.
 probe fail dynamips-experiments crates/experiments/src/main.rs 'mismatched types' \
     'if std::env::args().count() > 99 { exit(3); }' 'fn main() {'
+# Unordered maps: denied in the artifact-rendering modules only.
+probe fail dynamips-core crates/core/src/report.rs disallowed_types '/// Probe.
+pub fn probe_map() -> std::collections::HashMap<u8, u8> {
+    std::collections::HashMap::new()
+}'
+probe pass dynamips-core crates/core/src/stats.rs disallowed_types '/// Probe.
+pub fn probe_map() -> std::collections::HashMap<u8, u8> {
+    std::collections::HashMap::new()
+}'
+# routing's root sets neither lint: both come from the workspace table.
+probe fail dynamips-routing crates/routing/src/lib.rs missing-docs 'pub fn probe_undocumented() {}'
+probe fail dynamips-netaddr crates/netaddr/src/lib.rs unsafe-code '/// Probe.
+pub fn probe_unsafe(v: &[u8]) -> u8 {
+    unsafe { *v.as_ptr() }
+}'
+# manifest_probe CHECK FILE TEXT SED: edit FILE in the scratch copy with
+# SED; CHECK on the copy must then fail, printing TEXT.
+manifest_probe() {
+    sed "$4" "$2" > "$PROBE/ws/$2"
+    m_rc=0
+    "$1" "$PROBE/ws" > "$PROBE/out.txt" 2>&1 || m_rc=$?
+    cp "$2" "$PROBE/ws/$2"
+    if [ "$m_rc" -eq 0 ] || ! grep -qF "$3" "$PROBE/out.txt"; then
+        cat "$PROBE/out.txt"; echo "probe: $1 should fail on $2"; exit 1
+    fi
+    echo "probe fail: $1 on $2"
+}
+manifest_probe offline_sources crates/routing/Cargo.toml left-pad \
+    '/^\[dependencies\]$/a left-pad = "1.3"'
+manifest_probe lints_inherited crates/routing/Cargo.toml 'no [lints] workspace = true' \
+    '/^\[lints\]$/,/^workspace = true$/d'
 PROBE_END_NS=$(date +%s%N)
 echo "clippy probes: $(( (PROBE_END_NS - PROBE_START_NS) / 1000000 )) ms"
 
@@ -125,7 +185,7 @@ done
 say "cargo build --release"
 # --workspace matters: the root package is an umbrella, and without it
 # this stage leaves target/release/dynamips stale for the smokes below.
-cargo build --release --quiet --locked --workspace
+cargo build --release --quiet --offline --locked --workspace
 
 say "cargo test"
 cargo test --workspace -q
@@ -154,6 +214,13 @@ for f in target/ci-artifacts/*.txt; do
     n=$((n + 1))
 done
 [ "$n" -eq 22 ] || { echo "expected 22 artifact files, found $n"; exit 1; }
+
+say "default config: stdout matches results/full_run.txt"
+# EXPERIMENTS.md quotes this file; a change that moves default-config
+# bytes must regenerate it (the command is in EXPERIMENTS.md).
+rm -rf target/full-run
+"$BIN" --out target/full-run all > target/full-run-stdout.txt
+cmp target/full-run-stdout.txt results/full_run.txt
 
 say "perfbench: batch-all on both recorded worlds, traced, and wire-mixed, every artifact against its digest"
 # Exits nonzero if any of the 22 artifacts' bytes differ from the digests

@@ -21,11 +21,9 @@
 //!
 //! [`SubscriberTimeline`]: dynamips_netsim::SubscriberTimeline
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
 // Panic-freedom: shipping code degrades instead of panicking (tests are
-// exempt via clippy.toml). Library code renders to strings instead of
-// printing, and every `#[allow]` states its reason.
+// exempt via clippy.toml), and library code renders to strings instead
+// of printing. The shared levels come from the workspace `[lints]` table.
 #![warn(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -34,9 +32,7 @@
     clippy::todo,
     clippy::unimplemented,
     clippy::print_stdout,
-    clippy::print_stderr,
-    clippy::dbg_macro,
-    clippy::allow_attributes_without_reason
+    clippy::print_stderr
 )]
 
 pub mod collect;

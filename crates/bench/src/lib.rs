@@ -7,16 +7,9 @@
 //! * `micro` — core data structures (trie LPM, CPL, TTF, sanitizer).
 //! * `ablations` — the design-choice ablations listed in DESIGN.md.
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
-// Library code renders to strings instead of printing, and every
-// `#[allow]` states its reason.
-#![warn(
-    clippy::print_stdout,
-    clippy::print_stderr,
-    clippy::dbg_macro,
-    clippy::allow_attributes_without_reason
-)]
+// Library code renders to strings instead of printing. The shared levels
+// come from the workspace `[lints]` table.
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 use dynamips_experiments::{AtlasAnalysis, CdnAnalysis, ExperimentConfig};
 

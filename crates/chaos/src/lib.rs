@@ -16,11 +16,9 @@
 //! integer column after it, and address-shaped fields — so the same
 //! harness exercises both dataset formats.
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
 // Panic-freedom: shipping code degrades instead of panicking (tests are
-// exempt via clippy.toml). Library code renders to strings instead of
-// printing, and every `#[allow]` states its reason.
+// exempt via clippy.toml), and library code renders to strings instead
+// of printing. The shared levels come from the workspace `[lints]` table.
 #![warn(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -29,9 +27,7 @@
     clippy::todo,
     clippy::unimplemented,
     clippy::print_stdout,
-    clippy::print_stderr,
-    clippy::dbg_macro,
-    clippy::allow_attributes_without_reason
+    clippy::print_stderr
 )]
 
 pub mod net;

@@ -24,15 +24,14 @@
 //! usage error.
 
 // Panic-freedom, as in the library crate (tests are exempt via
-// clippy.toml); a binary may print. Every `#[allow]` states its reason.
+// clippy.toml); a binary may print.
 #![warn(
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
     clippy::unreachable,
     clippy::todo,
-    clippy::unimplemented,
-    clippy::allow_attributes_without_reason
+    clippy::unimplemented
 )]
 
 use dynamips_experiments::{

@@ -26,11 +26,10 @@
 //! driver (simulation or HTTP front end) says it is, which keeps every
 //! allocation sequence replayable byte-for-byte.
 
-#![warn(missing_docs)]
 #![forbid(unsafe_code)]
 // Panic-freedom: shipping code degrades instead of panicking (tests are
-// exempt via clippy.toml). Library code renders to strings instead of
-// printing, and every `#[allow]` states its reason.
+// exempt via clippy.toml), and library code renders to strings instead
+// of printing. The shared levels come from the workspace `[lints]` table.
 #![warn(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -39,9 +38,7 @@
     clippy::todo,
     clippy::unimplemented,
     clippy::print_stdout,
-    clippy::print_stderr,
-    clippy::dbg_macro,
-    clippy::allow_attributes_without_reason
+    clippy::print_stderr
 )]
 
 pub mod buddy;

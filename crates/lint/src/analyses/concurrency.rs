@@ -304,7 +304,7 @@ fn lock_across_blocking(
                 if consumes_guard(call, lock.binding.as_deref()) {
                     continue;
                 }
-                if site_allowed(allows, &node.file, call.line, &[LOCK_ACROSS_BLOCKING.id]) {
+                if site_allowed(allows, &node.file, call.line, LOCK_ACROSS_BLOCKING.id) {
                     continue;
                 }
                 let guard = format!(
@@ -455,7 +455,7 @@ fn lock_order(
             ));
         }
         let first = &edges[&(cycle[0].clone(), cycle[1].clone())];
-        if site_allowed(allows, &first.file, first.line, &[LOCK_ORDER.id]) {
+        if site_allowed(allows, &first.file, first.line, LOCK_ORDER.id) {
             continue;
         }
         findings.push(Finding {
@@ -555,7 +555,7 @@ fn blocking_in_reactor(
             if !is_blocking_sink(call, sinks) {
                 continue;
             }
-            if site_allowed(allows, &node.file, call.line, &[BLOCKING_IN_REACTOR.id]) {
+            if site_allowed(allows, &node.file, call.line, BLOCKING_IN_REACTOR.id) {
                 continue;
             }
             let chain = graph.chain(&parents, id).join(" → ");
@@ -599,7 +599,7 @@ fn condvar_wait_loop(
             if !is_wait || call.in_loop {
                 continue;
             }
-            if site_allowed(allows, &node.file, call.line, &[CONDVAR_WAIT_LOOP.id]) {
+            if site_allowed(allows, &node.file, call.line, CONDVAR_WAIT_LOOP.id) {
                 continue;
             }
             findings.push(Finding {

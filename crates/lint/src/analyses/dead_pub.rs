@@ -72,7 +72,7 @@ pub(crate) fn run(
             if f.src.is_test_line(item.line) {
                 continue;
             }
-            if site_allowed(allows, &f.path, item.line, &[DEAD_PUB.id]) {
+            if site_allowed(allows, &f.path, item.line, DEAD_PUB.id) {
                 continue;
             }
             let referenced_externally = files.iter().any(|other| {

@@ -5,19 +5,19 @@
 //! path from a renderer reaches wall-clock reads, unseeded randomness, or
 //! unordered-map iteration. clippy's `disallowed_methods` bans clock reads
 //! outside the timing layer site by site, the vendored `rand` has no
-//! entropy source to call, and the per-file `hash-iter` rule bans
-//! unordered maps in render files; this analysis propagates all three
-//! through the call graph, so a helper three crates away that quietly
-//! reads `Instant::now` is caught the moment any renderer can reach it.
-//! Sources inside the declared timing layer (`perf-exempt`) are the
-//! sanctioned exception for wall-clock reads, and hash-order mentions
-//! inside render files are skipped — `hash-iter` already reports those.
+//! entropy source to call, and clippy's `disallowed_types`, denied in each
+//! sink module, bans unordered maps there; this analysis propagates all
+//! three through the call graph, so a helper three crates away that
+//! quietly reads `Instant::now` is caught the moment any renderer can
+//! reach it. Sources inside the declared timing layer (`perf-exempt`) are
+//! the sanctioned exception for wall-clock reads, and hash-order mentions
+//! inside the sink files are skipped — clippy already rejects those.
 
 use super::{is_test_path, site_allowed};
 use crate::callgraph::CallGraph;
 use crate::config::{Config, Severity};
 use crate::items::TaintKind;
-use crate::rules::{Allow, Finding, DETERMINISM_TAINT, HASH_ITER};
+use crate::rules::{Allow, Finding, DETERMINISM_TAINT};
 use std::collections::BTreeMap;
 
 /// Run the analysis: BFS from every `pub` function defined in a sink
@@ -54,21 +54,14 @@ pub(crate) fn run(
             continue;
         }
         let perf_exempt = Config::path_in(&node.file, &cfg.perf_exempt);
-        let in_render = Config::path_in(&node.file, &cfg.render_paths);
+        let in_sink = Config::path_in(&node.file, &cfg.sinks);
         for site in &node.item.taints {
-            // A hash-order site may also be waived as `hash-iter`.
-            let token_rule = match site.kind {
+            match site.kind {
                 TaintKind::WallClock if perf_exempt => continue, // the sanctioned timing layer
-                TaintKind::HashOrder if in_render => continue,   // hash-iter owns these
-                TaintKind::HashOrder => HASH_ITER.id,
-                TaintKind::WallClock | TaintKind::UnseededRng => DETERMINISM_TAINT.id,
-            };
-            if site_allowed(
-                allows,
-                &node.file,
-                site.line,
-                &[DETERMINISM_TAINT.id, token_rule],
-            ) {
+                TaintKind::HashOrder if in_sink => continue, // clippy's disallowed_types owns these
+                _ => {}
+            }
+            if site_allowed(allows, &node.file, site.line, DETERMINISM_TAINT.id) {
                 continue;
             }
             let chain = graph.chain(&parents, id).join(" → ");

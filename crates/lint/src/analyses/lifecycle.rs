@@ -318,7 +318,7 @@ fn resource_leak(
         }
         let (acquires, releases) = pair_events(&node.item, pair);
         for acq in &acquires {
-            if site_allowed(allows, &node.file, acq.line, &[RESOURCE_LEAK.id]) {
+            if site_allowed(allows, &node.file, acq.line, RESOURCE_LEAK.id) {
                 continue;
             }
             match releases.iter().find(|r| r.order > acq.order) {
@@ -410,7 +410,7 @@ fn drop_order(
         }
         let first_acq = acquires[0].order;
         if releases[0].order < first_acq {
-            if !site_allowed(allows, &node.file, releases[0].line, &[DROP_ORDER.id]) {
+            if !site_allowed(allows, &node.file, releases[0].line, DROP_ORDER.id) {
                 findings.push(Finding {
                     path: node.file.clone(),
                     line: releases[0].line + 1,
@@ -434,7 +434,7 @@ fn drop_order(
                 let rearmed = acquires
                     .iter()
                     .any(|a| a.order > prev.order && a.order < rel.order);
-                if !rearmed && !site_allowed(allows, &node.file, prev.line, &[DROP_ORDER.id]) {
+                if !rearmed && !site_allowed(allows, &node.file, prev.line, DROP_ORDER.id) {
                     findings.push(Finding {
                         path: node.file.clone(),
                         line: prev.line + 1,
@@ -479,7 +479,7 @@ fn gauge_balance(
             let raw_bump = call.method
                 && matches!(call.name.as_str(), "fetch_add" | "fetch_sub")
                 && call.recv.as_deref() == Some(gauge.gauge.as_str());
-            if !raw_bump || site_allowed(allows, &node.file, call.line, &[GAUGE_BALANCE.id]) {
+            if !raw_bump || site_allowed(allows, &node.file, call.line, GAUGE_BALANCE.id) {
                 continue;
             }
             findings.push(Finding {
@@ -515,7 +515,7 @@ fn gauge_balance(
                      missing: &str|
      -> Option<Finding> {
         let (id, line) = present_site;
-        if site_allowed(allows, &graph.nodes[id].file, line, &[GAUGE_BALANCE.id]) {
+        if site_allowed(allows, &graph.nodes[id].file, line, GAUGE_BALANCE.id) {
             return None;
         }
         Some(Finding {
@@ -552,7 +552,7 @@ fn gauge_balance(
                         allows,
                         &graph.nodes[inc_id].file,
                         inc_line,
-                        &[GAUGE_BALANCE.id],
+                        GAUGE_BALANCE.id,
                     )
                 {
                     findings.push(Finding {
@@ -631,7 +631,7 @@ fn unbounded_growth(
             if !call.method || !GROWTH_OPS.contains(&call.name.as_str()) {
                 continue;
             }
-            if site_allowed(allows, &node.file, call.line, &[UNBOUNDED_GROWTH.id]) {
+            if site_allowed(allows, &node.file, call.line, UNBOUNDED_GROWTH.id) {
                 continue;
             }
             let excused = ancestors(redges, live, id)

@@ -1,12 +1,12 @@
 //! Interprocedural analyses over the workspace call graph.
 //!
-//! clippy and the few per-file rules in [`crate::rules`] see one crate or
-//! one line at a time; the analyses here see the whole workspace: [`panic_reach`] walks the call
-//! graph from the declared pipeline entry points and reports every panic
-//! site on a reachable path (with the shortest chain, so the report reads
-//! `entry → … → site`), [`determinism`] propagates wall-clock, unseeded-RNG
-//! and hash-iteration taint backwards from the declared artifact-renderer
-//! sinks, and [`dead_pub`] flags `pub` items no other crate references.
+//! clippy sees one crate or one line at a time; the analyses here see the
+//! whole workspace: [`panic_reach`] walks the call graph from the declared
+//! pipeline entry points and reports every panic site on a reachable path
+//! (with the shortest chain, so the report reads `entry → … → site`),
+//! [`determinism`] propagates wall-clock, unseeded-RNG and hash-iteration
+//! taint backwards from the declared artifact-renderer sinks, and
+//! [`dead_pub`] flags `pub` items no other crate references.
 //! [`concurrency`] adds lock-order and blocking-call safety, and
 //! [`lifecycle`] tracks declared acquire/release pairs, gauge balance,
 //! and collection growth on long-running paths. All of them honour
@@ -47,7 +47,7 @@ pub fn run(files: &[SourceFile], cfg: &Config) -> Result<Vec<Finding>, String> {
     let graph = CallGraph::build(&collected);
     let allows: BTreeMap<&str, Vec<rules::Allow>> = files
         .iter()
-        .map(|f| (f.path.as_str(), rules::file_allows(&f.path, &f.src, cfg)))
+        .map(|f| (f.path.as_str(), rules::pragmas(&f.path, &f.src, cfg).0))
         .collect();
 
     let mut findings = Vec::new();
@@ -69,16 +69,15 @@ pub(crate) fn is_test_path(path: &str) -> bool {
         || path.starts_with("benches/")
 }
 
-/// Is the site at `line0` suppressed by a justified pragma for any of
-/// `rule_ids` in this file?
+/// Is the site at `line0` suppressed by a justified pragma for `rule` in
+/// this file?
 pub(crate) fn site_allowed(
     allows: &BTreeMap<&str, Vec<rules::Allow>>,
     path: &str,
     line0: usize,
-    rule_ids: &[&str],
+    rule: &str,
 ) -> bool {
-    allows.get(path).is_some_and(|list| {
-        list.iter()
-            .any(|a| rule_ids.iter().any(|r| a.covers(line0, r)))
-    })
+    allows
+        .get(path)
+        .is_some_and(|list| list.iter().any(|a| a.covers(line0, rule)))
 }

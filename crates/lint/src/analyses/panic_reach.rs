@@ -53,7 +53,7 @@ pub(crate) fn run(
             if site.token == "index" && !in_ingest {
                 continue;
             }
-            if site_allowed(allows, &node.file, site.line, &[PANIC_REACH.id]) {
+            if site_allowed(allows, &node.file, site.line, PANIC_REACH.id) {
                 continue;
             }
             let chain = graph.chain(&parents, id).join(" → ");

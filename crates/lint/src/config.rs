@@ -47,8 +47,6 @@ impl Severity {
 pub struct Config {
     /// Path prefixes (relative, `/`-separated) excluded from the walk.
     pub skip: Vec<String>,
-    /// Modules that render artifact text: sorted-iteration territory.
-    pub render_paths: Vec<String>,
     /// The timing layer: its wall-clock reads are not determinism taint.
     pub perf_exempt: Vec<String>,
     /// Ingest parsers: the only files where panic-reach counts slice
@@ -185,7 +183,6 @@ impl Config {
         }
         let target = match (section, key) {
             ("paths", "skip") => &mut self.skip,
-            ("paths", "render") => &mut self.render_paths,
             ("paths", "perf-exempt") => &mut self.perf_exempt,
             ("paths", "ingest") => &mut self.ingest_paths,
             ("paths", "blocking-allowed") => &mut self.blocking_allowed,
@@ -265,13 +262,16 @@ mod tests {
     #[test]
     fn parses_sections_arrays_and_severities() {
         let cfg = Config::parse(
-            "# header\n[paths]\nskip = [\"vendor\", \"target\"] # trailing\nrender = [\n  \"crates/core/src/report.rs\",\n  \"crates/experiments/src/atlas_exps.rs\",\n]\n\n[rules.hash-iter]\nseverity = \"warn\"\n",
+            "# header\n[paths]\nskip = [\"vendor\", \"target\"] # trailing\ningest = [\n  \"crates/atlas/src/records.rs\",\n  \"crates/cdn/src/dataset.rs\",\n]\n\n[rules.dead-pub]\nseverity = \"warn\"\n",
         )
         .expect("parses");
         assert_eq!(cfg.skip, vec!["vendor", "target"]);
-        assert_eq!(cfg.render_paths.len(), 2);
-        assert_eq!(cfg.severity_of("hash-iter", Severity::Deny), Severity::Warn);
-        assert_eq!(cfg.severity_of("dead-pub", Severity::Deny), Severity::Deny);
+        assert_eq!(cfg.ingest_paths.len(), 2);
+        assert_eq!(cfg.severity_of("dead-pub", Severity::Deny), Severity::Warn);
+        assert_eq!(
+            cfg.severity_of("panic-reach", Severity::Deny),
+            Severity::Deny
+        );
     }
 
     #[test]
@@ -341,6 +341,8 @@ mod tests {
     fn rejects_unknown_keys_with_line_numbers() {
         let err = Config::parse("[paths]\nbogus = []\n").expect_err("unknown key");
         assert!(err.contains("lint.toml:2"), "{err}");
+        // The retired hash-iter scope is gone, not silently ignored.
+        Config::parse("[paths]\nrender = []\n").expect_err("retired key");
         let err = Config::parse("[rules.x]\nseverity = \"fatal\"\n").expect_err("bad severity");
         assert!(err.contains("fatal"), "{err}");
     }

@@ -1,11 +1,11 @@
 //! Workspace walker and rule dispatcher.
 //!
-//! The engine walks every `.rs` file and every `Cargo.toml` under the
-//! workspace root (deterministically: directory entries are sorted, the
-//! configured skip list plus `target/` and dot-directories are pruned),
-//! scrubs each source file, runs the per-file rule set, then feeds the
-//! collected items into the interprocedural analyses (call-graph
-//! panic-reachability, determinism taint, dead-pub). Findings come back
+//! The engine walks every `.rs` file under the workspace root
+//! (deterministically: directory entries are sorted, the configured skip
+//! list plus `target/` and dot-directories are pruned), scrubs each file,
+//! checks its `lint:allow` pragmas, then feeds the collected items into
+//! the interprocedural analyses (call-graph panic-reachability,
+//! determinism taint, dead-pub, concurrency, lifecycle). Findings come back
 //! sorted by `(path, line, rule)` so output is stable across platforms
 //! and thread counts. [`lint_workspace_with_overrides`] lets tests
 //! replace individual file contents in memory — that is how the
@@ -19,7 +19,7 @@ use crate::rules::{self, Finding};
 use crate::scrub;
 use std::path::{Path, PathBuf};
 
-/// Walk `root` and lint the whole workspace: per-file rules plus the
+/// Walk `root` and lint the whole workspace: pragma hygiene plus the
 /// interprocedural analyses. Returns findings sorted by
 /// `(path, line, rule)`. I/O problems are reported as strings (path +
 /// error) rather than panics.
@@ -57,18 +57,14 @@ pub fn lint_workspace_with_overrides(
                 std::fs::read_to_string(&full).map_err(|e| format!("{}: {e}", full.display()))?
             }
         };
-        if rel.ends_with("Cargo.toml") {
-            findings.extend(rules::lint_manifest(rel, &content, cfg));
-        } else if rel.ends_with(".rs") {
-            let src = scrub::scrub(&content);
-            findings.extend(rules::lint_rust(rel, &src, cfg));
-            let collected = items::collect_items(&src);
-            sources.push(SourceFile {
-                path: rel.clone(),
-                src,
-                items: collected,
-            });
-        }
+        let src = scrub::scrub(&content);
+        findings.extend(rules::pragmas(rel, &src, cfg).1);
+        let collected = items::collect_items(&src);
+        sources.push(SourceFile {
+            path: rel.clone(),
+            src,
+            items: collected,
+        });
     }
     findings.extend(analyses::run(&sources, cfg)?);
     findings.sort_by(|a, b| {
@@ -85,7 +81,7 @@ pub fn deny_count(findings: &[Finding]) -> usize {
         .count()
 }
 
-/// Recursively collect lintable files as `/`-separated paths relative to
+/// Recursively collect `.rs` files as `/`-separated paths relative to
 /// `root`, pruning the skip list, `target/`, and dot-directories.
 fn collect_files(
     root: &Path,
@@ -117,9 +113,7 @@ fn collect_files(
                 continue;
             }
             collect_files(root, &path, cfg, out)?;
-        } else if (name.ends_with(".rs") || name == "Cargo.toml")
-            && !Config::path_in(&rel, &cfg.skip)
-        {
+        } else if name.ends_with(".rs") && !Config::path_in(&rel, &cfg.skip) {
             out.push(rel);
         }
     }
@@ -149,7 +143,7 @@ mod tests {
             path: "crates/a/src/f.rs".into(),
             line: 1,
             end_line: 1,
-            rule: "hash-iter".into(),
+            rule: "dead-pub".into(),
             severity,
             message: String::new(),
         };

@@ -5,25 +5,23 @@
 //! parallel engine is byte-identical to a single-threaded run because no
 //! artifact path reads wall-clock time, unseeded randomness, or
 //! unordered-map iteration order, and the whole workspace builds offline
-//! from vendored path dependencies. The per-line halves of those
-//! invariants are clippy lints (`clippy.toml` and the crate roots); this
-//! crate checks the rest: a comment/string/attribute-aware scrubber (no
-//! `syn` — the build is offline), three per-file rules clippy has no
-//! equivalent for, the call-graph passes in [`analyses`], per-rule
-//! severities and justified `// lint:allow(<rule>): why` suppression
-//! pragmas, and text/JSON/SARIF reporters for CI.
+//! from vendored path dependencies. The per-file halves of those
+//! invariants belong to cargo and clippy (the `[workspace.lints]` table,
+//! `clippy.toml` and the crate roots); this crate checks the
+//! whole-program rest: a comment/string/attribute-aware scrubber (no
+//! `syn` — the build is offline), the call-graph passes in [`analyses`],
+//! per-rule severities and justified `// lint:allow(<rule>): why`
+//! suppression pragmas, and text/JSON/SARIF reporters for CI.
 //!
 //! Which paths carry which invariants is declared in the checked-in
-//! `lint.toml` at the workspace root ([`config`]); the per-file rules
-//! live in [`rules`]. Run it as `dynamips lint` or the standalone
-//! `dynamips-lint` binary; exit codes are `0` (clean), `1` (at least one
-//! deny-severity finding), `2` (usage or configuration error).
+//! `lint.toml` at the workspace root ([`config`]); the rule catalogue and
+//! the pragma parser live in [`rules`]. Run it as `dynamips lint` or the
+//! standalone `dynamips-lint` binary; exit codes are `0` (clean), `1` (at
+//! least one deny-severity finding), `2` (usage or configuration error).
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
 // Panic-freedom: shipping code degrades instead of panicking (tests are
-// exempt via clippy.toml). Library code renders to strings instead of
-// printing, and every `#[allow]` states its reason.
+// exempt via clippy.toml), and library code renders to strings instead
+// of printing. The shared levels come from the workspace `[lints]` table.
 #![warn(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -32,9 +30,7 @@
     clippy::todo,
     clippy::unimplemented,
     clippy::print_stdout,
-    clippy::print_stderr,
-    clippy::dbg_macro,
-    clippy::allow_attributes_without_reason
+    clippy::print_stderr
 )]
 
 pub mod analyses;

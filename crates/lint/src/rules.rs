@@ -1,22 +1,21 @@
 //! The rule set: the invariants the workspace enforces mechanically that
-//! clippy cannot check.
+//! neither cargo nor clippy can check.
 //!
-//! The per-line guarantees (no wall clock or stray threads outside their
-//! layers, panic-freedom, no printing libraries, the exit-code contract,
-//! slice indexing in ingest parsers, SAFETY comments) are clippy lints
-//! configured in `clippy.toml` and on the crate roots. What stays here:
+//! The per-file guarantees belong to the toolchain: clippy lints set in
+//! `clippy.toml` and on the crate roots (no wall clock or stray threads
+//! outside their layers, panic-freedom, no printing libraries, the
+//! exit-code contract, slice indexing in ingest parsers, SAFETY comments,
+//! no unordered maps in the artifact-rendering modules), the workspace
+//! `[lints]` table (`unsafe_code`, `missing_docs`), and cargo's offline,
+//! locked dependency resolution. What stays here are the whole-program
+//! rules of [`crate::analyses`], which need the call graph, plus two meta
+//! rules: pragma hygiene ([`BARE_ALLOW`]) and the baseline ratchet
+//! ([`STALE_BASELINE`]).
 //!
-//! * PR 2 made the parallel engine byte-identical to `--threads 1`
-//!   because no artifact path iterates an unordered map → [`HASH_ITER`],
-//!   plus the call-graph passes in [`crate::analyses`].
-//! * The build is offline and `unsafe`-free by policy → [`OFFLINE_DEPS`],
-//!   [`CRATE_ROOT`].
-//!
-//! Rules operate on the scrubbed code view (comments and literal bodies
-//! blanked), so banned tokens inside strings, doc examples, or comments
-//! never fire. Findings are suppressed line-by-line with
+//! Findings are suppressed line-by-line with
 //! `// lint:allow(<rule>): <justification>` pragmas; a pragma without a
-//! justification is itself a finding ([`BARE_ALLOW`]).
+//! justification, or naming a rule that does not exist (retired ones
+//! included), is itself a finding.
 
 use crate::config::{Config, Severity};
 use crate::scrub::ScrubbedSource;
@@ -35,37 +34,6 @@ pub struct Rule {
     /// A representative finding message, for `--explain`.
     pub example: &'static str,
 }
-
-/// Determinism: render paths must not touch unordered maps at all.
-pub const HASH_ITER: Rule = Rule {
-    id: "hash-iter",
-    default_severity: Severity::Deny,
-    summary: "HashMap/HashSet in a render path (iteration order leaks into artifacts)",
-    rationale: "Render paths write artifact bytes; HashMap iteration order is randomized per \
-                process, so any map walk in a renderer flips artifact diffs.",
-    example:
-        "crates/core/src/report.rs:107: HashMap in a render path; use BTreeMap/sorted collections",
-};
-
-/// Hygiene: every crate root forbids unsafe code and warns on missing docs.
-pub const CRATE_ROOT: Rule = Rule {
-    id: "crate-root",
-    default_severity: Severity::Deny,
-    summary: "crate root missing #![deny(unsafe_code)] or #![warn(missing_docs)]",
-    rationale: "Unsafe is opt-in per audited module, never ambient; the crate-root attributes \
-                are the switch that keeps it that way, so their absence is itself a finding.",
-    example: "crates/core/src/lib.rs:1: crate root missing #![deny(unsafe_code)]",
-};
-
-/// Hygiene: dependencies resolve offline (workspace or vendor paths only).
-pub const OFFLINE_DEPS: Rule = Rule {
-    id: "offline-deps",
-    default_severity: Severity::Deny,
-    summary: "Cargo.toml dependency that is not a workspace/path dependency",
-    rationale: "The build runs with no network; a registry or git dependency would pass locally \
-                and break the offline CI environment.",
-    example: "crates/core/Cargo.toml:14: dependency \"serde\" does not resolve offline (needs workspace/path)",
-};
 
 /// Meta: `lint:allow` pragmas must carry a justification.
 pub const BARE_ALLOW: Rule = Rule {
@@ -217,10 +185,7 @@ pub const DROP_ORDER: Rule = Rule {
 };
 
 /// Every rule, for docs, pragma validation, and `--list-rules` output.
-pub const ALL_RULES: [Rule; 16] = [
-    HASH_ITER,
-    CRATE_ROOT,
-    OFFLINE_DEPS,
+pub const ALL_RULES: [Rule; 13] = [
     BARE_ALLOW,
     PANIC_REACH,
     DETERMINISM_TAINT,
@@ -276,47 +241,6 @@ pub struct Finding {
     pub message: String,
 }
 
-/// Is the character an identifier constituent?
-fn is_ident(c: u8) -> bool {
-    c.is_ascii_alphanumeric() || c == b'_'
-}
-
-/// Word-boundary occurrences of the identifier `word` in `line`: the
-/// characters on either side must not extend it (`MyHashMap` and
-/// `HashMapper` are not `HashMap`).
-fn word_hits(line: &str, word: &str) -> usize {
-    let bytes = line.as_bytes();
-    line.match_indices(word)
-        .filter(|&(at, _)| {
-            let before = at.checked_sub(1).and_then(|i| bytes.get(i));
-            let after = bytes.get(at + word.len());
-            !before.is_some_and(|&b| is_ident(b)) && !after.is_some_and(|&b| is_ident(b))
-        })
-        .count()
-}
-
-/// The path-derived scopes a file falls into.
-struct FileScope {
-    test_path: bool,
-    render: bool,
-    crate_root: bool,
-}
-
-impl FileScope {
-    fn classify(path: &str, cfg: &Config) -> FileScope {
-        let test_path = path.contains("/tests/")
-            || path.contains("/benches/")
-            || path.contains("/examples/")
-            || path.starts_with("tests/")
-            || path.starts_with("examples/");
-        FileScope {
-            test_path,
-            render: Config::path_in(path, &cfg.render_paths),
-            crate_root: path.ends_with("src/lib.rs"),
-        }
-    }
-}
-
 /// A `lint:allow` pragma, resolved to the line it suppresses.
 pub(crate) struct Allow {
     /// 0-based line whose findings are suppressed.
@@ -331,73 +255,55 @@ impl Allow {
     }
 }
 
-/// Extract the justified `lint:allow` pragmas of a file without emitting
-/// pragma-hygiene findings (those were already reported by the per-file
-/// pass); used by the interprocedural analyses for site suppression.
-pub(crate) fn file_allows(path: &str, src: &ScrubbedSource, cfg: &Config) -> Vec<Allow> {
-    let mut sink = Vec::new();
-    let code_lines = src.code_lines();
-    let mut allows = collect_allows(path, src, &code_lines, &mut sink, cfg);
-    // Findings emitted into `sink` mark malformed pragmas; those never
-    // suppress anything, and collect_allows already excluded them.
-    allows.sort_by_key(|a| a.target_line);
-    allows
-}
-
-/// Extract `lint:allow` pragmas and their own findings (missing
-/// justification, unknown rule ids).
-fn collect_allows(
+/// Parse the `lint:allow` pragmas of one file: the justified ones, sorted
+/// by the line they cover, plus a [`BARE_ALLOW`] finding for each pragma
+/// that is malformed, unjustified or names an unknown rule. Those never
+/// suppress anything.
+pub(crate) fn pragmas(
     path: &str,
     src: &ScrubbedSource,
-    code_lines: &[&str],
-    findings: &mut Vec<Finding>,
     cfg: &Config,
-) -> Vec<Allow> {
+) -> (Vec<Allow>, Vec<Finding>) {
+    let code_lines = src.code_lines();
     let mut allows = Vec::new();
+    let mut findings = Vec::new();
     let bare_sev = cfg.severity_of(BARE_ALLOW.id, BARE_ALLOW.default_severity);
+    let mut bad = |line0: usize, message: String| {
+        if bare_sev != Severity::Allow {
+            findings.push(Finding {
+                path: path.to_string(),
+                line: line0 + 1,
+                end_line: line0 + 1,
+                rule: BARE_ALLOW.id.to_string(),
+                severity: bare_sev,
+                message,
+            });
+        }
+    };
     for c in &src.comments {
         // A pragma must *lead* the comment ( `// lint:allow(…): why` );
         // prose that merely mentions lint:allow mid-sentence is not one.
-        if !c.text.trim_start().starts_with("lint:allow(") {
-            continue;
-        }
-        let Some(open) = c.text.find("lint:allow(") else {
+        let Some(after) = c.text.trim_start().strip_prefix("lint:allow(") else {
             continue;
         };
-        let after = &c.text[open + "lint:allow(".len()..];
         let Some(close) = after.find(')') else {
-            if bare_sev != Severity::Allow {
-                findings.push(Finding {
-                    path: path.to_string(),
-                    line: c.line + 1,
-                    end_line: c.line + 1,
-                    rule: BARE_ALLOW.id.to_string(),
-                    severity: bare_sev,
-                    message: "malformed lint:allow pragma (unclosed rule list)".to_string(),
-                });
-            }
+            bad(
+                c.line,
+                "malformed lint:allow pragma (unclosed rule list)".to_string(),
+            );
             continue;
         };
         let mut rules = Vec::new();
-        for raw in after[..close].split(',') {
-            let id = raw.trim();
-            if id.is_empty() {
-                continue;
+        for id in after[..close]
+            .split(',')
+            .map(str::trim)
+            .filter(|id| !id.is_empty())
+        {
+            if rule_by_id(id).is_some() {
+                rules.push(id.to_string());
+            } else {
+                bad(c.line, format!("lint:allow names unknown rule {id:?}"));
             }
-            if rule_by_id(id).is_none() {
-                if bare_sev != Severity::Allow {
-                    findings.push(Finding {
-                        path: path.to_string(),
-                        line: c.line + 1,
-                        end_line: c.line + 1,
-                        rule: BARE_ALLOW.id.to_string(),
-                        severity: bare_sev,
-                        message: format!("lint:allow names unknown rule {id:?}"),
-                    });
-                }
-                continue;
-            }
-            rules.push(id.to_string());
         }
         // A justification is required: non-empty text after the `)`,
         // introduced by `:`, `-`, or an em dash.
@@ -406,16 +312,10 @@ fn collect_allows(
             .trim_start_matches([':', '-', '—'])
             .trim();
         if tail.is_empty() {
-            if bare_sev != Severity::Allow {
-                findings.push(Finding {
-                    path: path.to_string(),
-                    line: c.line + 1,
-                    end_line: c.line + 1,
-                    rule: BARE_ALLOW.id.to_string(),
-                    severity: bare_sev,
-                    message: "lint:allow pragma without a justification".to_string(),
-                });
-            }
+            bad(
+                c.line,
+                "lint:allow pragma without a justification".to_string(),
+            );
             continue;
         }
         // Trailing pragma covers its own line; a standalone pragma covers
@@ -431,126 +331,8 @@ fn collect_allows(
         };
         allows.push(Allow { target_line, rules });
     }
-    allows
-}
-
-/// Lint one Rust source file (already scrubbed by the caller's engine).
-pub fn lint_rust(path: &str, src: &ScrubbedSource, cfg: &Config) -> Vec<Finding> {
-    let code_lines = src.code_lines();
-    let mut findings: Vec<Finding> = Vec::new();
-    let scope = FileScope::classify(path, cfg);
-    let allows = collect_allows(path, src, &code_lines, &mut findings, cfg);
-
-    let mut push = |rule: &Rule, line0: usize, message: String| {
-        let sev = cfg.severity_of(rule.id, rule.default_severity);
-        if sev == Severity::Allow {
-            return;
-        }
-        if allows
-            .iter()
-            .any(|a| a.target_line == line0 && a.rules.iter().any(|r| r == rule.id))
-        {
-            return;
-        }
-        findings.push(Finding {
-            path: path.to_string(),
-            line: line0 + 1,
-            end_line: line0 + 1,
-            rule: rule.id.to_string(),
-            severity: sev,
-            message,
-        });
-    };
-
-    for (line0, line) in code_lines.iter().enumerate() {
-        // Determinism: unordered maps in render paths (non-test code).
-        if scope.render && !scope.test_path && !src.is_test_line(line0) {
-            for needle in ["HashMap", "HashSet"] {
-                for _ in 0..word_hits(line, needle) {
-                    push(
-                        &HASH_ITER,
-                        line0,
-                        format!("{needle} in a render path; use BTreeMap/sorted collections"),
-                    );
-                }
-            }
-        }
-    }
-
-    // Crate-root hygiene: one finding per missing attribute.
-    if scope.crate_root {
-        let normalized: String = src.code.chars().filter(|c| !c.is_whitespace()).collect();
-        // `forbid` is the same lint at a stricter level (it cannot be
-        // overridden per item), so it satisfies the contract too.
-        if !normalized.contains("#![deny(unsafe_code)]")
-            && !normalized.contains("#![forbid(unsafe_code)]")
-        {
-            push(
-                &CRATE_ROOT,
-                0,
-                "crate root missing #![deny(unsafe_code)]".to_string(),
-            );
-        }
-        if !normalized.contains("#![warn(missing_docs") {
-            push(
-                &CRATE_ROOT,
-                0,
-                "crate root missing #![warn(missing_docs)]".to_string(),
-            );
-        }
-    }
-
-    findings
-}
-
-/// Lint a `Cargo.toml`: every dependency in any `*dependencies*` section
-/// must resolve offline — a workspace reference or an explicit `path`.
-pub fn lint_manifest(path: &str, text: &str, cfg: &Config) -> Vec<Finding> {
-    let sev = cfg.severity_of(OFFLINE_DEPS.id, OFFLINE_DEPS.default_severity);
-    if sev == Severity::Allow {
-        return Vec::new();
-    }
-    let mut findings = Vec::new();
-    let mut in_dep_section = false;
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            in_dep_section = name.trim().trim_matches('"').contains("dependencies");
-            continue;
-        }
-        if !in_dep_section {
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            continue;
-        };
-        let key = key.trim();
-        let value = value.trim();
-        // `foo.workspace = true` and `foo = { workspace = true }` and
-        // `foo = { path = "…" }` are offline; a bare version string or a
-        // git/registry table is not.
-        let offline = key.ends_with(".workspace")
-            || value.contains("workspace = true")
-            || value.contains("path =")
-            || value.contains("path=");
-        let looks_like_dep = value.starts_with('"') || value.starts_with('{');
-        if looks_like_dep && !offline {
-            findings.push(Finding {
-                path: path.to_string(),
-                line: idx + 1,
-                end_line: idx + 1,
-                rule: OFFLINE_DEPS.id.to_string(),
-                severity: sev,
-                message: format!(
-                    "dependency {key:?} does not resolve offline (needs workspace/path)"
-                ),
-            });
-        }
-    }
-    findings
+    allows.sort_by_key(|a| a.target_line);
+    (allows, findings)
 }
 
 #[cfg(test)]
@@ -558,89 +340,64 @@ mod tests {
     use super::*;
     use crate::scrub::scrub;
 
-    const RENDER: &str = "crates/x/src/render.rs";
-
-    fn cfg() -> Config {
-        Config::parse("[paths]\nrender = [\"crates/x/src/render.rs\"]\n").expect("config")
-    }
-
-    fn run(path: &str, src: &str) -> Vec<Finding> {
-        lint_rust(path, &scrub(src), &cfg())
+    fn run(src: &str, cfg: &Config) -> (Vec<Allow>, Vec<Finding>) {
+        pragmas("crates/x/src/a.rs", &scrub(src), cfg)
     }
 
     #[test]
-    fn hash_maps_banned_only_in_render_paths() {
-        let src = "use std::collections::HashMap;\n";
-        assert_eq!(run(RENDER, src).len(), 1);
-        assert!(run("crates/x/src/a.rs", src).is_empty());
-        // Word boundaries: neither name is the banned token.
-        assert!(run(RENDER, "struct MyHashMap;\nstruct HashMapper;\n").is_empty());
+    fn justified_pragmas_cover_their_target_line() {
+        let cfg = Config::default();
+        let src = "// lint:allow(panic-reach): checked above\n\nlet a = 1;\nlet b = 2; // lint:allow(dead-pub, drop-order): fine here\n";
+        let (allows, findings) = run(src, &cfg);
+        assert!(findings.is_empty(), "{findings:?}");
+        assert_eq!(allows.len(), 2);
+        // Standalone: the next line carrying code, past the blank one.
+        assert!(allows[0].covers(2, "panic-reach"));
+        assert!(!allows[0].covers(2, "dead-pub"));
+        // Trailing: its own line, every rule it names.
+        assert!(allows[1].covers(3, "dead-pub") && allows[1].covers(3, "drop-order"));
     }
 
     #[test]
-    fn banned_tokens_in_strings_and_comments_do_not_fire() {
-        let src = "// HashMap is banned here\nfn f() -> &'static str { \"HashSet\" }\n";
-        assert!(run(RENDER, src).is_empty());
-    }
-
-    #[test]
-    fn cfg_test_code_is_exempt() {
-        let src =
-            "fn live() {}\n#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}\n";
-        assert!(run(RENDER, src).is_empty());
-    }
-
-    #[test]
-    fn pragma_suppresses_with_justification_only() {
-        let ok = "// lint:allow(hash-iter): keyed lookups only, never iterated\nuse std::collections::HashMap;\n";
-        assert!(run(RENDER, ok).is_empty());
-        let trailing = "use std::collections::HashMap; // lint:allow(hash-iter): fine here\n";
-        assert!(run(RENDER, trailing).is_empty());
-        let bare = "// lint:allow(hash-iter)\nuse std::collections::HashMap;\n";
-        let hits = run(RENDER, bare);
+    fn bare_and_unknown_pragmas_suppress_nothing() {
+        let cfg = Config::default();
+        let (allows, findings) = run("// lint:allow(panic-reach)\nx.unwrap();\n", &cfg);
+        assert!(allows.is_empty());
+        assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(
-            hits.len(),
-            2,
-            "bare pragma + unsuppressed finding: {hits:?}"
+            findings[0].message,
+            "lint:allow pragma without a justification"
         );
-        assert!(hits.iter().any(|f| f.rule == "bare-allow"));
-        // Unknown ids, including rules retired to clippy, suppress nothing.
-        for id in ["no-such-rule", "panic-path"] {
-            let unknown = format!("// lint:allow({id}): because\nfn f() {{}}\n");
-            let hits = run("crates/x/src/a.rs", &unknown);
-            assert_eq!(hits.len(), 1, "{id}: {hits:?}");
-            assert_eq!(hits[0].rule, "bare-allow");
+        // Unknown ids, including rules retired to clippy and cargo, are
+        // findings; the pragma covers only the known ids it names.
+        for id in [
+            "no-such-rule",
+            "panic-path",
+            "hash-iter",
+            "crate-root",
+            "offline-deps",
+        ] {
+            let (allows, findings) = run(
+                &format!("// lint:allow({id}): because\nfn f() {{}}\n"),
+                &cfg,
+            );
+            assert!(allows.iter().all(|a| a.rules.is_empty()), "{id}");
+            assert_eq!(findings.len(), 1, "{id}: {findings:?}");
+            assert_eq!(findings[0].rule, "bare-allow");
+            assert_eq!(findings[0].line, 1);
         }
-    }
-
-    #[test]
-    fn crate_root_requires_hygiene_attrs() {
-        let hits = run("crates/x/src/lib.rs", "//! docs\n#![warn(missing_docs)]\n");
-        assert_eq!(hits.len(), 1);
-        assert!(hits[0].message.contains("unsafe_code"));
-        let clean = "//! docs\n#![warn(missing_docs)]\n#![deny(unsafe_code)]\n";
-        assert!(run("crates/x/src/lib.rs", clean).is_empty());
-    }
-
-    #[test]
-    fn manifest_rule_flags_registry_and_git_deps() {
-        let cfg = cfg();
-        let bad = "[dependencies]\nserde = \"1.0\"\nrayon = { version = \"1.8\" }\nok = { path = \"vendor/ok\" }\nws.workspace = true\n";
-        let hits = lint_manifest("Cargo.toml", bad, &cfg);
-        assert_eq!(hits.len(), 2, "{hits:?}");
-        assert!(hits.iter().all(|f| f.rule == "offline-deps"));
-        let good = "[package]\nname = \"x\"\nversion = \"0.1.0\"\n[dependencies]\na = { path = \"../a\" }\nb.workspace = true\n[dev-dependencies]\nc = { workspace = true, features = [\"f\"] }\n";
-        assert!(lint_manifest("Cargo.toml", good, &cfg).is_empty());
+        // Prose mentioning the syntax mid-comment is not a pragma.
+        let (allows, findings) = run("// see lint:allow(x) in the docs\n", &cfg);
+        assert!(allows.is_empty() && findings.is_empty());
     }
 
     #[test]
     fn severity_override_to_warn_and_allow() {
-        let mut c = cfg();
-        let src = scrub("use std::collections::HashMap;\n");
-        c.severity.insert("hash-iter".into(), Severity::Warn);
-        let hits = lint_rust(RENDER, &src, &c);
-        assert_eq!(hits[0].severity, Severity::Warn);
-        c.severity.insert("hash-iter".into(), Severity::Allow);
-        assert!(lint_rust(RENDER, &src, &c).is_empty());
+        let mut cfg = Config::default();
+        let src = "// lint:allow(no-such-rule): because\n";
+        cfg.severity.insert("bare-allow".into(), Severity::Warn);
+        assert_eq!(run(src, &cfg).1[0].severity, Severity::Warn);
+        cfg.severity.insert("bare-allow".into(), Severity::Allow);
+        assert!(run(src, &cfg).1.is_empty());
     }
 }

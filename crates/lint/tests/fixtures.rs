@@ -44,18 +44,15 @@ fn fixture_corpus_trips_every_rule() {
         *by_rule.entry(f.rule.as_str()).or_default() += 1;
     }
     let expected: &[(&str, usize)] = &[
-        ("bare-allow", 2),
+        ("bare-allow", 3),
         ("blocking-in-reactor", 1),
         ("condvar-wait-loop", 1),
-        ("crate-root", 2),
         ("dead-pub", 1),
         ("determinism-taint", 1),
         ("drop-order", 2),
         ("gauge-balance", 1),
-        ("hash-iter", 2),
         ("lock-across-blocking", 1),
         ("lock-order", 1),
-        ("offline-deps", 2),
         ("panic-reach", 1),
         ("resource-leak", 2),
         ("stale-baseline", 1),
@@ -123,7 +120,12 @@ fn fixture_chains_are_reported() {
 #[test]
 fn clean_fixtures_stay_clean() {
     let findings = lint_fixtures();
-    for clean in ["src/main.rs", "src/suppressed.rs", "src/tricky.rs"] {
+    for clean in [
+        "src/lib.rs",
+        "src/main.rs",
+        "src/suppressed.rs",
+        "src/tricky.rs",
+    ] {
         let hits: Vec<&Finding> = findings.iter().filter(|f| f.path == clean).collect();
         assert!(hits.is_empty(), "{clean} should be clean: {hits:#?}");
     }
@@ -132,8 +134,8 @@ fn clean_fixtures_stay_clean() {
 /// The meta-test: the workspace itself, under the checked-in `lint.toml`
 /// and `lint-baseline.json` ratchet, has zero deny-severity findings —
 /// exactly what CI enforces. Any regression — a panic reachable from
-/// main, a wall-clock read behind a renderer, a registry dependency, a
-/// finding beyond the baselined debt — fails this test.
+/// main, a wall-clock read behind a renderer, a finding beyond the
+/// baselined debt — fails this test.
 #[test]
 fn workspace_is_lint_clean() {
     let root = workspace_root();

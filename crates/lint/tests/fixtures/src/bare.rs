@@ -1,6 +1,6 @@
-//! Fixture: pragma misuse. A pragma without a justification and one
-//! naming an unknown rule are themselves findings, and neither suppresses
-//! anything. Expected: bare-allow x2.
+//! Fixture: pragma misuse. A pragma without a justification, one naming
+//! an unknown rule and one naming a retired rule are themselves findings,
+//! and none suppresses anything. Expected: bare-allow x3.
 
 pub fn f(o: Option<u32>) -> u32 {
     // lint:allow(panic-reach)
@@ -9,3 +9,6 @@ pub fn f(o: Option<u32>) -> u32 {
 
 // lint:allow(not-a-rule): the rule id does not exist
 pub fn g() {}
+
+// lint:allow(hash-iter): retired to clippy's disallowed_types
+pub fn h() {}

@@ -1,5 +1,6 @@
-//! Fixture: a crate root missing both hygiene attributes.
-//! Expected: crate-root x2 (line 1).
+//! Fixture: a crate root without `unsafe_code` or `missing_docs`
+//! attributes, which the workspace `[lints]` table now supplies.
+//! Expected: clean.
 
 pub fn greet() -> String {
     "hi".to_string()

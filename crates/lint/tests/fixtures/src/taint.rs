@@ -1,11 +1,18 @@
 //! Fixture: transitive nondeterminism. `render_table` is declared an
 //! artifact sink in lint.toml; the wall-clock read two calls down taints
 //! it (render_table → helper_mid → helper_src). The per-file scan has
-//! nothing to say about this file.
+//! nothing to say about this file. The second sink, `render_lookup`,
+//! reaches the pragma-waived maps in src/suppressed.rs and the
+//! look-alikes in src/tricky.rs, none of which is a finding.
 //! Expected: determinism-taint x1.
 
 pub fn render_table() -> String {
     helper_mid()
+}
+
+pub fn render_lookup() -> String {
+    format!("{:?} {} {} {}", lookup(7), distinct(&[7]), describe(), raw())
+        + &lookalikes(None).0.to_string()
 }
 
 fn helper_mid() -> String {

@@ -1,5 +1,6 @@
-//! Fixture: look-alikes that must NOT fire (false-positive guards). This
-//! file is in the render scope, where `HashMap` is banned in code.
+//! Fixture: look-alikes that must NOT fire (false-positive guards). The
+//! sink `render_lookup` in src/taint.rs reaches this file, where a
+//! `HashMap` mention in code would be hash-order taint.
 //! Expected: clean.
 
 /// Banned tokens inside strings are data, not code.

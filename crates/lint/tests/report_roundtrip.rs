@@ -61,7 +61,7 @@ fn roundtrip_survives_awkward_paths_and_messages() {
         finding(
             "crates\\win\\style.rs",
             7,
-            "hash-iter",
+            "determinism-taint",
             Severity::Warn,
             "back\\slash, a\nnewline, and a\ttab",
         ),
@@ -115,9 +115,9 @@ fn golden_file_pins_the_v2_document() {
         finding(
             "crates/atlas/src/records.rs",
             8,
-            "hash-iter",
+            "determinism-taint",
             Severity::Warn,
-            "iteration over a HashMap in a rendering path",
+            "HashMap (hash-order) reachable from artifact renderer: table1 → load",
         ),
     ];
     // The first finding spans a region (v2's end_line), the second is a

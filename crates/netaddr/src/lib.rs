@@ -21,16 +21,9 @@
 //! Everything here is deterministic and allocation-light; the only heap use
 //! is inside the tries.
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
-// Library code renders to strings instead of printing, and every
-// `#[allow]` states its reason.
-#![warn(
-    clippy::print_stdout,
-    clippy::print_stderr,
-    clippy::dbg_macro,
-    clippy::allow_attributes_without_reason
-)]
+// Library code renders to strings instead of printing. The shared levels
+// come from the workspace `[lints]` table.
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod cpl;
 pub mod error;

@@ -30,16 +30,9 @@
 //! * [`world`] — assembly of many ISPs into one synthetic Internet with BGP
 //!   announcements and RIR delegations.
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
-// Library code renders to strings instead of printing, and every
-// `#[allow]` states its reason.
-#![warn(
-    clippy::print_stdout,
-    clippy::print_stderr,
-    clippy::dbg_macro,
-    clippy::allow_attributes_without_reason
-)]
+// Library code renders to strings instead of printing. The shared levels
+// come from the workspace `[lints]` table.
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub(crate) mod alloc;
 pub mod churn;

@@ -1,8 +1,8 @@
-//! `dynamips-serve`: the offline-deps HTTP serving layer over the
-//! DynamIPs analysis engine.
+//! `dynamips-serve`: the HTTP serving layer over the DynamIPs analysis
+//! engine.
 //!
-//! The crate is std-only by policy (the workspace `offline-deps` lint
-//! rule bans registry dependencies), so the whole stack — HTTP framing,
+//! The crate is std-only by policy (the build is offline, and ci rejects
+//! any registry or git dependency), so the whole stack — HTTP framing,
 //! event loop, worker pool, metrics, LRU, client, load generator — is
 //! built on `std::net` + `std::thread` + four `epoll` FFI calls:
 //!
@@ -54,11 +54,9 @@
 //! `#[allow(clippy::disallowed_methods)]`); nothing here feeds artifact
 //! bytes, which stay deterministic.
 
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
 // Panic-freedom: shipping code degrades instead of panicking (tests are
-// exempt via clippy.toml). Library code renders to strings instead of
-// printing, and every `#[allow]` states its reason.
+// exempt via clippy.toml), and library code renders to strings instead
+// of printing. The shared levels come from the workspace `[lints]` table.
 // Every `unsafe` block carries a `// SAFETY:` comment.
 #![warn(
     clippy::unwrap_used,
@@ -69,8 +67,6 @@
     clippy::unimplemented,
     clippy::print_stdout,
     clippy::print_stderr,
-    clippy::dbg_macro,
-    clippy::allow_attributes_without_reason,
     clippy::undocumented_unsafe_blocks
 )]
 

@@ -18,11 +18,12 @@
 //! ([`crate::client::Connection`]), which is what makes
 //! thousands of concurrent connections practical.
 //!
-//! Per-request latencies are pooled and summarized as nearest-rank
-//! percentiles; the report serializes into the workspace's
-//! `dynamips-bench-v1` schema (`BENCH_serve.json`) so the serving path
-//! joins the perf trajectory, and `bench-check --baseline` can hold the
-//! percentiles to a checked-in bound.
+//! Per-request latencies are pooled and summarized as linearly
+//! interpolated percentiles ([`dynamips_core::stats::quantile`], the
+//! workspace's one quantile definition); the report serializes into the
+//! workspace's `dynamips-bench-v1` schema (`BENCH_serve.json`) so the
+//! serving path joins the perf trajectory, and `bench-check --baseline`
+//! can hold the percentiles to a checked-in bound.
 //!
 //! Accounting is single-path by construction: every request produces
 //! exactly one [`Sample`], and `summarize` derives `completed`,
@@ -36,6 +37,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dynamips_core::perf::{PerfEntry, PerfRecord};
+use dynamips_core::stats::quantile;
 
 use crate::client::{self, Connection, JitterSource};
 
@@ -98,7 +100,7 @@ pub struct LoadtestReport {
     pub body_bytes: u64,
     /// Wall-clock duration of the whole run, milliseconds.
     pub total_ms: f64,
-    /// Nearest-rank latency percentiles, milliseconds. Open loop
+    /// Median latency, milliseconds (linearly interpolated). Open loop
     /// measures scheduled-start → response; closed loop send → response.
     pub p50_ms: f64,
     /// 90th percentile latency, milliseconds.
@@ -333,11 +335,10 @@ fn summarize(
         body_bytes += s.body_bytes;
         latencies.push(s.latency_ms);
     }
-    // total_cmp gives a total order over floats: a NaN latency (from a
-    // poisoned timer or future arithmetic) sorts to the end instead of
-    // silently scrambling the whole ordering like partial_cmp-with-a-
-    // fallback did.
-    latencies.sort_by(f64::total_cmp);
+    // `quantile` sorts by total_cmp: a NaN latency (from a poisoned timer
+    // or future arithmetic) sorts to the tail instead of scrambling the
+    // order of the finite ones.
+    let pct = |q| quantile(&latencies, q).unwrap_or(0.0);
     let completed = ok_2xx + non_2xx;
     let accounting_ok = cfg.requests == ok_2xx + non_2xx + transport_errors;
     let throughput_rps = if total_ms > 0.0 {
@@ -361,21 +362,12 @@ fn summarize(
         late_sends,
         body_bytes,
         total_ms,
-        p50_ms: percentile(&latencies, 0.50),
-        p90_ms: percentile(&latencies, 0.90),
-        p99_ms: percentile(&latencies, 0.99),
-        max_ms: latencies.last().copied().unwrap_or(0.0),
+        p50_ms: pct(0.50),
+        p90_ms: pct(0.90),
+        p99_ms: pct(0.99),
+        max_ms: pct(1.0),
         throughput_rps,
     }
-}
-
-/// Nearest-rank percentile of an ascending-sorted slice.
-fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted_ms.len() as f64).ceil() as usize).clamp(1, sorted_ms.len());
-    sorted_ms.get(rank - 1).copied().unwrap_or(0.0)
 }
 
 impl LoadtestReport {
@@ -486,16 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_use_nearest_rank() {
-        let v: Vec<f64> = (1..=100).map(|n| n as f64).collect();
-        assert_eq!(percentile(&v, 0.50), 50.0);
-        assert_eq!(percentile(&v, 0.90), 90.0);
-        assert_eq!(percentile(&v, 0.99), 99.0);
-        assert_eq!(percentile(&[5.0], 0.99), 5.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
-    }
-
-    #[test]
     fn summarize_counts_statuses_and_errors() {
         let cfg = closed_cfg(2, 4);
         let samples = vec![
@@ -591,14 +573,12 @@ mod tests {
         // old sort scrambled its neighbors.
         samples.swap(2, 6);
         let report = summarize(&cfg, samples, 10.0, 0);
-        // Finite ranks stay exact: the NaN sorts to the very end.
-        assert_eq!(report.p50_ms, 5.0, "nearest-rank 5 of 10");
-        assert_eq!(
-            report.p90_ms, 9.0,
-            "nearest-rank 9 of 10 is the largest finite"
-        );
+        // Finite ranks stay exact: the NaN sorts to the very end, so the
+        // median lies halfway between order statistics 5 and 6, and only
+        // the last gap (9 to NaN), where p90 and p99 fall, is poisoned.
+        assert_eq!(report.p50_ms, 5.5);
         assert!(
-            report.p99_ms.is_nan(),
+            report.p90_ms.is_nan() && report.p99_ms.is_nan(),
             "NaN is surfaced at the tail, not hidden"
         );
         assert!(report.max_ms.is_nan());
