@@ -188,16 +188,23 @@ impl<'w> AtlasCollector<'w> {
 }
 
 /// Replace measurements at odd hours with the donor's, producing the
-/// A-B-A-B pattern of a multihomed deployment.
+/// A-B-A-B pattern of a multihomed deployment. Both series are in time
+/// order (a timeline's segments are ordered and disjoint), so one forward
+/// walk over the donor finds each hour's records; where the donor has
+/// several at one hour, the last wins.
 fn splice_alternating<T: Copy>(own: &mut [T], donor: &[T], time: impl Fn(&T) -> SimTime) {
-    let donor_by_hour: std::collections::HashMap<u64, T> =
-        donor.iter().map(|r| (time(r).hours(), *r)).collect();
+    let mut next = 0;
     for r in own.iter_mut() {
         let h = time(r).hours();
-        if h % 2 == 1 {
-            if let Some(d) = donor_by_hour.get(&h) {
-                *r = *d;
-            }
+        if h.is_multiple_of(2) {
+            continue;
+        }
+        while donor.get(next).is_some_and(|d| time(d).hours() < h) {
+            next += 1;
+        }
+        let same_hour = donor.iter().skip(next).take_while(|d| time(d).hours() == h);
+        if let Some(d) = same_hour.last() {
+            *r = *d;
         }
     }
 }
@@ -359,6 +366,45 @@ mod tests {
         let collector = AtlasCollector::new(&world, window(), cfg);
         for p in collector.collect_all() {
             assert!(p.observed_hours() < 30 * 24, "{}", p.observed_hours());
+        }
+    }
+
+    /// [`splice_alternating`] as it was: a map from hour to the donor's
+    /// last record at that hour. The reference oracle for the walk.
+    fn splice_by_map<T: Copy>(own: &mut [T], donor: &[T], time: impl Fn(&T) -> SimTime) {
+        let donor_by_hour: std::collections::HashMap<u64, T> =
+            donor.iter().map(|r| (time(r).hours(), *r)).collect();
+        for r in own.iter_mut() {
+            let h = time(r).hours();
+            if h % 2 == 1 {
+                if let Some(d) = donor_by_hour.get(&h) {
+                    *r = *d;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn splice_walk_matches_map_reference() {
+        let mut rng = derive_rng(26, 1);
+        // Time-ordered (hour, tag) records with gaps and, now and then,
+        // repeated hours; the tag tells whose record ended up where.
+        let mut ordered = |tag: u32| -> Vec<(SimTime, u32)> {
+            let mut h = rng.gen_range(0..20u64);
+            let mut out = Vec::new();
+            for i in 0..rng.gen_range(0..300u32) {
+                out.push((SimTime(h), tag + i));
+                h += [0, 1, 1, 1, 2, 5][rng.gen_range(0..6)];
+            }
+            out
+        };
+        for _ in 0..300 {
+            let donor = ordered(1_000_000);
+            let mut got = ordered(0);
+            let mut want = got.clone();
+            splice_alternating(&mut got, &donor, |r| r.0);
+            splice_by_map(&mut want, &donor, |r| r.0);
+            assert_eq!(got, want);
         }
     }
 

@@ -2,7 +2,7 @@
 
 use crate::records::{EchoV4, EchoV6};
 use dynamips_netsim::time::Window;
-use dynamips_netsim::SubscriberTimeline;
+use dynamips_netsim::{SimTime, SubscriberTimeline};
 use dynamips_routing::Asn;
 use rand::Rng;
 use std::net::Ipv4Addr;
@@ -83,9 +83,12 @@ pub(crate) fn series_from_timeline<R: Rng + ?Sized>(
     timeline: &SubscriberTimeline,
     opts: &SeriesOptions,
 ) -> (Vec<EchoV4>, Vec<EchoV6>) {
-    let mut v4 = Vec::new();
-    let mut v6 = Vec::new();
     let (lo, hi) = (opts.observed.start, opts.observed.end);
+    // Each segment yields at most its hours inside the window, so both
+    // vectors are allocated once.
+    let clipped = |start: SimTime, end: SimTime| (end.min(hi) - start.max(lo)) as usize;
+    let mut v4 = Vec::with_capacity(timeline.v4.iter().map(|s| clipped(s.start, s.end)).sum());
+    let mut v6 = Vec::with_capacity(timeline.v6.iter().map(|s| clipped(s.start, s.end)).sum());
 
     for seg in &timeline.v4 {
         let start = seg.start.max(lo);
@@ -142,8 +145,8 @@ pub(crate) fn series_from_timeline<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynamips_netsim::rngutil::derive_rng;
     use dynamips_netsim::timeline::{SubscriberId, V4Segment, V6Segment};
-    use dynamips_netsim::SimTime;
 
     fn timeline() -> SubscriberTimeline {
         SubscriberTimeline {
@@ -234,6 +237,119 @@ mod tests {
         o.missing_rate = 0.5;
         let (v4, _) = series_from_timeline(&mut rng, ProbeId(1), &timeline(), &o);
         assert!(v4.len() < 40 && v4.len() > 8, "{}", v4.len());
+    }
+
+    /// [`series_from_timeline`] before its vectors were sized up front:
+    /// the reference oracle for the records and the RNG draws.
+    fn series_growing<R: Rng + ?Sized>(
+        rng: &mut R,
+        probe: ProbeId,
+        timeline: &SubscriberTimeline,
+        opts: &SeriesOptions,
+    ) -> (Vec<EchoV4>, Vec<EchoV6>) {
+        let (mut v4, mut v6) = (Vec::new(), Vec::new());
+        let (lo, hi) = (opts.observed.start, opts.observed.end);
+        for seg in &timeline.v4 {
+            let mut h = seg.start.max(lo);
+            while h < seg.end.min(hi) {
+                if opts.missing_rate <= 0.0 || !rng.gen_bool(opts.missing_rate) {
+                    let src = if opts.public_v4_src {
+                        seg.addr
+                    } else {
+                        private_src(probe)
+                    };
+                    v4.push(EchoV4 {
+                        time: h,
+                        client: seg.addr,
+                        src,
+                    });
+                }
+                h += 1;
+            }
+        }
+        for seg in &timeline.v6 {
+            let Ok(addr) = seg.lan64.with_iid(timeline.device_iid) else {
+                continue;
+            };
+            let src = if opts.mismatched_v6_src {
+                seg.lan64
+                    .with_iid(timeline.device_iid ^ 0xff)
+                    .unwrap_or(addr)
+            } else {
+                addr
+            };
+            let mut h = seg.start.max(lo);
+            while h < seg.end.min(hi) {
+                if opts.missing_rate <= 0.0 || !rng.gen_bool(opts.missing_rate) {
+                    v6.push(EchoV6 {
+                        time: h,
+                        client: addr,
+                        src,
+                    });
+                }
+                h += 1;
+            }
+        }
+        (v4, v6)
+    }
+
+    /// A seeded timeline: ordered, disjoint segments with gaps.
+    fn random_timeline(rng: &mut impl Rng) -> SubscriberTimeline {
+        let mut tl = timeline();
+        let (mut v4, mut v6) = (Vec::new(), Vec::new());
+        let mut h = rng.gen_range(0..50u64);
+        for i in 0..rng.gen_range(0..12u32) {
+            let end = h + rng.gen_range(1..200);
+            v4.push(V4Segment {
+                start: SimTime(h),
+                end: SimTime(end),
+                addr: std::net::Ipv4Addr::from(0x5480_0000 + i),
+                cgnat: false,
+            });
+            h = end + rng.gen_range(0..30);
+        }
+        h = rng.gen_range(0..50u64);
+        for i in 0..rng.gen_range(0..12u128) {
+            let end = h + rng.gen_range(1..200);
+            let lan64 =
+                dynamips_netaddr::Ipv6Prefix::from_bits((0x2003_0040 << 96) | (i << 64), 64)
+                    .unwrap();
+            v6.push(V6Segment {
+                start: SimTime(h),
+                end: SimTime(end),
+                delegated: lan64.supernet(56).unwrap(),
+                lan64,
+            });
+            h = end + rng.gen_range(0..30);
+        }
+        (tl.v4, tl.v6) = (v4, v6);
+        tl
+    }
+
+    #[test]
+    fn sized_series_match_growing_reference() {
+        let mut rng = derive_rng(26, 0);
+        for i in 0..200 {
+            let tl = random_timeline(&mut rng);
+            let start = rng.gen_range(0..300u64);
+            let mut o = opts(Window::new(
+                SimTime(start),
+                SimTime(start + rng.gen_range(0..1500)),
+            ));
+            o.missing_rate = [0.0, 0.01, 0.3][i % 3];
+            (o.public_v4_src, o.mismatched_v6_src) = (i % 5 == 0, i % 7 == 0);
+            let seed = rng.gen::<u64>();
+            let (mut got_rng, mut want_rng) = (derive_rng(seed, 1), derive_rng(seed, 1));
+            let got = series_from_timeline(&mut got_rng, ProbeId(7), &tl, &o);
+            let want = series_growing(&mut want_rng, ProbeId(7), &tl, &o);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "timeline {i}");
+            // The same number of draws: the streams stay in step.
+            assert_eq!(got_rng.gen::<u64>(), want_rng.gen::<u64>(), "timeline {i}");
+            if o.missing_rate == 0.0 {
+                assert_eq!(got.0.capacity(), got.0.len(), "timeline {i}");
+                assert_eq!(got.1.capacity(), got.1.len(), "timeline {i}");
+            }
+        }
     }
 
     #[test]

@@ -182,7 +182,7 @@ fn inference_kernels(c: &mut Criterion) {
     });
     let model = NibbleModel::train(&seeds).unwrap();
     g.bench_function("entropy_model_generate_4k", |b| {
-        b.iter(|| black_box(model.generate(4096, 8192)))
+        b.iter(|| black_box(model.generate(4096)))
     });
     g.bench_function("sixgen_20k_seeds_4k_targets", |b| {
         b.iter(|| black_box(sixgen_targets(&seeds, 44, 4096)))

@@ -14,11 +14,12 @@
 //! 6. drops (virtual) probes observed for less than a month, and keeps only
 //!    those observed within a single AS.
 
-use crate::changes::{histories_from_records, spans_of, ProbeHistory, Span};
+use crate::changes::{spans_of, ProbeHistory, Span};
 use dynamips_atlas::{EchoV4, EchoV6, ProbeId, ProbeSeries, TEST_ADDRESS};
 use dynamips_netaddr::Ipv6Prefix;
 use dynamips_netsim::SimTime;
 use dynamips_routing::{Asn, RoutingTable};
+use std::net::Ipv4Addr;
 
 /// Sanitizer thresholds.
 #[derive(Debug, Clone, Copy)]
@@ -125,23 +126,18 @@ const BAD_TAGS: [&str; 4] = ["multihomed", "datacentre", "core", "system-anchor"
 
 /// Run the pipeline on one probe. `report` is updated with per-filter
 /// accounting.
+///
+/// Each family's records are walked once: the walk builds the spans,
+/// counts (and skips) test-address records and notes an atypical `src`.
+/// Every later step reads spans. A span's records share one value and
+/// therefore one origin AS, so step (5) costs one routing lookup per span;
+/// only a series whose routed spans name two or more ASes goes back to its
+/// records ([`split_by_as`]).
 pub fn sanitize_probe(
     series: &ProbeSeries,
     routing: &RoutingTable,
     cfg: &SanitizeConfig,
     report: &mut SanitizeReport,
-) -> SanitizeOutcome {
-    sanitize_with(series, routing, cfg, report, split_by_as)
-}
-
-/// The pipeline behind [`sanitize_probe`], with step (5) passed in so the
-/// tests can run it against a reference splitter.
-fn sanitize_with(
-    series: &ProbeSeries,
-    routing: &RoutingTable,
-    cfg: &SanitizeConfig,
-    report: &mut SanitizeReport,
-    split: SplitFn,
 ) -> SanitizeOutcome {
     report.probes_in += 1;
 
@@ -151,38 +147,41 @@ fn sanitize_with(
         return SanitizeOutcome::Rejected(RejectReason::BadTag);
     }
 
-    // (1) test-address records
-    let v4: Vec<_> = series
-        .v4
-        .iter()
-        .filter(|r| {
-            if r.client == TEST_ADDRESS {
-                report.test_address_records += 1;
-                false
-            } else {
+    // (1) test-address records and (3) atypical NAT, in the span walks.
+    let (mut test_records, mut v4_public_src) = (0usize, false);
+    let v4_spans = spans_of(
+        series
+            .v4
+            .iter()
+            .filter(|r| {
+                if r.client == TEST_ADDRESS {
+                    test_records += 1;
+                    return false;
+                }
+                v4_public_src |= !r.src.is_private();
                 true
-            }
-        })
-        .copied()
-        .collect();
-
-    // (3) atypical NAT
-    let v4_public_src = v4.iter().any(|r| !r.src.is_private());
-    let v6_mismatched = series.v6.iter().any(|r| r.src != r.client);
+            })
+            .map(|r| (r.time, r.client)),
+    );
+    report.test_address_records += test_records;
+    let mut v6_mismatched = false;
+    let v6_spans = spans_of(series.v6.iter().map(|r| {
+        v6_mismatched |= r.src != r.client;
+        (r.time, Ipv6Prefix::slash64_of(r.client))
+    }));
     if v4_public_src || v6_mismatched {
         report.atypical_nat += 1;
         return SanitizeOutcome::Rejected(RejectReason::AtypicalNat);
     }
 
     // (4) multihoming: alternation in either family.
-    let (v4_spans, v6_spans) = histories_from_records(&v4, &series.v6);
     if is_alternating(&v4_spans, cfg) || is_alternating(&v6_spans, cfg) {
         report.multihomed += 1;
         return SanitizeOutcome::Rejected(RejectReason::Multihomed);
     }
 
     // (5) split by AS runs.
-    let histories = split(series.probe, &v4, &series.v6, routing);
+    let histories = split_spans_by_as(series, test_records > 0, v4_spans, v6_spans, routing);
     if histories.is_empty() {
         report.too_short += 1;
         return SanitizeOutcome::Rejected(RejectReason::NoData);
@@ -211,6 +210,72 @@ fn sanitize_with(
     SanitizeOutcome::Clean(kept)
 }
 
+/// Step (5) on the spans of `series`, built without its test-address
+/// records (`has_test_records` says whether `series.v4` holds any).
+///
+/// When every routed span names one AS, the series is one virtual probe:
+/// its spans with the unrouted ones dropped and equal neighbours merged,
+/// which is exactly `spans_of` over the routed records in any record
+/// order. Otherwise the AS-run boundaries depend on how the two families'
+/// record times interleave, which spans do not carry, so the records are
+/// split by [`split_by_as`].
+fn split_spans_by_as(
+    series: &ProbeSeries,
+    has_test_records: bool,
+    mut v4: Vec<Span<Ipv4Addr>>,
+    mut v6: Vec<Span<Ipv6Prefix>>,
+    routing: &RoutingTable,
+) -> Vec<ProbeHistory> {
+    let v4_as: Vec<Option<Asn>> = v4.iter().map(|s| routing.origin_v4(s.value)).collect();
+    let v6_as: Vec<Option<Asn>> = v6
+        .iter()
+        .map(|s| routing.route_v6_prefix(&s.value).map(|(_, asn)| asn))
+        .collect();
+    let mut routed = v4_as.iter().chain(&v6_as).flatten();
+    let Some(&asn) = routed.next() else {
+        return Vec::new();
+    };
+    if routed.any(|&other| other != asn) {
+        let filtered: Vec<EchoV4>;
+        let records = if has_test_records {
+            filtered = series
+                .v4
+                .iter()
+                .filter(|r| r.client != TEST_ADDRESS)
+                .copied()
+                .collect();
+            &filtered
+        } else {
+            &series.v4
+        };
+        return split_by_as(series.probe, records, &series.v6, routing);
+    }
+    keep_routed(&mut v4, &v4_as);
+    keep_routed(&mut v6, &v6_as);
+    vec![ProbeHistory {
+        probe: series.probe,
+        virtual_index: 0,
+        asn,
+        v4,
+        v6,
+    }]
+}
+
+/// Drop the spans whose `labels` entry is `None` and merge the equal
+/// neighbours this leaves: the first span of a merged run keeps its
+/// `first`, and the last one gives its `last`.
+fn keep_routed<T: PartialEq>(spans: &mut Vec<Span<T>>, labels: &[Option<Asn>]) {
+    let mut label = labels.iter();
+    spans.retain(|_| label.next().is_some_and(Option::is_some));
+    spans.dedup_by(|later, earlier| {
+        let same = later.value == earlier.value;
+        if same {
+            earlier.last = later.last;
+        }
+        same
+    });
+}
+
 /// Multihoming heuristic: count spans whose value re-appears among the
 /// previous `memory` distinct span values (the A-B-A-B signature).
 fn is_alternating<T: PartialEq + Copy>(spans: &[Span<T>], cfg: &SanitizeConfig) -> bool {
@@ -226,9 +291,6 @@ fn is_alternating<T: PartialEq + Copy>(spans: &[Span<T>], cfg: &SanitizeConfig) 
     }
     false
 }
-
-/// Step (5) of the pipeline: [`split_by_as`].
-type SplitFn = fn(ProbeId, &[EchoV4], &[EchoV6], &RoutingTable) -> Vec<ProbeHistory>;
 
 /// Assign each observation to its origin AS and split the series into
 /// contiguous per-AS runs. Observations that are not routed at all are
@@ -576,12 +638,81 @@ mod tests {
             .collect()
     }
 
+    /// Step (5) as the record-level pipeline takes it.
+    type SplitFn = fn(ProbeId, &[EchoV4], &[EchoV6], &RoutingTable) -> Vec<ProbeHistory>;
+
+    /// The record-level pipeline [`sanitize_probe`] replaced: a filtered
+    /// copy of the v4 records, two NAT scans, spans built for step (4),
+    /// and step (5) split from the records by `split`. The reference
+    /// oracle for the span-level pipeline.
+    fn sanitize_records(
+        series: &ProbeSeries,
+        routing: &RoutingTable,
+        cfg: &SanitizeConfig,
+        report: &mut SanitizeReport,
+        split: SplitFn,
+    ) -> SanitizeOutcome {
+        report.probes_in += 1;
+        if series.tags.iter().any(|t| BAD_TAGS.contains(&t.as_str())) {
+            report.bad_tag += 1;
+            return SanitizeOutcome::Rejected(RejectReason::BadTag);
+        }
+        let v4: Vec<_> = series
+            .v4
+            .iter()
+            .filter(|r| {
+                if r.client == TEST_ADDRESS {
+                    report.test_address_records += 1;
+                    false
+                } else {
+                    true
+                }
+            })
+            .copied()
+            .collect();
+        let v4_public_src = v4.iter().any(|r| !r.src.is_private());
+        let v6_mismatched = series.v6.iter().any(|r| r.src != r.client);
+        if v4_public_src || v6_mismatched {
+            report.atypical_nat += 1;
+            return SanitizeOutcome::Rejected(RejectReason::AtypicalNat);
+        }
+        let (v4_spans, v6_spans) = crate::changes::histories_from_records(&v4, &series.v6);
+        if is_alternating(&v4_spans, cfg) || is_alternating(&v6_spans, cfg) {
+            report.multihomed += 1;
+            return SanitizeOutcome::Rejected(RejectReason::Multihomed);
+        }
+        let histories = split(series.probe, &v4, &series.v6, routing);
+        if histories.is_empty() {
+            report.too_short += 1;
+            return SanitizeOutcome::Rejected(RejectReason::NoData);
+        }
+        if histories.len() > 1 {
+            report.split_probes += 1;
+        }
+        let kept: Vec<ProbeHistory> = histories
+            .into_iter()
+            .filter(|h| {
+                if h.observed_hours() >= cfg.min_observed_hours {
+                    true
+                } else {
+                    report.too_short += 1;
+                    false
+                }
+            })
+            .collect();
+        if kept.is_empty() {
+            return SanitizeOutcome::Rejected(RejectReason::TooShort);
+        }
+        report.probes_out += kept.len();
+        SanitizeOutcome::Clean(kept)
+    }
+
     /// A seeded echo series: segments of records 1–7 hours apart, each on
-    /// one address drawn from AS3320, AS7922, unrouted space or (v4 only)
-    /// the test address, so AS moves fall mid-span and the two families
-    /// move at different times. With `shuffle`, records are swapped out
-    /// of time order, as a lossy loader may deliver them.
-    fn random_series(rng: &mut impl Rng, shuffle: bool) -> ProbeSeries {
+    /// one address drawn from AS3320, AS7922 (unless `one_as`), unrouted
+    /// space or (v4 only) the test address, so AS moves fall mid-span and
+    /// the two families move at different times. With `shuffle`, records
+    /// are swapped out of time order, as a lossy loader may deliver them.
+    fn random_series(rng: &mut impl Rng, shuffle: bool, one_as: bool) -> ProbeSeries {
         let hours = rng.gen_range(200..1500u64);
         let mut v4 = Vec::new();
         let mut v6 = Vec::new();
@@ -591,7 +722,7 @@ mod tests {
             let n = rng.gen_range(0..4u8);
             let client = match rng.gen_range(0..8) {
                 0..=2 => format!("84.1.{n}.{}", h % 250),
-                3..=4 => format!("98.7.{n}.{}", h % 250),
+                3..=4 if !one_as => format!("98.7.{n}.{}", h % 250),
                 5 => format!("10.1.{n}.1"),
                 6 => "193.0.0.78".to_string(),
                 _ => format!("84.1.{n}.1"),
@@ -605,7 +736,8 @@ mod tests {
             let n = rng.gen_range(0..3u8);
             let client = match rng.gen_range(0..6) {
                 0..=2 => format!("2003:0:0:{:x}::5", (h % 100) * 4 + u64::from(n)),
-                3..=4 => format!("2601:0:0:{n}::9"),
+                3..=4 if !one_as => format!("2601:0:0:{n}::9"),
+                3..=4 => "2003::9".to_string(),
                 _ => format!("2a00:0:{n}::1"),
             };
             v6.extend(((h..h + len).step_by(rng.gen_range(1..8))).map(|t| v6rec(t, &client)));
@@ -621,7 +753,34 @@ mod tests {
                 }
             }
         }
+        // Now and then one atypical `src`: a public v4 source (which only
+        // rejects on a record that is not the test address) or a
+        // mismatched v6 one.
+        match rng.gen_range(0..12) {
+            0 => {
+                let i = rng.gen_range(0..v4.len());
+                v4[i].src = v4[i].client;
+            }
+            1 if !v6.is_empty() => {
+                let i = rng.gen_range(0..v6.len());
+                v6[i].src = "2003::dead".parse().unwrap();
+            }
+            _ => {}
+        }
         series(v4, v6)
+    }
+
+    /// The two configs the oracle tests run: the default, and one that
+    /// keeps short and alternating series so step (5) sees them.
+    fn oracle_configs() -> [SanitizeConfig; 2] {
+        [
+            SanitizeConfig::default(),
+            SanitizeConfig {
+                min_observed_hours: 48,
+                multihoming_revisit_threshold: 1000,
+                ..SanitizeConfig::default()
+            },
+        ]
     }
 
     #[test]
@@ -630,25 +789,18 @@ mod tests {
         let mut rng = derive_rng(14, 2);
         let (mut splits, mut clean) = (0, 0);
         for i in 0..40 {
-            let s = random_series(&mut rng, i % 3 == 0);
+            let s = random_series(&mut rng, i % 3 == 0, false);
             let got = split_by_as(s.probe, &s.v4, &s.v6, &routing);
             let want = split_by_as_per_record(s.probe, &s.v4, &s.v6, &routing);
             assert_eq!(format!("{got:?}"), format!("{want:?}"), "series {i}");
             splits += usize::from(got.len() > 1);
 
-            for cfg in [
-                SanitizeConfig::default(),
-                SanitizeConfig {
-                    min_observed_hours: 48,
-                    multihoming_revisit_threshold: 1000,
-                    ..SanitizeConfig::default()
-                },
-            ] {
+            for cfg in oracle_configs() {
                 let mut got_report = SanitizeReport::default();
                 let mut want_report = SanitizeReport::default();
-                let got = sanitize_with(&s, &routing, &cfg, &mut got_report, split_by_as);
+                let got = sanitize_records(&s, &routing, &cfg, &mut got_report, split_by_as);
                 let want =
-                    sanitize_with(&s, &routing, &cfg, &mut want_report, split_by_as_per_record);
+                    sanitize_records(&s, &routing, &cfg, &mut want_report, split_by_as_per_record);
                 assert_eq!(format!("{got:?}"), format!("{want:?}"), "series {i}");
                 assert_eq!(got_report, want_report, "series {i}");
                 clean += usize::from(matches!(got, SanitizeOutcome::Clean(_)));
@@ -657,6 +809,62 @@ mod tests {
         // The seeded series must exercise the split and the clean path.
         assert!(splits > 10, "{splits} split series");
         assert!(clean > 10, "{clean} clean outcomes");
+    }
+
+    #[test]
+    fn span_pipeline_matches_record_pipeline() {
+        let routing = routing();
+        let mut rng = derive_rng(14, 3);
+        let mut outcomes = std::collections::BTreeMap::<String, usize>::new();
+        let mut one_as_clean = 0;
+        for i in 0..300 {
+            let one_as = i % 2 == 0;
+            let mut s = random_series(&mut rng, i % 3 == 0, one_as);
+            if i % 29 == 0 {
+                s.tags = vec!["core".into()];
+            }
+            if i % 23 == 1 {
+                // Wholly unrouted: nothing to attribute to an AS.
+                for r in s.v4.iter_mut().filter(|r| r.client != TEST_ADDRESS) {
+                    (r.client, r.src) = (Ipv4Addr::new(10, 1, 1, 1), Ipv4Addr::new(10, 0, 0, 2));
+                }
+                for r in s.v6.iter_mut() {
+                    (r.client, r.src) =
+                        (Ipv6Addr::from(0x2a00 << 112), Ipv6Addr::from(0x2a00 << 112));
+                }
+            }
+            for cfg in oracle_configs() {
+                let mut got_report = SanitizeReport::default();
+                let mut want_report = SanitizeReport::default();
+                let got = sanitize_probe(&s, &routing, &cfg, &mut got_report);
+                let want = sanitize_records(&s, &routing, &cfg, &mut want_report, split_by_as);
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "series {i}");
+                assert_eq!(got_report, want_report, "series {i}");
+                let label = match &got {
+                    SanitizeOutcome::Clean(h) if h.len() > 1 => "split",
+                    SanitizeOutcome::Clean(_) => "clean",
+                    SanitizeOutcome::Rejected(reason) => reason.class(),
+                };
+                *outcomes.entry(label.to_string()).or_default() += 1;
+                one_as_clean += usize::from(one_as && matches!(got, SanitizeOutcome::Clean(_)));
+            }
+        }
+        // Every outcome, and the one-AS shortcut, must be exercised.
+        for label in [
+            "clean",
+            "split",
+            "bad-tag",
+            "atypical-nat",
+            "multihomed",
+            "too-short",
+            "no-data",
+        ] {
+            assert!(
+                outcomes.get(label).copied().unwrap_or(0) > 2,
+                "{outcomes:?}"
+            );
+        }
+        assert!(one_as_clean > 20, "{one_as_clean} one-AS clean outcomes");
     }
 
     #[test]

@@ -61,18 +61,27 @@ impl NibbleModel {
     }
 
     /// Generate up to `limit` candidate /64s by beam search over the
-    /// per-nibble distributions, highest joint probability first. `beam`
-    /// bounds the number of partial candidates kept per position.
-    pub fn generate(&self, limit: usize, beam: usize) -> Vec<Ipv6Prefix> {
-        let beam = beam.max(limit).max(1);
+    /// per-nibble distributions, highest joint probability first.
+    ///
+    /// A beam of `limit` partials per position is exact: it yields the
+    /// same first `limit` candidates as any wider beam, ties included.
+    /// Take an extension whose parent sits at index `>= limit`. Each of
+    /// the `limit` parents before it is at least as probable (adding the
+    /// same `ln p` keeps the order, since rounding is monotone) and wins a
+    /// tie by its lower index, so its extension by the same value sorts
+    /// first: `limit` candidates beat any extension of a parent the
+    /// narrow beam dropped.
+    pub fn generate(&self, limit: usize) -> Vec<Ipv6Prefix> {
+        if limit == 0 {
+            return Vec::new();
+        }
         // (network bits so far, log-probability), most probable first
         let mut partials: Vec<(u64, f64)> = vec![(0, 0.0)];
         for pos in 0..16 {
-            partials = self.extend_beam(pos, &partials, beam);
+            partials = self.extend_beam(pos, &partials, limit);
         }
         partials
             .into_iter()
-            .take(limit)
             .filter_map(|(bits, _)| Ipv6Prefix::from_bits((bits as u128) << 64, 64).ok())
             .collect()
     }
@@ -253,7 +262,7 @@ mod tests {
             .collect();
         let model = NibbleModel::train(&seeds).unwrap();
         assert_eq!(model.trained_on(), 16);
-        let targets = model.generate(64, 256);
+        let targets = model.generate(64);
         assert!(!targets.is_empty());
         // Every generated /64 keeps the constant prefix 2003:40:a0.
         for t in &targets {
@@ -270,7 +279,7 @@ mod tests {
         let mut seeds = vec![p("2001:db8::/64"); 3];
         seeds.push(p("2001:db8:0:8::/64"));
         let model = NibbleModel::train(&seeds).unwrap();
-        let targets = model.generate(2, 16);
+        let targets = model.generate(2);
         assert_eq!(targets[0], p("2001:db8::/64"), "most probable first");
         assert_eq!(targets[1], p("2001:db8:0:8::/64"));
     }
@@ -299,8 +308,10 @@ mod tests {
         next
     }
 
-    /// `generate` built on the full-sort step, compared step by step with
-    /// the merge (bits and exact log-probability bits).
+    /// `generate` built on the full-sort step with a beam of `beam`,
+    /// compared step by step with the merge (bits and exact
+    /// log-probability bits). Its first `limit` candidates must equal
+    /// `generate(limit)`, whose beam is `limit`.
     fn generate_checked(model: &NibbleModel, limit: usize, beam: usize) -> Vec<Ipv6Prefix> {
         let beam = beam.max(limit).max(1);
         let mut partials: Vec<(u64, f64)> = vec![(0, 0.0)];
@@ -318,11 +329,7 @@ mod tests {
             .take(limit)
             .filter_map(|(bits, _)| Ipv6Prefix::from_bits((bits as u128) << 64, 64).ok())
             .collect();
-        assert_eq!(
-            model.generate(limit, beam),
-            want,
-            "limit {limit}, beam {beam}"
-        );
+        assert_eq!(model.generate(limit), want, "limit {limit}, beam {beam}");
         want
     }
 
@@ -363,7 +370,8 @@ mod tests {
             // Duplicated frequencies: rows mixing two weights.
             let duplicated = model_from_counts(&random_counts(&mut rng, &[1, 3, 5, 7], &[1, 2]));
             for model in [&uniform, &duplicated] {
-                for (limit, beam) in [(1, 1), (10, 7), (50, 200), (300, 300), (64, 4096)] {
+                for (limit, beam) in [(1, 1), (10, 7), (33, 66), (50, 200), (300, 600), (64, 4096)]
+                {
                     generate_checked(model, limit, beam);
                 }
             }

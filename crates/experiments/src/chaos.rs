@@ -13,8 +13,8 @@
 //!    error class in the [`DegradationReport`].
 //!
 //! The `(rate, seed)` rounds are independent given the shared baseline and
-//! run on scoped worker threads, a few at a time (each in-flight round
-//! holds a damaged multi-GB copy of the dumps at reference scale).
+//! run one at a time: each holds a damaged multi-GB copy of the dumps at
+//! reference scale.
 
 use crate::check;
 use crate::context::{AtlasAnalysis, CdnAnalysis, ExperimentConfig};
@@ -201,41 +201,20 @@ fn run_one(b: &Baseline, corruption_seed: u64, rate: f64, deg: &mut DegradationR
     }
 }
 
-/// Upper bound on rounds corrupted and analyzed concurrently. Rounds are
-/// independent given the shared baseline; the bound is set by memory, not
-/// cores — each in-flight round materializes a damaged copy of both dumps
-/// plus everything the lossy loaders recover from them.
-const MAX_CONCURRENT_ROUNDS: usize = 4;
-
-/// Run every `(rate, seed)` round on scoped worker threads, bounded by
-/// [`MAX_CONCURRENT_ROUNDS`], returning results in job order so the sweep
-/// stays deterministic. A panicking round panics the sweep: the whole point
-/// of the harness is that no input may panic the pipeline.
+/// Run every `(rate, seed)` round, one at a time, in job order. A round
+/// materializes a damaged copy of both dumps plus everything the lossy
+/// loaders recover from them (9.3 GB peak at reference scale), so two
+/// rounds in flight do not fit a 16 GB machine. A panicking round panics
+/// the sweep: the whole point of the harness is that no input may panic
+/// the pipeline.
 fn run_rounds(b: &Baseline, jobs: &[(f64, u64)]) -> Vec<(Round, DegradationReport)> {
-    let width = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(1, MAX_CONCURRENT_ROUNDS);
-    let mut results = Vec::with_capacity(jobs.len());
-    for chunk in jobs.chunks(width) {
-        #[allow(clippy::disallowed_methods, reason = "scoped sweep workers")]
-        std::thread::scope(|s| {
-            let handles: Vec<_> = chunk
-                .iter()
-                .map(|&(rate, corruption_seed)| {
-                    s.spawn(move || {
-                        let mut deg = DegradationReport::new();
-                        let round = run_one(b, corruption_seed, rate, &mut deg);
-                        (round, deg)
-                    })
-                })
-                .collect();
-            for h in handles {
-                results.push(crate::resume_worker(h.join()));
-            }
-        });
-    }
-    results
+    jobs.iter()
+        .map(|&(rate, corruption_seed)| {
+            let mut deg = DegradationReport::new();
+            let round = run_one(b, corruption_seed, rate, &mut deg);
+            (round, deg)
+        })
+        .collect()
 }
 
 /// Run the sweep and render the report.

@@ -7,11 +7,11 @@
 //! extended artifacts, and the `sanitizer` artifact's distortion sums.
 
 use crate::extended::CleanHistories;
-use dynamips_atlas::{AtlasCollector, AtlasConfig, ProbeSeries};
+use dynamips_atlas::{AtlasCollector, AtlasConfig, EchoV4, ProbeSeries};
 use dynamips_cdn::{AssociationDataset, CdnCollector, CdnConfig};
-use dynamips_core::association::{association_runs, AssociationRun};
+use dynamips_core::association::{association_runs, durations_by_asn, AssociationRun, P64Order};
 use dynamips_core::cardinality::{degree_stats, DegreeStats};
-use dynamips_core::changes::{histories_from_records, sandwiched_durations, ProbeHistory};
+use dynamips_core::changes::{sandwiched_durations, ProbeHistory};
 use dynamips_core::degrade::DegradationReport;
 use dynamips_core::dualstack::{co_occurrence, labeled_v4_durations, CoOccurrence};
 use dynamips_core::durations::{detect_period, DurationSet, ThresholdTtf};
@@ -21,9 +21,10 @@ use dynamips_core::spatial::{CplHistogram, CrossingStats};
 use dynamips_core::subscriber::{InferredLenDistribution, NibbleCounter};
 use dynamips_netsim::profiles::{atlas_world, cdn_world};
 use dynamips_netsim::time::Window;
-use dynamips_netsim::World;
+use dynamips_netsim::{SimTime, World};
 use dynamips_routing::{Asn, Rir, RoutingTable};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
+use std::net::Ipv4Addr;
 use std::sync::mpsc::sync_channel;
 use std::thread;
 
@@ -213,8 +214,7 @@ impl Shard {
         cfg: &SanitizeConfig,
     ) {
         if self.wants.short_v4 {
-            let (v4_raw, _) = histories_from_records(&series.v4, &series.v6);
-            self.short_v4.raw.extend(sandwiched_durations(&v4_raw));
+            self.short_v4.raw.extend(raw_v4_durations(&series.v4));
         }
         let histories = match sanitize_probe(&series, routing, cfg, &mut self.report) {
             SanitizeOutcome::Clean(histories) => histories,
@@ -296,6 +296,28 @@ impl Shard {
         self.histories.extend(other.histories);
         self.short_v4.merge(&other.short_v4);
     }
+}
+
+/// The sandwiched durations of the spans of `v4`'s records, folded
+/// straight from the records: a span's duration is due when the next span
+/// starts, and the first and last spans (not preceded, or not ended, by a
+/// change) have none. Equal to `sandwiched_durations` over
+/// `spans_of(v4)`, in any record order.
+fn raw_v4_durations(v4: &[EchoV4]) -> impl Iterator<Item = u64> + '_ {
+    // The current span's value and first time, and whether a change
+    // preceded it.
+    let mut span: Option<(Ipv4Addr, SimTime, bool)> = None;
+    v4.iter().filter_map(move |r| match span {
+        Some((value, _, _)) if value == r.client => None,
+        Some((_, first, sandwiched)) => {
+            span = Some((r.client, r.time, true));
+            sandwiched.then(|| r.time - first)
+        }
+        None => {
+            span = Some((r.client, r.time, false));
+            None
+        }
+    })
 }
 
 impl AtlasProducts {
@@ -560,9 +582,9 @@ pub struct CdnAnalysis {
     /// consistent trailing zeroes").
     pub mobile_nibble: NibbleCounter,
     /// Association durations (days) grouped by AS.
-    pub by_asn_days: HashMap<Asn, Vec<f64>>,
+    pub by_asn_days: BTreeMap<Asn, Vec<f64>>,
     /// ASN → (name, RIR) resolution for rendering.
-    pub as_meta: HashMap<Asn, (String, Rir)>,
+    pub as_meta: BTreeMap<Asn, (String, Rir)>,
 }
 
 /// Maximum unobserved days before a /64 is considered gone (association-run
@@ -599,27 +621,33 @@ impl CdnAnalysis {
         degradation.record_many("association", "as-mismatch", dataset.discarded_as_mismatch);
         degradation.record_many("association", "unrouted", dataset.discarded_unrouted);
 
-        let runs = association_runs(dataset, MAX_GAP_DAYS);
-        let (fixed_degree, mobile_degree) = degree_stats(dataset);
+        // One stable sort by (/64, day) feeds every kernel.
+        let by_p64 = P64Order::new(dataset);
+        let runs = association_runs(&by_p64, MAX_GAP_DAYS);
+        let (fixed_degree, mobile_degree) = degree_stats(&by_p64);
 
-        // Unique-/64 trailing-zero classification per RIR (fixed) and
-        // overall (mobile).
+        // Unique /64s, classified mobile or fixed by their first sighting
+        // in the dataset: the mobile share, and the trailing-zero classes
+        // per RIR (fixed) and overall (mobile).
         let rirs = world.rirs();
         let mut nibble_by_rir: BTreeMap<Rir, NibbleCounter> = BTreeMap::new();
         let mut mobile_nibble = NibbleCounter::default();
-        let mut seen: HashSet<u128> = HashSet::new();
-        for t in &dataset.tuples {
-            if !seen.insert(t.p64.bits()) {
-                continue;
-            }
+        let (mut unique_p64, mut mobile_p64) = (0usize, 0usize);
+        for t in by_p64.groups().filter_map(|g| g.first_seen()) {
+            unique_p64 += 1;
             if t.mobile {
+                mobile_p64 += 1;
                 mobile_nibble.add(&t.p64);
             } else if let Some(rir) = rirs.rir_of_v6_prefix(&t.p64) {
                 nibble_by_rir.entry(rir).or_default().add(&t.p64);
             }
         }
+        let mobile_p64_fraction = match unique_p64 {
+            0 => 0.0,
+            n => mobile_p64 as f64 / n as f64,
+        };
 
-        let by_asn_days = dynamips_core::association::durations_by_asn(&runs);
+        let by_asn_days = durations_by_asn(&runs);
         let as_meta = world
             .registry()
             .iter()
@@ -631,8 +659,8 @@ impl CdnAnalysis {
             kept_count: dataset.len() as u64,
             discarded_as_mismatch: dataset.discarded_as_mismatch,
             discarded_unrouted: dataset.discarded_unrouted,
-            unique_p64: dataset.unique_p64_count(),
-            mobile_p64_fraction: dataset.mobile_p64_fraction(),
+            unique_p64,
+            mobile_p64_fraction,
             runs,
             fixed_degree,
             mobile_degree,
@@ -725,11 +753,105 @@ mod tests {
         assert_same_analysis(&a1, &a3);
     }
 
+    /// The raw short-v4 fold equals `sandwiched_durations` over the
+    /// spans of the same records: runs of repeated and of alternating
+    /// addresses, short and empty series, records out of time order.
+    #[test]
+    fn raw_v4_durations_match_span_reference() {
+        use dynamips_core::changes::histories_from_records;
+        use rand::Rng;
+        let mut rng = dynamips_netsim::rngutil::derive_rng(26, 2);
+        let mut nonempty = 0;
+        for i in 0..400 {
+            let mut v4: Vec<EchoV4> = Vec::new();
+            let mut h = rng.gen_range(0..10u64);
+            for _ in 0..rng.gen_range(0..12) {
+                let client = Ipv4Addr::new(84, 1, 0, rng.gen_range(0..3));
+                for _ in 0..rng.gen_range(1..6) {
+                    v4.push(EchoV4 {
+                        time: SimTime(h),
+                        client,
+                        src: Ipv4Addr::new(192, 168, 1, 2),
+                    });
+                    h += rng.gen_range(1..4);
+                }
+            }
+            if i % 4 == 0 && v4.len() > 1 {
+                let (a, b) = (rng.gen_range(0..v4.len()), rng.gen_range(0..v4.len()));
+                v4.swap(a, b);
+            }
+            let got: Vec<u64> = raw_v4_durations(&v4).collect();
+            let want = sandwiched_durations(&histories_from_records(&v4, &[]).0);
+            assert_eq!(got, want, "series {i}");
+            nonempty += usize::from(!got.is_empty());
+        }
+        assert!(nonempty > 100, "{nonempty} series with durations");
+    }
+
+    /// The unique-/64 count, the mobile share and the nibble counters
+    /// derived from the sorted order equal the hash-set pass and the
+    /// dataset methods they replaced, on shuffled tuples with repeated
+    /// days and /64s whose tuples disagree on the mobile flag.
+    #[test]
+    fn sorted_cdn_products_match_hash_reference() {
+        use dynamips_cdn::Association;
+        use rand::Rng;
+        use std::collections::HashSet;
+        let world = cdn_world(3, 0.02);
+        let full = CdnCollector::new(&world, Window::cdn_paper(), CdnConfig::default()).collect();
+        assert!(full.tuples.len() > 5_000, "{} tuples", full.tuples.len());
+        let mut rng = dynamips_netsim::rngutil::derive_rng(26, 6);
+        for round in 0..4 {
+            let mut ds = full.clone();
+            ds.tuples.truncate(20_000);
+            let extra: Vec<Association> = (0..2_000)
+                .map(|_| {
+                    let mut t = ds.tuples[rng.gen_range(0..ds.tuples.len())];
+                    t.mobile = rng.gen_bool(0.5);
+                    t.day += rng.gen_range(0..3);
+                    t
+                })
+                .collect();
+            ds.tuples.extend(extra);
+            for i in (1..ds.tuples.len()).rev() {
+                ds.tuples.swap(i, rng.gen_range(0..=i));
+            }
+
+            let mut deg = DegradationReport::new();
+            let c = CdnAnalysis::compute_from_dataset(&world, &ds, &mut deg);
+            let (mut by_rir, mut mobile) = (
+                BTreeMap::<Rir, NibbleCounter>::new(),
+                NibbleCounter::default(),
+            );
+            let mut seen: HashSet<u128> = HashSet::new();
+            for t in &ds.tuples {
+                if !seen.insert(t.p64.bits()) {
+                    continue;
+                }
+                if t.mobile {
+                    mobile.add(&t.p64);
+                } else if let Some(rir) = world.rirs().rir_of_v6_prefix(&t.p64) {
+                    by_rir.entry(rir).or_default().add(&t.p64);
+                }
+            }
+            assert_eq!(c.unique_p64, ds.unique_p64_count(), "round {round}");
+            assert_eq!(
+                c.mobile_p64_fraction.to_bits(),
+                ds.mobile_p64_fraction().to_bits(),
+                "round {round}"
+            );
+            assert_eq!(c.nibble_by_rir, by_rir, "round {round}");
+            assert_eq!(c.mobile_nibble, mobile, "round {round}");
+            assert!(mobile.total() > 0 && !by_rir.is_empty(), "both populations");
+        }
+    }
+
     /// Reference copies of the three collect-and-sanitize loops the single
     /// pass replaced, kept as oracles: each walks the whole collector and
     /// sanitizes every series on its own.
     mod reference {
         use super::super::*;
+        use dynamips_core::changes::histories_from_records;
 
         /// The analysis loop: sanitize, then accumulate every clean history.
         pub(super) fn analysis(

@@ -330,7 +330,7 @@ pub fn target_generation_with(world: &World, by_as: &CleanHistories) -> String {
             .map(|r| format!("{:.0}%", 100.0 * r))
             .unwrap_or_else(|| "-".into());
         let entropy_rate = NibbleModel::train(&seeds)
-            .map(|m| hit_rate(&m.generate(budget, budget.saturating_mul(2)), &future))
+            .map(|m| hit_rate(&m.generate(budget), &future))
             .map(|r| format!("{:.0}%", 100.0 * r))
             .unwrap_or_else(|| "-".into());
         let sixgen_rate = format!(
