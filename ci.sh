@@ -53,10 +53,11 @@ PROBE=target/clippy-probe
 rm -rf "$PROBE"
 mkdir -p "$PROBE/ws"
 git ls-files -z | tar --null -T - -cf - | tar -xf - -C "$PROBE/ws"
-# probe pass|fail CRATE FILE LINT SNIPPET [ANCHOR]: the snippet is
-# appended to FILE, or inserted after every line containing ANCHOR.
+# probe pass|fail CRATE FILE LINT SNIPPET [ANCHOR [FLAGS]]: the snippet is
+# appended to FILE, or inserted after every line containing ANCHOR;
+# FLAGS (e.g. --all-targets) go to clippy.
 probe() {
-    p_expect=$1 p_crate=$2 p_file=$3 p_lint=$4 p_snippet=$5 p_anchor=${6:-}
+    p_expect=$1 p_crate=$2 p_file=$3 p_lint=$4 p_snippet=$5 p_anchor=${6:-} p_flags=${7:-}
     if [ -n "$p_anchor" ]; then
         A="$p_anchor" S="$p_snippet" awk '{ print } index($0, ENVIRON["A"]) { print ENVIRON["S"] }' \
             "$p_file" > "$PROBE/ws/$p_file"
@@ -65,7 +66,7 @@ probe() {
     fi
     p_rc=0
     (cd "$PROBE/ws" && CARGO_TARGET_DIR=../target \
-        cargo clippy --offline --quiet -p "$p_crate" -- -D warnings) > "$PROBE/out.txt" 2>&1 || p_rc=$?
+        cargo clippy --offline --quiet -p "$p_crate" $p_flags -- -D warnings) > "$PROBE/out.txt" 2>&1 || p_rc=$?
     cp "$p_file" "$PROBE/ws/$p_file"
     if [ "$p_expect" = fail ]; then
         if [ "$p_rc" -eq 0 ] || ! grep -q "$p_lint" "$PROBE/out.txt"; then
@@ -96,10 +97,30 @@ probe fail dynamips-atlas crates/atlas/src/lib.rs unwrap_used '/// Probe.
 pub fn probe_unwrap(o: Option<u8>) -> u8 {
     o.unwrap()
 }'
-probe pass dynamips-netsim crates/netsim/src/lib.rs unwrap_used '/// Probe.
+# Every crate a binary links carries the panic lints, so no call graph is
+# needed to keep a panic off the path from main; tests stay exempt.
+probe fail dynamips-netsim crates/netsim/src/lib.rs unwrap_used '/// Probe.
 pub fn probe_unwrap(o: Option<u8>) -> u8 {
     o.unwrap()
 }'
+probe fail dynamips-routing crates/routing/src/lib.rs expect_used '/// Probe.
+pub fn probe_expect(o: Option<u8>) -> u8 {
+    o.expect("probe")
+}'
+probe fail dynamips-netaddr crates/netaddr/src/lib.rs clippy::panic '/// Probe.
+pub fn probe_panic() {
+    panic!("probe");
+}'
+probe pass dynamips-netsim crates/netsim/src/lib.rs unwrap_used '#[cfg(test)]
+mod probe_tests {
+    fn first(v: &[u8]) -> Option<u8> {
+        v.first().copied()
+    }
+    #[test]
+    fn probe_unwrap() {
+        assert_eq!(first(&[1]).unwrap(), 1);
+    }
+}' '' --all-targets
 probe fail dynamips-routing crates/routing/src/lib.rs print_stdout '/// Probe.
 pub fn probe_print() {
     println!("probe");
@@ -167,9 +188,8 @@ PROBE_END_NS=$(date +%s%N)
 echo "clippy probes: $(( (PROBE_END_NS - PROBE_START_NS) / 1000000 )) ms"
 
 say "dynamips-lint"
-# The text run gates (all the call-graph families: panic reach,
-# determinism taint, dead pub, the concurrency pass, and the
-# resource-lifecycle pass); the JSON and SARIF reports feed annotation
+# The text run gates (all the call-graph families: determinism taint,
+# dead pub, the concurrency pass, and the resource-lifecycle pass); the JSON and SARIF reports feed annotation
 # tooling. The analysis runs are timed and recorded as a `lint` phase in
 # BENCH_all.json further down.
 LINT_START_NS=$(date +%s%N)

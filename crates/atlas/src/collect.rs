@@ -224,43 +224,45 @@ mod tests {
             (64500u32, "198.18.0.0/16", "2001:db8::/32"),
             (64501, "198.51.100.0/24", "3fff::/32"),
         ] {
-            world.add_isp(IspConfig {
-                asn: Asn(asn),
-                name: format!("ISP{asn}"),
-                country: "X".into(),
-                rir: Rir::RipeNcc,
-                access: AccessType::FixedLine,
-                v4_plan: Some(V4PoolPlan {
-                    pools: vec![(v4.parse().unwrap(), 1.0)],
-                    announcements: vec![],
-                    p_near: 0.0,
-                    near_radius: 16,
-                }),
-                v6_plan: Some(V6PoolPlan {
-                    aggregates: vec![v6.parse().unwrap()],
-                    region_len: 40,
-                    delegated_len: 56,
-                    regions_per_aggregate: 2,
-                    p_stay_region: 1.0,
-                }),
-                classes: vec![SubscriberClass {
-                    weight: 1.0,
-                    dual_stack: true,
-                    v4: Some(V4Policy::PeriodicRenumber {
-                        period_hours: 24,
-                        jitter: 0.0,
+            world
+                .add_isp(IspConfig {
+                    asn: Asn(asn),
+                    name: format!("ISP{asn}"),
+                    country: "X".into(),
+                    rir: Rir::RipeNcc,
+                    access: AccessType::FixedLine,
+                    v4_plan: Some(V4PoolPlan {
+                        pools: vec![(v4.parse().unwrap(), 1.0)],
+                        announcements: vec![],
+                        p_near: 0.0,
+                        near_radius: 16,
                     }),
-                    v6: Some(V6Policy::PeriodicRenumber {
-                        period_hours: 24,
-                        jitter: 0.0,
+                    v6_plan: Some(V6PoolPlan {
+                        aggregates: vec![v6.parse().unwrap()],
+                        region_len: 40,
+                        delegated_len: 56,
+                        regions_per_aggregate: 2,
+                        p_stay_region: 1.0,
                     }),
-                    coupled: true,
-                    cpe_mix: vec![(1.0, CpeV6Behavior::ZeroOut)],
-                    outages: OutageConfig::none(),
-                }],
-                stabilization: vec![],
-                subscribers: 10,
-            });
+                    classes: vec![SubscriberClass {
+                        weight: 1.0,
+                        dual_stack: true,
+                        v4: Some(V4Policy::PeriodicRenumber {
+                            period_hours: 24,
+                            jitter: 0.0,
+                        }),
+                        v6: Some(V6Policy::PeriodicRenumber {
+                            period_hours: 24,
+                            jitter: 0.0,
+                        }),
+                        coupled: true,
+                        cpe_mix: vec![(1.0, CpeV6Behavior::ZeroOut)],
+                        outages: OutageConfig::none(),
+                    }],
+                    stabilization: vec![],
+                    subscribers: 10,
+                })
+                .unwrap();
         }
         world
     }

@@ -189,7 +189,9 @@ mod tests {
     #[test]
     fn pristine_collection_yields_one_tuple_per_client_day() {
         let mut world = World::new(5);
-        world.add_isp(isp(64500, "198.18.0.0/16", "2001:db8::/32", false));
+        world
+            .add_isp(isp(64500, "198.18.0.0/16", "2001:db8::/32", false))
+            .unwrap();
         let ds = CdnCollector::new(&world, window(), CdnConfig::pristine()).collect();
         assert_eq!(ds.len(), 8 * 30);
         assert_eq!(ds.raw_count, 8 * 30);
@@ -206,7 +208,9 @@ mod tests {
     #[test]
     fn stable_clients_keep_one_association_all_month() {
         let mut world = World::new(5);
-        world.add_isp(isp(64500, "198.18.0.0/16", "2001:db8::/32", false));
+        world
+            .add_isp(isp(64500, "198.18.0.0/16", "2001:db8::/32", false))
+            .unwrap();
         let ds = CdnCollector::new(&world, window(), CdnConfig::pristine()).collect();
         // Group by /64: each client's association must be constant.
         let mut by_p64: std::collections::HashMap<u128, std::collections::HashSet<u32>> =
@@ -223,8 +227,12 @@ mod tests {
     #[test]
     fn mobile_labeling_follows_registry() {
         let mut world = World::new(6);
-        world.add_isp(isp(64500, "198.18.0.0/16", "2001:db8::/32", false));
-        world.add_isp(isp(64501, "198.51.100.0/24", "3fff::/32", true));
+        world
+            .add_isp(isp(64500, "198.18.0.0/16", "2001:db8::/32", false))
+            .unwrap();
+        world
+            .add_isp(isp(64501, "198.51.100.0/24", "3fff::/32", true))
+            .unwrap();
         let ds = CdnCollector::new(&world, window(), CdnConfig::pristine()).collect();
         for t in &ds.tuples {
             assert_eq!(t.mobile, t.asn == Asn(64501));
@@ -236,8 +244,12 @@ mod tests {
     #[test]
     fn cross_network_noise_is_discarded_by_as_mismatch_filter() {
         let mut world = World::new(7);
-        world.add_isp(isp(64500, "198.18.0.0/16", "2001:db8::/32", false));
-        world.add_isp(isp(64501, "198.51.100.0/24", "3fff::/32", true));
+        world
+            .add_isp(isp(64500, "198.18.0.0/16", "2001:db8::/32", false))
+            .unwrap();
+        world
+            .add_isp(isp(64501, "198.51.100.0/24", "3fff::/32", true))
+            .unwrap();
         let mut cfg = CdnConfig::pristine();
         cfg.cross_network_noise = 0.5;
         let ds = CdnCollector::new(&world, window(), cfg).collect();
@@ -258,7 +270,9 @@ mod tests {
     #[test]
     fn daily_probability_thins_the_dataset() {
         let mut world = World::new(8);
-        world.add_isp(isp(64500, "198.18.0.0/16", "2001:db8::/32", false));
+        world
+            .add_isp(isp(64500, "198.18.0.0/16", "2001:db8::/32", false))
+            .unwrap();
         let mut cfg = CdnConfig::pristine();
         cfg.daily_association_prob = 0.25;
         let ds = CdnCollector::new(&world, window(), cfg).collect();
@@ -270,7 +284,9 @@ mod tests {
     #[test]
     fn collection_is_deterministic() {
         let mut world = World::new(9);
-        world.add_isp(isp(64500, "198.18.0.0/16", "2001:db8::/32", false));
+        world
+            .add_isp(isp(64500, "198.18.0.0/16", "2001:db8::/32", false))
+            .unwrap();
         let a = CdnCollector::new(&world, window(), CdnConfig::default()).collect();
         let b = CdnCollector::new(&world, window(), CdnConfig::default()).collect();
         assert_eq!(a.tuples, b.tuples);

@@ -37,6 +37,7 @@ pub fn audit_truncation(observations: &[(u32, Ipv6Prefix)], len: u8) -> Option<T
     if observations.is_empty() {
         return None;
     }
+    // lint:allow(determinism-taint): only bucket sizes leave, sorted below
     let mut subs_per_bucket: HashMap<u128, HashSet<u32>> = HashMap::new();
     for (sub, p64) in observations {
         // supernet with a clamped length cannot shrink past 0; fall back

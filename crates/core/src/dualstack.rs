@@ -104,7 +104,9 @@ pub fn co_occurrence(history: &ProbeHistory) -> CoOccurrence {
         .into_iter()
         .filter(|t| covered_v4(history, *t))
         .collect();
+    // lint:allow(determinism-taint): membership tests only; never iterated
     let v6_set: std::collections::HashSet<u64> = v6_changes.iter().map(|t| t.hours()).collect();
+    // lint:allow(determinism-taint): membership tests only; never iterated
     let v4_set: std::collections::HashSet<u64> = v4_changes.iter().map(|t| t.hours()).collect();
     let simultaneous = v4_changes
         .iter()

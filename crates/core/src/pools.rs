@@ -31,6 +31,7 @@ pub(crate) fn unique_prefixes(
 ) -> UniquePrefixCounts {
     let mut counts = [0usize; 7];
     for (i, len) in POOL_LENGTHS.iter().enumerate() {
+        // lint:allow(determinism-taint): cardinality only; order never observed
         let set: HashSet<u128> = history
             .v6
             .iter()
@@ -38,6 +39,7 @@ pub(crate) fn unique_prefixes(
             .collect();
         counts[i] = set.len();
     }
+    // lint:allow(determinism-taint): cardinality only; order never observed
     let bgp: HashSet<_> = history
         .v6
         .iter()

@@ -363,7 +363,7 @@ fn main() {
                 exit(Exit::Usage);
             }
         };
-        match dynamips_lint::run(&root, &config_text, format, true) {
+        match dynamips_lint::run(&root, &config_text, format) {
             Ok(outcome) => {
                 print!("{}", outcome.report);
                 if outcome.denies > 0 {

@@ -27,7 +27,8 @@
 //! Lock identity is the receiver identifier (`self.inner.lock()` →
 //! `inner`), not a type — the collector does not type-check. Two fields
 //! sharing a name alias into one lock: an over-approximation, the right
-//! polarity for a checker gated by a reviewable baseline. The known
+//! polarity for a checker whose false positives each need a justified
+//! `lint:allow` pragma. The known
 //! blind spot is a guard returned from a helper (`fn lock_jobs() ->
 //! MutexGuard`): the caller's held-set misses it, though the helper's
 //! own acquisition still feeds the transitive `acquires` sets.

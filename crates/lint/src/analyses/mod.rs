@@ -1,12 +1,11 @@
 //! Interprocedural analyses over the workspace call graph.
 //!
 //! clippy sees one crate or one line at a time; the analyses here see the
-//! whole workspace: [`panic_reach`] walks the call graph from the declared
-//! pipeline entry points and reports every panic site on a reachable path
-//! (with the shortest chain, so the report reads `entry → … → site`),
-//! [`determinism`] propagates wall-clock, unseeded-RNG and hash-iteration
-//! taint backwards from the declared artifact-renderer sinks, and
-//! [`dead_pub`] flags `pub` items no other crate references.
+//! whole workspace: [`determinism`] propagates wall-clock, unseeded-RNG
+//! and hash-iteration taint backwards from the declared artifact-renderer
+//! sinks (with the shortest chain, so the report reads
+//! `sink → … → site`), and [`dead_pub`] flags `pub` items no other crate
+//! references.
 //! [`concurrency`] adds lock-order and blocking-call safety, and
 //! [`lifecycle`] tracks declared acquire/release pairs, gauge balance,
 //! and collection growth on long-running paths. All of them honour
@@ -17,7 +16,6 @@ pub mod concurrency;
 pub mod dead_pub;
 pub mod determinism;
 pub mod lifecycle;
-pub mod panic_reach;
 
 use crate::callgraph::CallGraph;
 use crate::config::Config;
@@ -51,7 +49,6 @@ pub fn run(files: &[SourceFile], cfg: &Config) -> Result<Vec<Finding>, String> {
         .collect();
 
     let mut findings = Vec::new();
-    findings.extend(panic_reach::run(&graph, cfg, &allows)?);
     findings.extend(determinism::run(&graph, cfg, &allows));
     findings.extend(dead_pub::run(files, cfg, &allows));
     findings.extend(concurrency::run(&graph, cfg, &allows)?);

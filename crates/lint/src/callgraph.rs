@@ -7,15 +7,16 @@
 //!   function whose qualified path ends with the written segments;
 //! * a bare call (`helper(…)`) links to every free function of that name
 //!   anywhere in the workspace (imports are invisible to a token scanner);
-//! * a method call (`x.compute(…)`) links to every `impl`-block function
-//!   of that name — the receiver's type is unknown, so all candidates are
-//!   assumed callable.
+//! * a method call (`x.compute(…)`) links to every function of that name
+//!   whose first parameter is a `self` receiver — the receiver's type is
+//!   unknown, so all candidates are assumed callable, but a function
+//!   without a receiver (`Type::new`) cannot be reached through a `.`.
 //!
 //! Unresolved names (std, vendor, closures) produce no edge. The result
 //! over-approximates the real graph — a reachability verdict can be a
 //! false positive but never silently misses a statically written call —
-//! which is the right polarity for a checker whose findings gate CI
-//! through an explicit, reviewable baseline.
+//! which is the right polarity for a checker whose findings fail CI
+//! unless a justified `lint:allow` pragma waives the site.
 
 use crate::items::{FileItems, FnItem};
 use std::collections::btree_map::Entry;
@@ -79,7 +80,7 @@ impl CallGraph {
                             qual_suffix_matches(&c.item.qual_name, &call.qual, &call.name)
                         }
                     } else if call.method {
-                        c.item.is_method
+                        c.item.has_self
                     } else {
                         !c.item.is_method
                     };
@@ -213,10 +214,10 @@ mod tests {
     }
 
     #[test]
-    fn method_calls_link_to_methods_only() {
+    fn method_calls_link_to_self_receivers_only() {
         let g = graph(&[(
             "m.rs",
-            "struct S;\nimpl S { fn compute(&self) {} }\nfn compute() {}\nfn main(s: S) { s.compute(); }\n",
+            "struct S;\nimpl S { fn compute(&self) {} }\nimpl T { fn compute() {} }\nfn compute() {}\nfn main(s: S) { s.compute(); }\n",
         )]);
         let main = g.find("m.rs", "main")[0];
         let parents = g.bfs(&[main]);
@@ -225,6 +226,7 @@ mod tests {
             .map(|&id| g.nodes[id].item.qual_name.as_str())
             .collect();
         assert!(reached.contains(&"S::compute"), "{reached:?}");
+        assert!(!reached.contains(&"T::compute"), "{reached:?}");
         assert!(!reached.contains(&"compute"), "{reached:?}");
     }
 

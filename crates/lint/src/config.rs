@@ -49,12 +49,6 @@ pub struct Config {
     pub skip: Vec<String>,
     /// The timing layer: its wall-clock reads are not determinism taint.
     pub perf_exempt: Vec<String>,
-    /// Ingest parsers: the only files where panic-reach counts slice
-    /// indexing as a panic site.
-    pub ingest_paths: Vec<String>,
-    /// Pipeline entry points for panic-reachability, as `(file, fn-name)`
-    /// pairs parsed from `"path/to/file.rs::fn_name"` declarations.
-    pub entry_points: Vec<(String, String)>,
     /// Files whose functions are artifact-renderer sinks for the
     /// determinism-taint analysis.
     pub sinks: Vec<String>,
@@ -67,7 +61,8 @@ pub struct Config {
     /// `"Type::name"`) appended to the built-in list.
     pub blocking_sinks: Vec<String>,
     /// Reactor event-loop entry points for the blocking-in-reactor rule,
-    /// as `(file, fn-name)` pairs like `entry_points`.
+    /// as `(file, fn-name)` pairs parsed from `"path/to/file.rs::fn_name"`
+    /// declarations.
     pub reactor_entry_points: Vec<(String, String)>,
     /// Files whose functions the reactor is allowed to block in (the
     /// poller itself).
@@ -87,7 +82,7 @@ pub struct Config {
     /// name-based `.insert()` resolution from flagging unrelated crates).
     pub growth_paths: Vec<String>,
     /// Long-running loop functions — additional unbounded-growth roots —
-    /// as `(file, fn-name)` pairs like `entry_points`.
+    /// as `(file, fn-name)` pairs like `reactor_entry_points`.
     pub long_running: Vec<(String, String)>,
     /// Per-rule severity overrides.
     pub severity: BTreeMap<String, Severity>,
@@ -157,15 +152,12 @@ impl Config {
                 )),
             };
         }
-        if (section == "interprocedural" && key == "entry-points")
-            || (section == "concurrency" && key == "reactor-entry-points")
+        if (section == "concurrency" && key == "reactor-entry-points")
             || (section == "lifecycle" && key == "long-running")
         {
             let entries = parse_string_array(value)
                 .ok_or_else(|| format!("lint.toml:{lineno}: {key} must be an array of strings"))?;
-            let dest = if section == "interprocedural" {
-                &mut self.entry_points
-            } else if section == "concurrency" {
+            let dest = if section == "concurrency" {
                 &mut self.reactor_entry_points
             } else {
                 &mut self.long_running
@@ -184,7 +176,6 @@ impl Config {
         let target = match (section, key) {
             ("paths", "skip") => &mut self.skip,
             ("paths", "perf-exempt") => &mut self.perf_exempt,
-            ("paths", "ingest") => &mut self.ingest_paths,
             ("paths", "blocking-allowed") => &mut self.blocking_allowed,
             ("interprocedural", "sinks") => &mut self.sinks,
             ("interprocedural", "dead-pub") => &mut self.dead_pub,
@@ -262,14 +253,14 @@ mod tests {
     #[test]
     fn parses_sections_arrays_and_severities() {
         let cfg = Config::parse(
-            "# header\n[paths]\nskip = [\"vendor\", \"target\"] # trailing\ningest = [\n  \"crates/atlas/src/records.rs\",\n  \"crates/cdn/src/dataset.rs\",\n]\n\n[rules.dead-pub]\nseverity = \"warn\"\n",
+            "# header\n[paths]\nskip = [\"vendor\", \"target\"] # trailing\nperf-exempt = [\n  \"crates/core/src/perf.rs\",\n  \"crates/serve/src\",\n]\n\n[rules.dead-pub]\nseverity = \"warn\"\n",
         )
         .expect("parses");
         assert_eq!(cfg.skip, vec!["vendor", "target"]);
-        assert_eq!(cfg.ingest_paths.len(), 2);
+        assert_eq!(cfg.perf_exempt.len(), 2);
         assert_eq!(cfg.severity_of("dead-pub", Severity::Deny), Severity::Warn);
         assert_eq!(
-            cfg.severity_of("panic-reach", Severity::Deny),
+            cfg.severity_of("lock-order", Severity::Deny),
             Severity::Deny
         );
     }
@@ -277,21 +268,11 @@ mod tests {
     #[test]
     fn parses_interprocedural_section() {
         let cfg = Config::parse(
-            "[interprocedural]\nentry-points = [\"crates/experiments/src/main.rs::main\"]\nsinks = [\"crates/core/src/report.rs\"]\ndead-pub = [\"crates/core/src\"]\n",
+            "[interprocedural]\nsinks = [\"crates/core/src/report.rs\"]\ndead-pub = [\"crates/core/src\"]\n",
         )
         .expect("parses");
-        assert_eq!(
-            cfg.entry_points,
-            vec![(
-                "crates/experiments/src/main.rs".to_string(),
-                "main".to_string()
-            )]
-        );
         assert_eq!(cfg.sinks, vec!["crates/core/src/report.rs"]);
         assert_eq!(cfg.dead_pub, vec!["crates/core/src"]);
-        let err = Config::parse("[interprocedural]\nentry-points = [\"no-separator\"]\n")
-            .expect_err("entry point without ::");
-        assert!(err.contains("no-separator"), "{err}");
     }
 
     #[test]
@@ -341,8 +322,16 @@ mod tests {
     fn rejects_unknown_keys_with_line_numbers() {
         let err = Config::parse("[paths]\nbogus = []\n").expect_err("unknown key");
         assert!(err.contains("lint.toml:2"), "{err}");
-        // The retired hash-iter scope is gone, not silently ignored.
-        Config::parse("[paths]\nrender = []\n").expect_err("retired key");
+        // Retired scopes are gone, not silently ignored: hash-iter's
+        // render files, panic-reach's ingest files and entry points.
+        for retired in [
+            "[paths]\nrender = []\n",
+            "[paths]\ningest = [\"crates/atlas/src/records.rs\"]\n",
+            "[interprocedural]\nentry-points = [\"crates/experiments/src/main.rs::main\"]\n",
+        ] {
+            let err = Config::parse(retired).expect_err("retired key");
+            assert!(err.contains("unknown key"), "{err}");
+        }
         let err = Config::parse("[rules.x]\nseverity = \"fatal\"\n").expect_err("bad severity");
         assert!(err.contains("fatal"), "{err}");
     }

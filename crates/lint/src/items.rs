@@ -4,7 +4,7 @@
 //! Like [`crate::scrub`], this deliberately does not parse Rust (no
 //! `syn`; the build is offline). A single token pass over the scrubbed
 //! code view tracks a brace-scope stack (`mod` / `impl` / `fn` / plain
-//! block), which is enough to attribute every call site, panic site, and
+//! block), which is enough to attribute every call site, lock, exit and
 //! nondeterminism source to the function whose body contains it, and to
 //! give each function a qualified name (`module::Type::name`) for
 //! readable call chains. The collector is forgiving by construction:
@@ -109,7 +109,7 @@ impl LockKind {
 /// (`self.inner.lock()` → `inner`, `JOBS.lock()` → `JOBS`): the collector
 /// does not type-check, so two different types sharing a field name
 /// alias into one lock — an over-approximation, the right polarity for a
-/// deadlock checker gated by a reviewable baseline.
+/// deadlock checker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LockSite {
     /// Receiver-derived lock name (`<expr>` when the receiver is not a
@@ -128,15 +128,6 @@ pub struct LockSite {
     /// The guard's binding name, when `let`-bound (used to recognize
     /// `cv.wait(guard)` consuming it).
     pub binding: Option<String>,
-}
-
-/// A potentially panicking expression inside a function body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PanicSite {
-    /// What panics: `panic!`, `unwrap`, `expect`, `index`, ….
-    pub token: String,
-    /// 0-based line of the site.
-    pub line: usize,
 }
 
 /// A nondeterminism source category.
@@ -184,14 +175,15 @@ pub struct FnItem {
     pub def_line: usize,
     /// `true` if declared `pub` (not `pub(crate)`/`pub(super)`).
     pub is_pub: bool,
-    /// `true` if defined inside an `impl` block (candidate for `.x()` calls).
+    /// `true` if defined inside an `impl` block.
     pub is_method: bool,
+    /// `true` if the first parameter is a `self` receiver: the only
+    /// functions a `.name(…)` call can reach.
+    pub has_self: bool,
     /// `true` if the definition sits in a `#[cfg(test)]` span.
     pub is_test: bool,
     /// Call sites in the body.
     pub calls: Vec<CallSite>,
-    /// Panic sites in the body.
-    pub panics: Vec<PanicSite>,
     /// Nondeterminism sources in the body.
     pub taints: Vec<TaintSite>,
     /// Lock acquisitions in the body, with guard liveness spans.
@@ -244,12 +236,6 @@ const KEYWORDS: &[&str] = &[
     "type", "const", "static", "where", "unsafe", "dyn", "async", "await", "self", "Self", "super",
     "crate", "true", "false",
 ];
-
-/// Macros whose expansion aborts the process.
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-/// Methods that panic on the `None`/`Err` arm.
-const PANIC_METHODS: &[&str] = &["unwrap", "expect", "unwrap_err", "expect_err"];
 
 fn lex(code: &str) -> Vec<Spanned> {
     let mut out = Vec::new();
@@ -310,6 +296,7 @@ enum Pending {
     Fn {
         name: String,
         is_pub: bool,
+        has_self: bool,
         line: usize,
     },
     None,
@@ -403,7 +390,9 @@ pub fn collect_items(src: &ScrubbedSource) -> FileItems {
                     }
                     pub_pending = false;
                 }
-                "impl" => {
+                // `impl Trait` in a pending fn's signature is a type, not
+                // the start of an `impl` block.
+                "impl" if !matches!(pending, Pending::Fn { .. }) => {
                     let (ty, consumed) = impl_type_name(&toks, i + 1);
                     pending = Pending::Impl(ty);
                     i = consumed;
@@ -425,6 +414,7 @@ pub fn collect_items(src: &ScrubbedSource) -> FileItems {
                         pending = Pending::Fn {
                             name: name.clone(),
                             is_pub: pub_pending && !pub_restricted,
+                            has_self: takes_self(&toks, i + 2),
                             line: t.line,
                         };
                         i += 1;
@@ -458,7 +448,7 @@ pub fn collect_items(src: &ScrubbedSource) -> FileItems {
                     if matches!(w.as_str(), "loop" | "while" | "for") {
                         pending_loop = true;
                     }
-                    // Inside a function body, classify call/panic/taint sites.
+                    // Inside a function body, classify call and taint sites.
                     if let Some(fn_idx) = innermost_fn(&scopes) {
                         let in_loop = in_loop_within_fn(&scopes, &loop_stack);
                         match w.as_str() {
@@ -488,7 +478,12 @@ pub fn collect_items(src: &ScrubbedSource) -> FileItems {
                 let scope = match std::mem::replace(&mut pending, Pending::None) {
                     Pending::Mod(name) => Scope::Mod(name),
                     Pending::Impl(ty) => Scope::Impl(ty),
-                    Pending::Fn { name, is_pub, line } => {
+                    Pending::Fn {
+                        name,
+                        is_pub,
+                        has_self,
+                        line,
+                    } => {
                         let qual_name = qualified_name(&scopes, &name);
                         let is_method = scopes.iter().any(|s| matches!(s, Scope::Impl(_)));
                         items.fns.push(FnItem {
@@ -497,9 +492,9 @@ pub fn collect_items(src: &ScrubbedSource) -> FileItems {
                             def_line: line,
                             is_pub,
                             is_method,
+                            has_self,
                             is_test: src.is_test_line(line),
                             calls: Vec::new(),
-                            panics: Vec::new(),
                             taints: Vec::new(),
                             locks: Vec::new(),
                             exits: Vec::new(),
@@ -546,28 +541,6 @@ pub fn collect_items(src: &ScrubbedSource) -> FileItems {
                         close_guard(&mut items, g, i);
                     } else {
                         k += 1;
-                    }
-                }
-            }
-            Tok::Punct('[') => {
-                // Direct index expression: `x[`, `)[`, `][` with byte
-                // adjacency. `vec![` (prev `!`) and `#[` (prev `#`) do not
-                // qualify because their previous token is punctuation.
-                if let Some(fn_idx) = innermost_fn(&scopes) {
-                    if i > 0 {
-                        let prev = &toks[i - 1];
-                        let adjacent = prev.end == t.off;
-                        let indexable = matches!(&prev.tok, Tok::Ident(_))
-                            || prev.tok == Tok::Punct(')')
-                            || prev.tok == Tok::Punct(']');
-                        let prev_is_keyword =
-                            matches!(&prev.tok, Tok::Ident(w) if KEYWORDS.contains(&w.as_str()));
-                        if adjacent && indexable && !prev_is_keyword {
-                            items.fns[fn_idx].panics.push(PanicSite {
-                                token: "index".into(),
-                                line: t.line,
-                            });
-                        }
                     }
                 }
             }
@@ -761,6 +734,40 @@ fn close_dropped_guard(
     }
 }
 
+/// Does the fn signature whose name ends at `from` open its parameter
+/// list with a `self` receiver (`self`, `&self`, `&'a mut self`,
+/// `self: Box<Self>`)? Generic parameters before the `(` are skipped,
+/// including `Fn(…) -> T` bounds, whose `->` closes no angle bracket.
+fn takes_self(toks: &[Spanned], from: usize) -> bool {
+    let mut j = from;
+    let mut angle = 0usize;
+    while let Some(s) = toks.get(j) {
+        match s.tok {
+            Tok::Punct('<') => angle += 1,
+            Tok::Punct('>') if j > 0 && toks[j - 1].tok != Tok::Punct('-') => {
+                angle = angle.saturating_sub(1)
+            }
+            Tok::Punct('(') if angle == 0 => break,
+            Tok::Punct('{') | Tok::Punct(';') => return false,
+            _ => {}
+        }
+        j += 1;
+    }
+    // The first parameter runs to the first `,` or `)` at paren depth 1.
+    let mut depth = 0usize;
+    for s in toks.iter().skip(j) {
+        match &s.tok {
+            Tok::Punct('(') => depth += 1,
+            Tok::Punct(')') if depth == 1 => return false,
+            Tok::Punct(')') => depth -= 1,
+            Tok::Punct(',') if depth == 1 => return false,
+            Tok::Ident(w) if w == "self" => return true,
+            _ => {}
+        }
+    }
+    false
+}
+
 /// Are we at a scope where `pub` items are collected (module/impl level,
 /// not inside a function body)?
 fn at_item_scope(scopes: &[Scope]) -> bool {
@@ -825,8 +832,8 @@ fn impl_type_name(toks: &[Spanned], from: usize) -> (String, usize) {
     (ty, j.saturating_sub(1))
 }
 
-/// Classify the ident at `i` inside a function body: call site, panic
-/// macro, panicking method, or nondeterminism source.
+/// Classify the ident at `i` inside a function body: call site or
+/// nondeterminism source.
 fn classify_body_token(
     toks: &[Spanned],
     i: usize,
@@ -857,36 +864,11 @@ fn classify_body_token(
         _ => {}
     }
 
-    // Macro invocation: `name!(…)` / `name![…]` / `name!{…}`.
-    if next == Some(&Tok::Punct('!')) {
-        let opens = matches!(
-            toks.get(i + 2).map(|s| &s.tok),
-            Some(Tok::Punct('(')) | Some(Tok::Punct('[')) | Some(Tok::Punct('{'))
-        );
-        if opens && PANIC_MACROS.contains(&word) {
-            f.panics.push(PanicSite {
-                token: format!("{word}!"),
-                line,
-            });
-        }
-        return;
-    }
-
-    // Call expression: `name(…)`.
-    if next != Some(&Tok::Punct('(')) {
-        return;
-    }
-    if KEYWORDS.contains(&word) {
+    // Call expression: `name(…)` (a macro's `name!(…)` is not one).
+    if next != Some(&Tok::Punct('(')) || KEYWORDS.contains(&word) {
         return;
     }
     let is_method_call = prev == Some(&Tok::Punct('.'));
-    if is_method_call && PANIC_METHODS.contains(&word) {
-        f.panics.push(PanicSite {
-            token: word.into(),
-            line,
-        });
-        return;
-    }
 
     // Qualifying path: walk back over `seg::seg::…::name`.
     let mut qual: Vec<String> = Vec::new();
@@ -1016,16 +998,41 @@ mod tests {
     }
 
     #[test]
-    fn panic_sites_macros_methods_and_indexing() {
+    fn impl_trait_in_a_signature_keeps_the_fn() {
+        // `impl Trait` in argument or return position is a type, not an
+        // `impl` block: both fns stay in the graph with their calls.
         let items = collect(
-            "fn f(v: &[u8], o: Option<u8>) -> u8 {\n    if v.is_empty() { panic!(\"empty\"); }\n    let a = o.unwrap();\n    let b = o.expect(\"x\");\n    let c = v[0];\n    let ok = vec![1];\n    let d = o.unwrap_or(0);\n    a + b + c + d + ok.len() as u8\n}\n",
+            "fn each(mut f: impl FnMut(u8)) {\n    helper();\n    f(1);\n}\nfn adder() -> impl Fn(u8) -> u8 {\n    inner();\n    |x| x + 1\n}\nimpl S {\n    fn m(&self) {}\n}\n",
         );
-        let tokens: Vec<&str> = items.fns[0]
-            .panics
+        let names: Vec<&str> = items.fns.iter().map(|f| f.qual_name.as_str()).collect();
+        assert_eq!(names, vec!["each", "adder", "S::m"]);
+        assert_eq!(items.fns[0].calls[0].name, "helper");
+        assert_eq!(items.fns[1].calls[0].name, "inner");
+        assert!(!items.fns[0].is_method && !items.fns[1].is_method);
+        assert!(items.fns[2].is_method);
+    }
+
+    #[test]
+    fn self_receivers_are_recorded() {
+        let items = collect(
+            "impl S {\n    fn a(&self) {}\n    fn b(&'a mut self, x: u8) {}\n    fn c(self: Box<Self>) {}\n    fn d<F: Fn(u8) -> u8>(self, f: F) {}\n    fn new(x: (u8, u8)) -> Self { S }\n    fn e<T>(f: fn(u8), s: Self) {}\n}\n",
+        );
+        let has_self: Vec<(&str, bool)> = items
+            .fns
             .iter()
-            .map(|p| p.token.as_str())
+            .map(|f| (f.name.as_str(), f.has_self))
             .collect();
-        assert_eq!(tokens, vec!["panic!", "unwrap", "expect", "index"]);
+        assert_eq!(
+            has_self,
+            vec![
+                ("a", true),
+                ("b", true),
+                ("c", true),
+                ("d", true),
+                ("new", false),
+                ("e", false)
+            ]
+        );
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! `dynamips-lint` — a workspace invariant checker.
 //!
-//! The repo's earlier PRs established three guarantees by hand: the
-//! analysis pipeline is panic-free with a 0/1/2 exit-code contract, the
-//! parallel engine is byte-identical to a single-threaded run because no
-//! artifact path reads wall-clock time, unseeded randomness, or
-//! unordered-map iteration order, and the whole workspace builds offline
-//! from vendored path dependencies. The per-file halves of those
-//! invariants belong to cargo and clippy (the `[workspace.lints]` table,
-//! `clippy.toml` and the crate roots); this crate checks the
-//! whole-program rest: a comment/string/attribute-aware scrubber (no
-//! `syn` — the build is offline), the call-graph passes in [`analyses`],
-//! per-rule severities and justified `// lint:allow(<rule>): why`
-//! suppression pragmas, and text/JSON/SARIF reporters for CI.
+//! The workspace keeps three guarantees: the analysis pipeline is
+//! panic-free with a 0/1/2 exit-code contract, the parallel engine is
+//! byte-identical to a single-threaded run because no artifact path reads
+//! wall-clock time, unseeded randomness, or unordered-map iteration
+//! order, and the whole workspace builds offline from vendored path
+//! dependencies. Panic-freedom and the per-file halves of the others
+//! belong to cargo and clippy (the `[workspace.lints]` table,
+//! `clippy.toml` and the panic lints on every crate root); this crate
+//! checks the whole-program rest: a comment/string/attribute-aware
+//! scrubber (no `syn` — the build is offline), the call-graph passes in
+//! [`analyses`], per-rule severities and justified
+//! `// lint:allow(<rule>): why` suppression pragmas, and text/JSON/SARIF
+//! reporters for CI.
 //!
 //! Which paths carry which invariants is declared in the checked-in
 //! `lint.toml` at the workspace root ([`config`]); the rule catalogue and
@@ -34,7 +35,6 @@
 )]
 
 pub mod analyses;
-pub mod baseline;
 pub mod callgraph;
 pub mod config;
 pub mod engine;
@@ -43,7 +43,6 @@ pub mod report;
 pub mod rules;
 pub mod scrub;
 
-pub use baseline::{Baseline, BASELINE_FILE, BASELINE_SCHEMA};
 pub use config::{Config, Severity};
 pub use engine::{deny_count, find_root, lint_workspace, lint_workspace_with_overrides};
 pub use report::{parse_json, render_text, to_json, to_sarif, LINT_SCHEMA};
@@ -78,57 +77,25 @@ pub struct RunOutcome {
     pub report: String,
     /// Number of deny-severity findings; nonzero means the run failed.
     pub denies: usize,
-    /// Findings suppressed by the baseline ratchet.
-    pub baselined: usize,
 }
 
 /// Lint the workspace at `root` with the given `lint.toml` text, in one
-/// call usable from both binaries. When `use_baseline` is set and a
-/// `lint-baseline.json` exists at `root`, the ratchet is applied: known
-/// findings are suppressed, excess findings survive, and stale entries
-/// become deny-severity findings. Errors are configuration or I/O
+/// call usable from both binaries. Errors are configuration or I/O
 /// problems (usage-class failures), distinct from findings.
 pub fn run(
     root: &std::path::Path,
     config_text: &str,
     format: Format,
-    use_baseline: bool,
 ) -> Result<RunOutcome, String> {
     let cfg = Config::parse(config_text)?;
     let findings = lint_workspace(root, &cfg)?;
-    let (findings, baselined) = match load_baseline(root, use_baseline)? {
-        Some(base) => {
-            let applied = base.apply(findings);
-            (applied.kept, applied.suppressed)
-        }
-        None => (findings, 0),
-    };
-    let mut report = match format {
+    let report = match format {
         Format::Text => render_text(&findings),
         Format::Json => to_json(&findings),
         Format::Sarif => to_sarif(&findings),
     };
-    if format == Format::Text && baselined > 0 {
-        report.push_str(&format!(
-            "lint: {baselined} known finding(s) suppressed by {BASELINE_FILE}\n"
-        ));
-    }
     Ok(RunOutcome {
         report,
         denies: deny_count(&findings),
-        baselined,
     })
-}
-
-/// Read `<root>/lint-baseline.json` if present (and wanted).
-fn load_baseline(root: &std::path::Path, use_baseline: bool) -> Result<Option<Baseline>, String> {
-    if !use_baseline {
-        return Ok(None);
-    }
-    let path = root.join(BASELINE_FILE);
-    if !path.is_file() {
-        return Ok(None);
-    }
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-    Baseline::parse(&text).map(Some)
 }

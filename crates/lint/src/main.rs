@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! dynamips-lint [--format text|json|sarif] [--config lint.toml] [--root DIR]
-//!               [--no-baseline] [--write-baseline] [--list-rules]
-//!               [--explain RULE]
+//!               [--list-rules] [--explain RULE]
 //! ```
 //!
 //! Exit codes: `0` clean, `1` at least one deny-severity finding, `2`
@@ -20,7 +19,7 @@
     clippy::unimplemented
 )]
 
-use dynamips_lint::{run, Baseline, Config, Format, ALL_RULES, BASELINE_FILE};
+use dynamips_lint::{run, Format, ALL_RULES};
 use std::path::PathBuf;
 
 /// The nonzero exit codes; success is returning from `main`.
@@ -43,14 +42,10 @@ fn exit(code: Exit) -> ! {
 fn usage() -> ! {
     eprintln!(
         "usage: dynamips-lint [--format text|json|sarif] [--config PATH] [--root DIR]\n\
-         \x20                    [--no-baseline] [--write-baseline] [--list-rules]\n\
-         \x20                    [--explain RULE]\n\
+         \x20                    [--list-rules] [--explain RULE]\n\
          \x20 --format          output format (default: text)\n\
          \x20 --config          lint config (default: <root>/lint.toml)\n\
          \x20 --root            workspace root (default: nearest ancestor with lint.toml)\n\
-         \x20 --no-baseline     ignore lint-baseline.json: report the full finding set\n\
-         \x20 --write-baseline  regenerate lint-baseline.json from the current findings\n\
-         \x20                   (review the diff: the ratchet should only shrink)\n\
          \x20 --list-rules      list every rule id, severity, and description, then exit\n\
          \x20 --explain         print one rule's rationale, example finding, and pragma\n\
          \x20                   syntax, then exit (unknown rule: exit 2)\n\
@@ -63,8 +58,6 @@ fn main() {
     let mut format = Format::Text;
     let mut config_path: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
-    let mut use_baseline = true;
-    let mut write_baseline = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -79,9 +72,7 @@ fn main() {
                 config_path = Some(args.next().map(Into::into).unwrap_or_else(|| usage()))
             }
             "--root" => root = Some(args.next().map(Into::into).unwrap_or_else(|| usage())),
-            "--no-baseline" => use_baseline = false,
-            "--write-baseline" => write_baseline = true,
-            "--list-rules" | "--rules" => {
+            "--list-rules" => {
                 for r in ALL_RULES {
                     println!(
                         "{:<20} {:<5} {}",
@@ -105,7 +96,6 @@ fn main() {
                     }
                 }
             }
-            "--help" | "-h" => usage(),
             _ => usage(),
         }
     }
@@ -129,39 +119,7 @@ fn main() {
         }
     };
 
-    if write_baseline {
-        // Regenerate the ratchet from the *full* finding set (the current
-        // baseline is deliberately ignored) and report what changed.
-        let cfg = match Config::parse(&config_text) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("dynamips-lint: {e}");
-                exit(Exit::Usage);
-            }
-        };
-        let findings = match dynamips_lint::lint_workspace(&root, &cfg) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("dynamips-lint: {e}");
-                exit(Exit::Usage);
-            }
-        };
-        let base = Baseline::from_findings(&findings);
-        let path = root.join(BASELINE_FILE);
-        if let Err(e) = std::fs::write(&path, base.to_json()) {
-            eprintln!("dynamips-lint: cannot write {}: {e}", path.display());
-            exit(Exit::Usage);
-        }
-        println!(
-            "wrote {} ({} finding(s) across {} entries) — diff before committing; the ratchet should only shrink",
-            path.display(),
-            findings.len(),
-            base.entries.len()
-        );
-        return;
-    }
-
-    match run(&root, &config_text, format, use_baseline) {
+    match run(&root, &config_text, format) {
         Ok(outcome) => {
             print!("{}", outcome.report);
             if outcome.denies > 0 {

@@ -43,7 +43,7 @@ pub fn render_text(findings: &[Finding]) -> String {
     out
 }
 
-pub(crate) fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -197,7 +197,7 @@ pub fn parse_json(json: &str) -> Result<Vec<Finding>, String> {
 }
 
 /// Extract the raw token after `"key":` up to the next unquoted `,` / `}`.
-pub(crate) fn field_raw<'a>(json: &'a str, key: &str) -> Option<&'a str> {
+fn field_raw<'a>(json: &'a str, key: &str) -> Option<&'a str> {
     let tag = format!("\"{key}\":");
     let start = json.find(&tag)? + tag.len();
     let rest = json[start..].trim_start();
@@ -221,7 +221,7 @@ pub(crate) fn field_raw<'a>(json: &'a str, key: &str) -> Option<&'a str> {
 }
 
 /// Extract and unescape a string field.
-pub(crate) fn field(json: &str, key: &str) -> Option<String> {
+fn field(json: &str, key: &str) -> Option<String> {
     let raw = field_raw(json, key)?;
     let inner = raw.strip_prefix('"')?.strip_suffix('"')?;
     Some(unescape(inner))
@@ -237,9 +237,9 @@ mod tests {
                 path: "crates/a/src/f.rs".into(),
                 line: 7,
                 end_line: 7,
-                rule: "panic-reach".into(),
+                rule: "dead-pub".into(),
                 severity: Severity::Deny,
-                message: "`unwrap` reachable from pipeline entry: main → f".into(),
+                message: "pub fn `f` never referenced outside its crate".into(),
             },
             Finding {
                 path: "crates/b/src/g.rs".into(),
@@ -273,7 +273,7 @@ mod tests {
     #[test]
     fn text_report_shape() {
         let text = render_text(&sample());
-        assert!(text.contains("crates/a/src/f.rs:7: deny[panic-reach]"));
+        assert!(text.contains("crates/a/src/f.rs:7: deny[dead-pub]"));
         assert!(text.contains("1 deny, 1 warn"));
     }
 
@@ -282,7 +282,7 @@ mod tests {
         let sarif = to_sarif(&sample());
         assert!(sarif.contains("\"version\": \"2.1.0\""));
         assert!(sarif.contains("\"name\": \"dynamips-lint\""));
-        assert!(sarif.contains("\"ruleId\": \"panic-reach\""));
+        assert!(sarif.contains("\"ruleId\": \"dead-pub\""));
         assert!(sarif.contains("\"level\": \"error\""));
         assert!(sarif.contains("\"level\": \"warning\""));
         assert!(sarif.contains("\"startLine\": 7, \"endLine\": 7"));

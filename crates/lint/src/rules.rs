@@ -3,14 +3,14 @@
 //!
 //! The per-file guarantees belong to the toolchain: clippy lints set in
 //! `clippy.toml` and on the crate roots (no wall clock or stray threads
-//! outside their layers, panic-freedom, no printing libraries, the
-//! exit-code contract, slice indexing in ingest parsers, SAFETY comments,
-//! no unordered maps in the artifact-rendering modules), the workspace
-//! `[lints]` table (`unsafe_code`, `missing_docs`), and cargo's offline,
-//! locked dependency resolution. What stays here are the whole-program
-//! rules of [`crate::analyses`], which need the call graph, plus two meta
-//! rules: pragma hygiene ([`BARE_ALLOW`]) and the baseline ratchet
-//! ([`STALE_BASELINE`]).
+//! outside their layers, panic-freedom in every crate a binary links, no
+//! printing libraries, the exit-code contract, slice indexing in ingest
+//! parsers, SAFETY comments, no unordered maps in the artifact-rendering
+//! modules), the workspace `[lints]` table (`unsafe_code`,
+//! `missing_docs`), and cargo's offline, locked dependency resolution.
+//! What stays here are the whole-program rules of [`crate::analyses`],
+//! which need the call graph, plus one meta rule: pragma hygiene
+//! ([`BARE_ALLOW`]).
 //!
 //! Findings are suppressed line-by-line with
 //! `// lint:allow(<rule>): <justification>` pragmas; a pragma without a
@@ -45,18 +45,6 @@ pub const BARE_ALLOW: Rule = Rule {
     example: "crates/core/src/stats.rs:91: lint:allow pragma without a justification",
 };
 
-/// Interprocedural: panic sites reachable from a pipeline entry point.
-pub const PANIC_REACH: Rule = Rule {
-    id: "panic-reach",
-    default_severity: Severity::Deny,
-    summary: "panic/unwrap/expect site reachable from a pipeline entry point (call-graph)",
-    rationale:
-        "clippy's panic lints only see the declared panic-free crates; this closes the \
-                transitive gap — an unwrap in a helper crate that main can reach is still an abort.",
-    example:
-        "crates/core/src/geo.rs:140: `unwrap` reachable from pipeline entry: main → run → project",
-};
-
 /// Interprocedural: nondeterminism sources reachable from a renderer.
 pub const DETERMINISM_TAINT: Rule = Rule {
     id: "determinism-taint",
@@ -76,16 +64,6 @@ pub const DEAD_PUB: Rule = Rule {
                 pure maintenance cost and hides what the crate is actually for.",
     example:
         "crates/core/src/stats.rs:12: pub fn `quantile_raw` never referenced outside its crate",
-};
-
-/// Meta: the checked-in baseline may only shrink.
-pub const STALE_BASELINE: Rule = Rule {
-    id: "stale-baseline",
-    default_severity: Severity::Deny,
-    summary: "lint-baseline.json entry that no longer fires (shrink the baseline)",
-    rationale: "The baseline is a ratchet: debt may be paid down, never silently re-accrued. An \
-                entry that no longer fires must be deleted so the ratchet tightens.",
-    example: "lint-baseline.json: baselined finding for panic-reach at crates/core/src/geo.rs no longer fires",
 };
 
 /// Concurrency: the acquired-while-holding graph must stay acyclic.
@@ -185,12 +163,10 @@ pub const DROP_ORDER: Rule = Rule {
 };
 
 /// Every rule, for docs, pragma validation, and `--list-rules` output.
-pub const ALL_RULES: [Rule; 13] = [
+pub const ALL_RULES: [Rule; 11] = [
     BARE_ALLOW,
-    PANIC_REACH,
     DETERMINISM_TAINT,
     DEAD_PUB,
-    STALE_BASELINE,
     LOCK_ORDER,
     LOCK_ACROSS_BLOCKING,
     BLOCKING_IN_REACTOR,
@@ -347,12 +323,12 @@ mod tests {
     #[test]
     fn justified_pragmas_cover_their_target_line() {
         let cfg = Config::default();
-        let src = "// lint:allow(panic-reach): checked above\n\nlet a = 1;\nlet b = 2; // lint:allow(dead-pub, drop-order): fine here\n";
+        let src = "// lint:allow(lock-order): checked above\n\nlet a = 1;\nlet b = 2; // lint:allow(dead-pub, drop-order): fine here\n";
         let (allows, findings) = run(src, &cfg);
         assert!(findings.is_empty(), "{findings:?}");
         assert_eq!(allows.len(), 2);
         // Standalone: the next line carrying code, past the blank one.
-        assert!(allows[0].covers(2, "panic-reach"));
+        assert!(allows[0].covers(2, "lock-order"));
         assert!(!allows[0].covers(2, "dead-pub"));
         // Trailing: its own line, every rule it names.
         assert!(allows[1].covers(3, "dead-pub") && allows[1].covers(3, "drop-order"));
@@ -361,7 +337,7 @@ mod tests {
     #[test]
     fn bare_and_unknown_pragmas_suppress_nothing() {
         let cfg = Config::default();
-        let (allows, findings) = run("// lint:allow(panic-reach)\nx.unwrap();\n", &cfg);
+        let (allows, findings) = run("// lint:allow(dead-pub)\npub fn f() {}\n", &cfg);
         assert!(allows.is_empty());
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(
@@ -373,6 +349,8 @@ mod tests {
         for id in [
             "no-such-rule",
             "panic-path",
+            "panic-reach",
+            "stale-baseline",
             "hash-iter",
             "crate-root",
             "offline-deps",

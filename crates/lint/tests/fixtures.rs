@@ -3,9 +3,7 @@
 //! rule — plus the meta-test that the real workspace is lint-clean under
 //! the checked-in `lint.toml`.
 
-use dynamips_lint::{
-    deny_count, lint_workspace, parse_json, to_json, Baseline, Config, Finding, ALL_RULES,
-};
+use dynamips_lint::{deny_count, lint_workspace, parse_json, to_json, Config, Finding, ALL_RULES};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -21,17 +19,7 @@ fn lint_fixtures() -> Vec<Finding> {
     let root = fixture_root();
     let cfg_text = std::fs::read_to_string(root.join("lint.toml")).expect("fixture lint.toml");
     let cfg = Config::parse(&cfg_text).expect("fixture config parses");
-    let findings = lint_workspace(&root, &cfg).expect("fixture corpus lints");
-    // The corpus baseline holds exactly one stale entry, so applying the
-    // ratchet exercises the stale-baseline rule without suppressing any of
-    // the genuine fixture findings.
-    let base_text =
-        std::fs::read_to_string(root.join("lint-baseline.json")).expect("fixture baseline");
-    let applied = Baseline::parse(&base_text)
-        .expect("fixture baseline parses")
-        .apply(findings);
-    assert_eq!(applied.suppressed, 0, "the fixture baseline is all stale");
-    applied.kept
+    lint_workspace(&root, &cfg).expect("fixture corpus lints")
 }
 
 /// Every rule fires on the corpus, with exactly the counts the fixture
@@ -48,14 +36,12 @@ fn fixture_corpus_trips_every_rule() {
         ("blocking-in-reactor", 1),
         ("condvar-wait-loop", 1),
         ("dead-pub", 1),
-        ("determinism-taint", 1),
+        ("determinism-taint", 2),
         ("drop-order", 2),
         ("gauge-balance", 1),
         ("lock-across-blocking", 1),
         ("lock-order", 1),
-        ("panic-reach", 1),
         ("resource-leak", 2),
-        ("stale-baseline", 1),
         ("unbounded-growth", 1),
     ];
     let got: Vec<(&str, usize)> = by_rule.iter().map(|(k, v)| (*k, *v)).collect();
@@ -76,36 +62,27 @@ fn fixture_corpus_trips_every_rule() {
 
 /// The interprocedural findings report the shortest call chain from the
 /// root to the offending site — the acceptance scenario for the
-/// call-graph analyses.
+/// call-graph analyses. One chain runs through a fn whose signature takes
+/// `impl FnMut`, which the item collector must keep in the graph.
 #[test]
 fn fixture_chains_are_reported() {
     let findings = lint_fixtures();
-    let reach: Vec<&Finding> = findings
-        .iter()
-        .filter(|f| f.rule == "panic-reach")
-        .collect();
-    assert_eq!(reach.len(), 1, "{reach:#?}");
-    assert_eq!(reach[0].path, "src/chain.rs");
-    assert!(
-        reach[0]
-            .message
-            .contains("main → chain_entry → chain_helper"),
-        "chain missing: {}",
-        reach[0].message
-    );
     let taint: Vec<&Finding> = findings
         .iter()
         .filter(|f| f.rule == "determinism-taint")
         .collect();
-    assert_eq!(taint.len(), 1, "{taint:#?}");
-    assert_eq!(taint[0].path, "src/taint.rs");
-    assert!(
-        taint[0]
-            .message
-            .contains("render_table → helper_mid → helper_src"),
-        "chain missing: {}",
-        taint[0].message
-    );
+    assert_eq!(taint.len(), 2, "{taint:#?}");
+    for (finding, chain) in taint.iter().zip([
+        "render_rows → for_each_row → stamp_row",
+        "render_table → helper_mid → helper_src",
+    ]) {
+        assert_eq!(finding.path, "src/taint.rs");
+        assert!(
+            finding.message.contains(chain),
+            "chain {chain} missing: {}",
+            finding.message
+        );
+    }
     let dead: Vec<&Finding> = findings.iter().filter(|f| f.rule == "dead-pub").collect();
     assert_eq!(dead.len(), 1, "{dead:#?}");
     assert!(
@@ -120,39 +97,26 @@ fn fixture_chains_are_reported() {
 #[test]
 fn clean_fixtures_stay_clean() {
     let findings = lint_fixtures();
-    for clean in [
-        "src/lib.rs",
-        "src/main.rs",
-        "src/suppressed.rs",
-        "src/tricky.rs",
-    ] {
+    for clean in ["src/lib.rs", "src/suppressed.rs", "src/tricky.rs"] {
         let hits: Vec<&Finding> = findings.iter().filter(|f| f.path == clean).collect();
         assert!(hits.is_empty(), "{clean} should be clean: {hits:#?}");
     }
 }
 
-/// The meta-test: the workspace itself, under the checked-in `lint.toml`
-/// and `lint-baseline.json` ratchet, has zero deny-severity findings —
-/// exactly what CI enforces. Any regression — a panic reachable from
-/// main, a wall-clock read behind a renderer, a finding beyond the
-/// baselined debt — fails this test.
+/// The meta-test: the workspace itself, under the checked-in `lint.toml`,
+/// has zero deny-severity findings — exactly what CI enforces. Any
+/// regression — a wall-clock read behind a renderer, a lock-order cycle,
+/// an unjustified pragma — fails this test.
 #[test]
 fn workspace_is_lint_clean() {
     let root = workspace_root();
     let cfg_text = std::fs::read_to_string(root.join("lint.toml")).expect("workspace lint.toml");
-    let outcome = dynamips_lint::run(&root, &cfg_text, dynamips_lint::Format::Text, true)
-        .expect("workspace lints");
+    let outcome =
+        dynamips_lint::run(&root, &cfg_text, dynamips_lint::Format::Text).expect("workspace lints");
     assert_eq!(
         outcome.denies, 0,
-        "workspace has deny findings beyond the baseline:\n{}",
+        "workspace has deny findings:\n{}",
         outcome.report
-    );
-    // The baselined debt is the checked-in panic-reach backlog; it may
-    // shrink (update the baseline) but the ratchet forbids growth.
-    assert!(
-        outcome.baselined <= 5,
-        "baseline grew: {} suppressed findings",
-        outcome.baselined
     );
 }
 

@@ -3,7 +3,7 @@
 //! and none suppresses anything. Expected: bare-allow x3.
 
 pub fn f(o: Option<u32>) -> u32 {
-    // lint:allow(panic-reach)
+    // lint:allow(dead-pub)
     o.unwrap()
 }
 

@@ -21,9 +21,19 @@
 //! Everything here is deterministic and allocation-light; the only heap use
 //! is inside the tries.
 
-// Library code renders to strings instead of printing. The shared levels
-// come from the workspace `[lints]` table.
-#![warn(clippy::print_stdout, clippy::print_stderr)]
+// Panic-freedom: shipping code degrades instead of panicking (tests are
+// exempt via clippy.toml), and library code renders to strings instead
+// of printing. The shared levels come from the workspace `[lints]` table.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod cpl;
 pub mod error;

@@ -52,10 +52,10 @@ impl Ipv6Prefix {
 
     /// Construct from raw bits, masking away host bits, where the caller
     /// guarantees `len <= MAX_LEN` (as the prefix trie does for every key
-    /// it stores). This path never panics in release builds: a longer
-    /// `len` is a caller bug that debug builds assert and release builds
-    /// saturate.
-    pub(crate) fn masked(bits: u128, len: u8) -> Self {
+    /// it stores, and code-defined prefixes do by construction). This
+    /// path never panics in release builds: a longer `len` is a caller bug
+    /// that debug builds assert and release builds saturate.
+    pub fn masked(bits: u128, len: u8) -> Self {
         debug_assert!(len <= Self::MAX_LEN, "prefix length {len} out of range");
         let len = len.min(Self::MAX_LEN);
         Self {

@@ -120,7 +120,7 @@ impl IndexAllocator {
         }
         // Only the previous index is left.
         prev.filter(|&p| p < self.dense_len() && !self.in_use[p as usize])
-            .map(|p| self.commit(client, p).expect("index is free"))
+            .and_then(|p| self.commit(client, p))
     }
 
     fn commit(&mut self, client: u64, index: u64) -> Option<u64> {

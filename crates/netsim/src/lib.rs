@@ -30,9 +30,19 @@
 //! * [`world`] — assembly of many ISPs into one synthetic Internet with BGP
 //!   announcements and RIR delegations.
 
-// Library code renders to strings instead of printing. The shared levels
-// come from the workspace `[lints]` table.
-#![warn(clippy::print_stdout, clippy::print_stderr)]
+// Panic-freedom: shipping code degrades instead of panicking (tests are
+// exempt via clippy.toml), and library code renders to strings instead
+// of printing. The shared levels come from the workspace `[lints]` table.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub(crate) mod alloc;
 pub mod churn;
@@ -50,7 +60,7 @@ pub mod timeline;
 pub mod world;
 
 pub use config::IspConfig;
-pub use sim::{IspSim, IspSimResult};
+pub use sim::IspSimResult;
 pub use time::{Date, SimTime, Window, DAY, WEEK, YEAR};
 pub use timeline::{SubscriberId, SubscriberTimeline, V4Segment, V6Segment};
 pub use world::World;

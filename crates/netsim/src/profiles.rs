@@ -25,6 +25,7 @@ use crate::config::{
     V6Policy, V6PoolPlan,
 };
 use crate::world::World;
+use dynamips_netaddr::{Ipv4Prefix, Ipv6Prefix};
 use dynamips_routing::{AccessType, Asn, Rir};
 
 /// Which collection window a profile is being instantiated for.
@@ -74,17 +75,28 @@ fn stable_v6_maint(valid_days: u64, maintenance_days: f64) -> V6Policy {
     }
 }
 
-fn v4p(s: &str) -> dynamips_netaddr::Ipv4Prefix {
-    s.parse().expect("profile IPv4 prefix")
+/// A profile's IPv4 prefix from its octets, built without parsing. Every
+/// literal here is canonical (no host bits), which debug builds assert and
+/// `every_profile_validates_at_several_scales` exercises.
+fn v4p(octets: [u8; 4], len: u8) -> Ipv4Prefix {
+    let bits = u32::from_be_bytes(octets);
+    let prefix = Ipv4Prefix::masked(bits, len);
+    debug_assert_eq!(prefix.bits(), bits, "host bits set in a profile prefix");
+    prefix
 }
 
-fn v6p(s: &str) -> dynamips_netaddr::Ipv6Prefix {
-    s.parse().expect("profile IPv6 prefix")
+/// A profile's IPv6 prefix from its two leading 16-bit segments (every
+/// profile aggregate is `hi:lo::/len`), built like [`v4p`].
+fn v6p([hi, lo]: [u16; 2], len: u8) -> Ipv6Prefix {
+    let bits = (u128::from(hi) << 112) | (u128::from(lo) << 96);
+    let prefix = Ipv6Prefix::masked(bits, len);
+    debug_assert_eq!(prefix.bits(), bits, "host bits set in a profile prefix");
+    prefix
 }
 
-fn pools(specs: &[(&str, f64)], p_near: f64) -> V4PoolPlan {
+fn pools(specs: &[(Ipv4Prefix, f64)], p_near: f64) -> V4PoolPlan {
     V4PoolPlan {
-        pools: specs.iter().map(|(s, w)| (v4p(s), *w)).collect(),
+        pools: specs.to_vec(),
         announcements: Vec::new(),
         p_near,
         near_radius: 16,
@@ -170,11 +182,14 @@ pub fn dtag(subscribers: u32, era: Era) -> IspConfig {
         rir: Rir::RipeNcc,
         access: AccessType::FixedLine,
         v4_plan: Some(pools(
-            &[("84.128.0.0/12", 0.83), ("91.0.0.0/13", 0.17)],
+            &[
+                (v4p([84, 128, 0, 0], 12), 0.83),
+                (v4p([91, 0, 0, 0], 13), 0.17),
+            ],
             0.065,
         )),
         v6_plan: Some(V6PoolPlan {
-            aggregates: vec![v6p("2003::/19")],
+            aggregates: vec![v6p([0x2003, 0], 19)],
             region_len: 40,
             delegated_len: 56,
             regions_per_aggregate: 6,
@@ -304,14 +319,14 @@ pub fn orange(subscribers: u32, era: Era) -> IspConfig {
         access: AccessType::FixedLine,
         v4_plan: Some(pools(
             &[
-                ("90.0.0.0/12", 0.5),
-                ("86.192.0.0/13", 0.3),
-                ("92.128.0.0/13", 0.2),
+                (v4p([90, 0, 0, 0], 12), 0.5),
+                (v4p([86, 192, 0, 0], 13), 0.3),
+                (v4p([92, 128, 0, 0], 13), 0.2),
             ],
             0.01,
         )),
         v6_plan: Some(V6PoolPlan {
-            aggregates: vec![v6p("2a01:c000::/20"), v6p("2a01:d000::/20")],
+            aggregates: vec![v6p([0x2a01, 0xc000], 20), v6p([0x2a01, 0xd000], 20)],
             region_len: 36,
             delegated_len: 56,
             regions_per_aggregate: 4,
@@ -350,17 +365,17 @@ pub fn comcast(subscribers: u32, era: Era) -> IspConfig {
         Era::Atlas => 0.32,
         Era::Cdn => 0.05,
     };
-    let v4_pools: Vec<(&str, f64)> = vec![
-        ("24.0.0.0/14", 0.1),
-        ("24.4.0.0/14", 0.1),
-        ("67.160.0.0/14", 0.1),
-        ("68.32.0.0/14", 0.1),
-        ("69.136.0.0/14", 0.1),
-        ("71.192.0.0/14", 0.1),
-        ("73.0.0.0/14", 0.1),
-        ("75.64.0.0/14", 0.1),
-        ("76.16.0.0/14", 0.1),
-        ("98.192.0.0/14", 0.1),
+    let v4_pools: Vec<(Ipv4Prefix, f64)> = vec![
+        (v4p([24, 0, 0, 0], 14), 0.1),
+        (v4p([24, 4, 0, 0], 14), 0.1),
+        (v4p([67, 160, 0, 0], 14), 0.1),
+        (v4p([68, 32, 0, 0], 14), 0.1),
+        (v4p([69, 136, 0, 0], 14), 0.1),
+        (v4p([71, 192, 0, 0], 14), 0.1),
+        (v4p([73, 0, 0, 0], 14), 0.1),
+        (v4p([75, 64, 0, 0], 14), 0.1),
+        (v4p([76, 16, 0, 0], 14), 0.1),
+        (v4p([98, 192, 0, 0], 14), 0.1),
     ];
     IspConfig {
         asn: Asn(7922),
@@ -371,10 +386,10 @@ pub fn comcast(subscribers: u32, era: Era) -> IspConfig {
         v4_plan: Some(pools(&v4_pools, 0.58)),
         v6_plan: Some(V6PoolPlan {
             aggregates: vec![
-                v6p("2601::/24"),
-                v6p("2601:100::/24"),
-                v6p("2601:200::/24"),
-                v6p("2601:300::/24"),
+                v6p([0x2601, 0], 24),
+                v6p([0x2601, 0x100], 24),
+                v6p([0x2601, 0x200], 24),
+                v6p([0x2601, 0x300], 24),
             ],
             region_len: 40,
             delegated_len: 60,
@@ -422,11 +437,14 @@ pub fn lgi(subscribers: u32, era: Era) -> IspConfig {
         rir: Rir::RipeNcc,
         access: AccessType::FixedLine,
         v4_plan: Some(pools(
-            &[("80.56.0.0/13", 0.86), ("24.132.0.0/14", 0.14)],
+            &[
+                (v4p([80, 56, 0, 0], 13), 0.86),
+                (v4p([24, 132, 0, 0], 14), 0.14),
+            ],
             0.44,
         )),
         v6_plan: Some(V6PoolPlan {
-            aggregates: vec![v6p("2a02:8000::/24")],
+            aggregates: vec![v6p([0x2a02, 0x8000], 24)],
             region_len: 44,
             delegated_len: 56,
             regions_per_aggregate: 6,
@@ -494,14 +512,14 @@ pub fn bt(subscribers: u32, era: Era) -> IspConfig {
         access: AccessType::FixedLine,
         v4_plan: Some(pools(
             &[
-                ("81.128.0.0/13", 0.65),
-                ("86.128.0.0/14", 0.25),
-                ("109.144.0.0/15", 0.10),
+                (v4p([81, 128, 0, 0], 13), 0.65),
+                (v4p([86, 128, 0, 0], 14), 0.25),
+                (v4p([109, 144, 0, 0], 15), 0.10),
             ],
             0.06,
         )),
         v6_plan: Some(V6PoolPlan {
-            aggregates: vec![v6p("2a00:2380::/25")],
+            aggregates: vec![v6p([0x2a00, 0x2380], 25)],
             region_len: 44,
             delegated_len: 56,
             regions_per_aggregate: 8,
@@ -549,14 +567,14 @@ pub(crate) fn proximus(subscribers: u32, era: Era) -> IspConfig {
         access: AccessType::FixedLine,
         v4_plan: Some(pools(
             &[
-                ("87.64.0.0/13", 0.5),
-                ("91.176.0.0/13", 0.3),
-                ("178.116.0.0/14", 0.2),
+                (v4p([87, 64, 0, 0], 13), 0.5),
+                (v4p([91, 176, 0, 0], 13), 0.3),
+                (v4p([178, 116, 0, 0], 14), 0.2),
             ],
             0.13,
         )),
         v6_plan: Some(V6PoolPlan {
-            aggregates: vec![v6p("2a02:a000::/21")],
+            aggregates: vec![v6p([0x2a02, 0xa000], 21)],
             region_len: 40,
             delegated_len: 56,
             regions_per_aggregate: 6,
@@ -640,14 +658,14 @@ pub(crate) fn versatel(subscribers: u32, era: Era) -> IspConfig {
         access: AccessType::FixedLine,
         v4_plan: Some(pools(
             &[
-                ("89.244.0.0/14", 0.55),
-                ("62.214.0.0/15", 0.30),
-                ("212.7.128.0/17", 0.15),
+                (v4p([89, 244, 0, 0], 14), 0.55),
+                (v4p([62, 214, 0, 0], 15), 0.30),
+                (v4p([212, 7, 128, 0], 17), 0.15),
             ],
             0.074,
         )),
         v6_plan: Some(V6PoolPlan {
-            aggregates: vec![v6p("2001:16b8::/32")],
+            aggregates: vec![v6p([0x2001, 0x16b8], 32)],
             region_len: 44,
             delegated_len: 56,
             regions_per_aggregate: 4,
@@ -709,9 +727,9 @@ pub fn netcologne(subscribers: u32, era: Era) -> IspConfig {
         access: AccessType::FixedLine,
         v4_plan: Some(pools(
             &[
-                ("78.34.0.0/15", 0.60),
-                ("89.0.0.0/16", 0.25),
-                ("176.199.0.0/16", 0.15),
+                (v4p([78, 34, 0, 0], 15), 0.60),
+                (v4p([89, 0, 0, 0], 16), 0.25),
+                (v4p([176, 199, 0, 0], 16), 0.15),
             ],
             0.01,
         )),
@@ -719,7 +737,7 @@ pub fn netcologne(subscribers: u32, era: Era) -> IspConfig {
             // Regions must hold thousands of /48s: with daily renumbering a
             // small pool would re-issue recently-held delegations, which
             // both looks unrealistic and trips multihoming detection.
-            aggregates: vec![v6p("2001:4dd0::/31"), v6p("2001:4dd2::/31")],
+            aggregates: vec![v6p([0x2001, 0x4dd0], 31), v6p([0x2001, 0x4dd2], 31)],
             region_len: 36,
             delegated_len: 48,
             regions_per_aggregate: 8,
@@ -764,15 +782,15 @@ pub(crate) fn free_sas(subscribers: u32, era: Era) -> IspConfig {
         access: AccessType::FixedLine,
         v4_plan: Some(pools(
             &[
-                ("82.224.0.0/14", 0.40),
-                ("88.160.0.0/14", 0.25),
-                ("78.192.0.0/14", 0.20),
-                ("37.160.0.0/15", 0.15),
+                (v4p([82, 224, 0, 0], 14), 0.40),
+                (v4p([88, 160, 0, 0], 14), 0.25),
+                (v4p([78, 192, 0, 0], 14), 0.20),
+                (v4p([37, 160, 0, 0], 15), 0.15),
             ],
             0.0,
         )),
         v6_plan: Some(V6PoolPlan {
-            aggregates: vec![v6p("2a01:e000::/27"), v6p("2a01:e200::/27")],
+            aggregates: vec![v6p([0x2a01, 0xe000], 27), v6p([0x2a01, 0xe200], 27)],
             region_len: 40,
             delegated_len: 60,
             regions_per_aggregate: 4,
@@ -829,15 +847,15 @@ pub fn kabel_de(subscribers: u32, era: Era) -> IspConfig {
         access: AccessType::FixedLine,
         v4_plan: Some(pools(
             &[
-                ("95.112.0.0/13", 0.40),
-                ("188.192.0.0/14", 0.25),
-                ("77.20.0.0/14", 0.20),
-                ("109.192.0.0/15", 0.15),
+                (v4p([95, 112, 0, 0], 13), 0.40),
+                (v4p([188, 192, 0, 0], 14), 0.25),
+                (v4p([77, 20, 0, 0], 14), 0.20),
+                (v4p([109, 192, 0, 0], 15), 0.15),
             ],
             0.17,
         )),
         v6_plan: Some(V6PoolPlan {
-            aggregates: vec![v6p("2a02:810::/32"), v6p("2a02:811::/32")],
+            aggregates: vec![v6p([0x2a02, 0x810], 32), v6p([0x2a02, 0x811], 32)],
             region_len: 44,
             delegated_len: 62,
             regions_per_aggregate: 4,
@@ -882,11 +900,14 @@ pub(crate) fn sky_uk(subscribers: u32, era: Era) -> IspConfig {
         rir: Rir::RipeNcc,
         access: AccessType::FixedLine,
         v4_plan: Some(pools(
-            &[("90.192.0.0/13", 0.7), ("2.216.0.0/14", 0.3)],
+            &[
+                (v4p([90, 192, 0, 0], 13), 0.7),
+                (v4p([2, 216, 0, 0], 14), 0.3),
+            ],
             0.05,
         )),
         v6_plan: Some(V6PoolPlan {
-            aggregates: vec![v6p("2a02:c7c::/32")],
+            aggregates: vec![v6p([0x2a02, 0xc7c], 32)],
             region_len: 40,
             delegated_len: 56,
             regions_per_aggregate: 4,
@@ -934,8 +955,8 @@ fn small_periodic_isp(
     name: &str,
     country: &str,
     rir: Rir,
-    v4_pool: &str,
-    v6_agg: &str,
+    v4_pool: Ipv4Prefix,
+    v6_agg: Ipv6Prefix,
     period_hours: u64,
     delegated_len: u8,
     subscribers: u32,
@@ -949,7 +970,7 @@ fn small_periodic_isp(
         access: AccessType::FixedLine,
         v4_plan: Some(pools(&[(v4_pool, 1.0)], 0.05)),
         v6_plan: Some(V6PoolPlan {
-            aggregates: vec![v6p(v6_agg)],
+            aggregates: vec![v6_agg],
             region_len: 40.max(delegated_len.saturating_sub(16)),
             delegated_len,
             regions_per_aggregate: 4,
@@ -985,8 +1006,8 @@ fn small_periodic_isp(
 fn us_stable_isp(
     asn: u32,
     name: &str,
-    v4_pool: &str,
-    v6_agg: &str,
+    v4_pool: Ipv4Prefix,
+    v6_agg: Ipv6Prefix,
     delegated_len: u8,
     subscribers: u32,
 ) -> IspConfig {
@@ -1006,7 +1027,7 @@ fn us_stable_isp(
         access: AccessType::FixedLine,
         v4_plan: Some(pools(&[(v4_pool, 1.0)], 0.45)),
         v6_plan: Some(V6PoolPlan {
-            aggregates: vec![v6p(v6_agg)],
+            aggregates: vec![v6_agg],
             region_len: 40,
             delegated_len,
             regions_per_aggregate: 4,
@@ -1054,8 +1075,8 @@ pub(crate) fn mobile_isp(
     name: &str,
     country: &str,
     rir: Rir,
-    cgnat_pool: &str,
-    v6_agg: &str,
+    cgnat_pool: Ipv4Prefix,
+    v6_agg: Ipv6Prefix,
     mean_session_hours: f64,
     tail_max_days: f64,
     tail_prob: f64,
@@ -1069,13 +1090,13 @@ pub(crate) fn mobile_isp(
         rir,
         access: AccessType::Cellular,
         v4_plan: Some(V4PoolPlan {
-            pools: vec![(v4p(cgnat_pool), 1.0)],
+            pools: vec![(cgnat_pool, 1.0)],
             announcements: Vec::new(),
             p_near: 0.0,
             near_radius: 0,
         }),
         v6_plan: Some(V6PoolPlan {
-            aggregates: vec![v6p(v6_agg)],
+            aggregates: vec![v6_agg],
             region_len: 44,
             delegated_len: 64,
             regions_per_aggregate: 4,
@@ -1118,8 +1139,8 @@ pub(crate) fn background_fixed_isp(
     asn: u32,
     name: &str,
     rir: Rir,
-    v4_pool: &str,
-    v6_agg: &str,
+    v4_pool: Ipv4Prefix,
+    v6_agg: Ipv6Prefix,
     delegated_len: u8,
     zero_out_frac: f64,
     change_interval_days: f64,
@@ -1155,7 +1176,7 @@ pub(crate) fn background_fixed_isp(
         access: AccessType::FixedLine,
         v4_plan: Some(pools(&[(v4_pool, 1.0)], 0.3)),
         v6_plan: Some(V6PoolPlan {
-            aggregates: vec![v6p(v6_agg)],
+            aggregates: vec![v6_agg],
             region_len: 40.max(delegated_len.saturating_sub(16)),
             delegated_len,
             regions_per_aggregate: 4,
@@ -1196,9 +1217,8 @@ pub(crate) fn densify_v4(mut cfg: IspConfig) -> IspConfig {
             let bits = (want.log2().ceil() as u8).clamp(8, 32 - pool.len());
             let new_len = 32 - bits;
             if new_len > pool.len() {
-                *pool = pool
-                    .nth_subprefix(new_len, 0)
-                    .expect("sub-block of own pool");
+                // The lowest sub-block: the pool's own network bits.
+                *pool = Ipv4Prefix::masked(pool.bits(), new_len);
             }
         }
     }
@@ -1225,64 +1245,74 @@ pub(crate) const ATLAS_PROBE_COUNTS: [(&str, u32); 11] = [
     ("Sky U.K.", 45),
 ];
 
+/// Add a code-defined profile to `world`.
+/// `every_profile_validates_at_several_scales` checks that `World::add_isp`
+/// accepts each one; debug builds assert it, and a release build would
+/// leave an invalid profile out of the world rather than abort.
+fn add_profile(world: &mut World, cfg: IspConfig) {
+    let added = world.add_isp(cfg);
+    debug_assert!(added.is_ok(), "invalid profile: {added:?}");
+}
+
 /// The RIPE-Atlas-era world: the eleven named ASes at their Table-1 probe
 /// counts (scaled by `scale`), plus the additional periodic renumberers of
 /// Section 3.2 and a set of stable US ISPs.
 pub fn atlas_world(seed: u64, scale: f64) -> World {
     let n = |base: u32| ((base as f64 * scale).round() as u32).max(2);
     let mut world = World::new(seed);
-    world.add_isp(dtag(n(589), Era::Atlas));
-    world.add_isp(comcast(n(415), Era::Atlas));
-    world.add_isp(orange(n(425), Era::Atlas));
-    world.add_isp(lgi(n(445), Era::Atlas));
-    world.add_isp(free_sas(n(138), Era::Atlas));
-    world.add_isp(kabel_de(n(152), Era::Atlas));
-    world.add_isp(proximus(n(114), Era::Atlas));
-    world.add_isp(versatel(n(80), Era::Atlas));
-    world.add_isp(bt(n(170), Era::Atlas));
-    world.add_isp(netcologne(n(43), Era::Atlas));
-    world.add_isp(sky_uk(n(45), Era::Atlas));
+    let mut add = |cfg| add_profile(&mut world, cfg);
+    add(dtag(n(589), Era::Atlas));
+    add(comcast(n(415), Era::Atlas));
+    add(orange(n(425), Era::Atlas));
+    add(lgi(n(445), Era::Atlas));
+    add(free_sas(n(138), Era::Atlas));
+    add(kabel_de(n(152), Era::Atlas));
+    add(proximus(n(114), Era::Atlas));
+    add(versatel(n(80), Era::Atlas));
+    add(bt(n(170), Era::Atlas));
+    add(netcologne(n(43), Era::Atlas));
+    add(sky_uk(n(45), Era::Atlas));
     // Other periodic renumberers called out in Section 3.2.
-    world.add_isp(small_periodic_isp(
+    add(small_periodic_isp(
         6805,
         "Telefonica DE",
         "Germany",
         Rir::RipeNcc,
-        "88.64.0.0/14",
-        "2a02:3030::/28",
+        v4p([88, 64, 0, 0], 14),
+        v6p([0x2a02, 0x3030], 28),
         24,
         56,
         n(30),
     ));
-    world.add_isp(small_periodic_isp(
+    add(small_periodic_isp(
         8767,
         "M-net",
         "Germany",
         Rir::RipeNcc,
-        "93.104.0.0/15",
-        "2001:a60::/32",
+        v4p([93, 104, 0, 0], 15),
+        v6p([0x2001, 0xa60], 32),
         24,
         56,
         n(25),
     ));
-    world.add_isp(small_periodic_isp(
+    add(small_periodic_isp(
         6057,
         "ANTEL",
         "Uruguay",
         Rir::Lacnic,
-        "167.56.0.0/14",
-        "2800:a0::/28",
+        v4p([167, 56, 0, 0], 14),
+        v6p([0x2800, 0xa0], 28),
         12,
         56,
         n(25),
     ));
-    world.add_isp(small_periodic_isp(
+    add(small_periodic_isp(
         18881,
         "Global Village",
         "Brazil",
         Rir::Lacnic,
-        "177.140.0.0/14",
-        "2804:14c::/31",
+        v4p([177, 140, 0, 0], 14),
+        v6p([0x2804, 0x14c], 31),
         48,
         56,
         n(25),
@@ -1295,8 +1325,8 @@ pub fn atlas_world(seed: u64, scale: f64) -> World {
             "EU-Periodic-A",
             "Germany",
             Rir::RipeNcc,
-            "91.192.0.0/15",
-            "2a07:1000::/32",
+            v4p([91, 192, 0, 0], 15),
+            v6p([0x2a07, 0x1000], 32),
             24u64,
         ),
         (
@@ -1304,8 +1334,8 @@ pub fn atlas_world(seed: u64, scale: f64) -> World {
             "EU-Periodic-B",
             "Austria",
             Rir::RipeNcc,
-            "91.194.0.0/15",
-            "2a07:2000::/32",
+            v4p([91, 194, 0, 0], 15),
+            v6p([0x2a07, 0x2000], 32),
             24,
         ),
         (
@@ -1313,8 +1343,8 @@ pub fn atlas_world(seed: u64, scale: f64) -> World {
             "EU-Periodic-C",
             "Switzerland",
             Rir::RipeNcc,
-            "91.196.0.0/15",
-            "2a07:3000::/32",
+            v4p([91, 196, 0, 0], 15),
+            v6p([0x2a07, 0x3000], 32),
             36,
         ),
         (
@@ -1322,8 +1352,8 @@ pub fn atlas_world(seed: u64, scale: f64) -> World {
             "EU-Periodic-D",
             "Italy",
             Rir::RipeNcc,
-            "91.198.0.0/15",
-            "2a07:4000::/32",
+            v4p([91, 198, 0, 0], 15),
+            v6p([0x2a07, 0x4000], 32),
             48,
         ),
         (
@@ -1331,8 +1361,8 @@ pub fn atlas_world(seed: u64, scale: f64) -> World {
             "EU-Periodic-E",
             "Spain",
             Rir::RipeNcc,
-            "91.200.0.0/15",
-            "2a07:5000::/32",
+            v4p([91, 200, 0, 0], 15),
+            v6p([0x2a07, 0x5000], 32),
             72,
         ),
         (
@@ -1340,8 +1370,8 @@ pub fn atlas_world(seed: u64, scale: f64) -> World {
             "EU-Periodic-F",
             "Poland",
             Rir::RipeNcc,
-            "91.202.0.0/15",
-            "2a07:6000::/32",
+            v4p([91, 202, 0, 0], 15),
+            v6p([0x2a07, 0x6000], 32),
             168,
         ),
         (
@@ -1349,8 +1379,8 @@ pub fn atlas_world(seed: u64, scale: f64) -> World {
             "AP-Periodic-A",
             "Japan",
             Rir::Apnic,
-            "126.160.0.0/15",
-            "240d:1000::/32",
+            v4p([126, 160, 0, 0], 15),
+            v6p([0x240d, 0x1000], 32),
             336,
         ),
         (
@@ -1358,12 +1388,12 @@ pub fn atlas_world(seed: u64, scale: f64) -> World {
             "AP-Periodic-B",
             "Korea",
             Rir::Apnic,
-            "126.162.0.0/15",
-            "240d:2000::/32",
+            v4p([126, 162, 0, 0], 15),
+            v6p([0x240d, 0x2000], 32),
             24,
         ),
     ] {
-        world.add_isp(small_periodic_isp(
+        add(small_periodic_isp(
             asn,
             name,
             country,
@@ -1376,35 +1406,35 @@ pub fn atlas_world(seed: u64, scale: f64) -> World {
         ));
     }
     // Stable US operators with Comcast-like durations.
-    world.add_isp(us_stable_isp(
+    add(us_stable_isp(
         20115,
         "Charter",
-        "66.168.0.0/14",
-        "2600:6c00::/26",
+        v4p([66, 168, 0, 0], 14),
+        v6p([0x2600, 0x6c00], 26),
         56,
         n(35),
     ));
-    world.add_isp(us_stable_isp(
+    add(us_stable_isp(
         22773,
         "Cox",
-        "68.96.0.0/14",
-        "2600:8800::/26",
+        v4p([68, 96, 0, 0], 14),
+        v6p([0x2600, 0x8800], 26),
         56,
         n(30),
     ));
-    world.add_isp(us_stable_isp(
+    add(us_stable_isp(
         7018,
         "AT&T",
-        "99.0.0.0/14",
-        "2600:1700::/26",
+        v4p([99, 0, 0, 0], 14),
+        v6p([0x2600, 0x1700], 26),
         60,
         n(35),
     ));
-    world.add_isp(us_stable_isp(
+    add(us_stable_isp(
         20001,
         "TimeWarner",
-        "66.74.0.0/15",
-        "2603:8000::/26",
+        v4p([66, 74, 0, 0], 15),
+        v6p([0x2603, 0x8000], 26),
         56,
         n(30),
     ));
@@ -1417,49 +1447,50 @@ pub fn atlas_world(seed: u64, scale: f64) -> World {
 pub fn cdn_world(seed: u64, scale: f64) -> World {
     let n = |base: u32| ((base as f64 * scale).round() as u32).max(4);
     let mut world = World::new(seed);
+    let mut add = |cfg| add_profile(&mut world, cfg);
     // Named fixed ASes.
-    world.add_isp(densify_v4(dtag(n(2500), Era::Cdn)));
-    world.add_isp(densify_v4(comcast(n(2500), Era::Cdn)));
-    world.add_isp(densify_v4(orange(n(2500), Era::Cdn)));
-    world.add_isp(densify_v4(lgi(n(2000), Era::Cdn)));
-    world.add_isp(densify_v4(free_sas(n(1500), Era::Cdn)));
-    world.add_isp(densify_v4(kabel_de(n(1500), Era::Cdn)));
-    world.add_isp(densify_v4(proximus(n(1200), Era::Cdn)));
-    world.add_isp(densify_v4(versatel(n(400), Era::Cdn)));
-    world.add_isp(densify_v4(bt(n(2000), Era::Cdn)));
-    world.add_isp(densify_v4(netcologne(n(300), Era::Cdn)));
-    world.add_isp(densify_v4(sky_uk(n(1500), Era::Cdn)));
+    add(densify_v4(dtag(n(2500), Era::Cdn)));
+    add(densify_v4(comcast(n(2500), Era::Cdn)));
+    add(densify_v4(orange(n(2500), Era::Cdn)));
+    add(densify_v4(lgi(n(2000), Era::Cdn)));
+    add(densify_v4(free_sas(n(1500), Era::Cdn)));
+    add(densify_v4(kabel_de(n(1500), Era::Cdn)));
+    add(densify_v4(proximus(n(1200), Era::Cdn)));
+    add(densify_v4(versatel(n(400), Era::Cdn)));
+    add(densify_v4(bt(n(2000), Era::Cdn)));
+    add(densify_v4(netcologne(n(300), Era::Cdn)));
+    add(densify_v4(sky_uk(n(1500), Era::Cdn)));
 
     // ARIN: very long fixed durations (median near the whole window);
     // 30% /60 + 27% /56 inferable (plus Comcast's /60s).
-    world.add_isp(densify_v4(background_fixed_isp(
+    add(densify_v4(background_fixed_isp(
         64600,
         "ARIN-Fiber",
         Rir::Arin,
-        "63.224.0.0/14",
-        "2600:4000::/26",
+        v4p([63, 224, 0, 0], 14),
+        v6p([0x2600, 0x4000], 26),
         60,
         0.93,
         500.0,
         n(3200),
     )));
-    world.add_isp(densify_v4(background_fixed_isp(
+    add(densify_v4(background_fixed_isp(
         64601,
         "ARIN-Cable",
         Rir::Arin,
-        "70.160.0.0/14",
-        "2610:100::/28",
+        v4p([70, 160, 0, 0], 14),
+        v6p([0x2610, 0x100], 28),
         56,
         0.92,
         480.0,
         n(3000),
     )));
-    world.add_isp(densify_v4(background_fixed_isp(
+    add(densify_v4(background_fixed_isp(
         64602,
         "ARIN-DSL",
         Rir::Arin,
-        "74.32.0.0/14",
-        "2620:200::/28",
+        v4p([74, 32, 0, 0], 14),
+        v6p([0x2620, 0x200], 28),
         64,
         0.0,
         460.0,
@@ -1467,34 +1498,34 @@ pub fn cdn_world(seed: u64, scale: f64) -> World {
     )));
 
     // RIPE background: heavy /56 usage (>60% of /64s with 8 trailing zeros).
-    world.add_isp(densify_v4(background_fixed_isp(
+    add(densify_v4(background_fixed_isp(
         64610,
         "RIPE-Fiber",
         Rir::RipeNcc,
-        "77.128.0.0/14",
-        "2a03:4000::/26",
+        v4p([77, 128, 0, 0], 14),
+        v6p([0x2a03, 0x4000], 26),
         56,
         0.95,
         250.0,
         n(6000),
     )));
-    world.add_isp(densify_v4(background_fixed_isp(
+    add(densify_v4(background_fixed_isp(
         64611,
         "RIPE-DSL",
         Rir::RipeNcc,
-        "93.192.0.0/14",
-        "2a05:1000::/28",
+        v4p([93, 192, 0, 0], 14),
+        v6p([0x2a05, 0x1000], 28),
         56,
         0.9,
         170.0,
         n(2700),
     )));
-    world.add_isp(densify_v4(background_fixed_isp(
+    add(densify_v4(background_fixed_isp(
         64612,
         "RIPE-Cable",
         Rir::RipeNcc,
-        "95.32.0.0/14",
-        "2a0a:2000::/28",
+        v4p([95, 32, 0, 0], 14),
+        v6p([0x2a0a, 0x2000], 28),
         64,
         0.0,
         210.0,
@@ -1502,34 +1533,34 @@ pub fn cdn_world(seed: u64, scale: f64) -> World {
     )));
 
     // APNIC: mixed; includes a Japanese-style /48 delegator.
-    world.add_isp(densify_v4(background_fixed_isp(
+    add(densify_v4(background_fixed_isp(
         64620,
         "APNIC-Fiber",
         Rir::Apnic,
-        "111.64.0.0/14",
-        "2400:4000::/26",
+        v4p([111, 64, 0, 0], 14),
+        v6p([0x2400, 0x4000], 26),
         56,
         0.9,
         280.0,
         n(2900),
     )));
-    world.add_isp(densify_v4(background_fixed_isp(
+    add(densify_v4(background_fixed_isp(
         64621,
         "APNIC-NTT",
         Rir::Apnic,
-        "118.0.0.0/14",
-        "2408:200::/28",
+        v4p([118, 0, 0, 0], 14),
+        v6p([0x2408, 0x200], 28),
         48,
         0.85,
         300.0,
         n(1100),
     )));
-    world.add_isp(densify_v4(background_fixed_isp(
+    add(densify_v4(background_fixed_isp(
         64622,
         "APNIC-DSL",
         Rir::Apnic,
-        "119.224.0.0/14",
-        "240e:400::/28",
+        v4p([119, 224, 0, 0], 14),
+        v6p([0x240e, 0x400], 28),
         64,
         0.0,
         230.0,
@@ -1537,23 +1568,23 @@ pub fn cdn_world(seed: u64, scale: f64) -> World {
     )));
 
     // LACNIC: mostly /64 (only ~15% inferable).
-    world.add_isp(densify_v4(background_fixed_isp(
+    add(densify_v4(background_fixed_isp(
         64630,
         "LACNIC-Cable",
         Rir::Lacnic,
-        "179.0.0.0/14",
-        "2800:4000::/26",
+        v4p([179, 0, 0, 0], 14),
+        v6p([0x2800, 0x4000], 26),
         64,
         0.0,
         190.0,
         n(3800),
     )));
-    world.add_isp(densify_v4(background_fixed_isp(
+    add(densify_v4(background_fixed_isp(
         64631,
         "LACNIC-Fiber",
         Rir::Lacnic,
-        "186.0.0.0/14",
-        "2803:800::/28",
+        v4p([186, 0, 0, 0], 14),
+        v6p([0x2803, 0x800], 28),
         60,
         0.55,
         210.0,
@@ -1561,23 +1592,23 @@ pub fn cdn_world(seed: u64, scale: f64) -> World {
     )));
 
     // AFRINIC: strong /56 signature (83% inferable).
-    world.add_isp(densify_v4(background_fixed_isp(
+    add(densify_v4(background_fixed_isp(
         64640,
         "AFRINIC-Fiber",
         Rir::Afrinic,
-        "41.64.0.0/14",
-        "2c0f:4000::/26",
+        v4p([41, 64, 0, 0], 14),
+        v6p([0x2c0f, 0x4000], 26),
         56,
         0.95,
         240.0,
         n(3400),
     )));
-    world.add_isp(densify_v4(background_fixed_isp(
+    add(densify_v4(background_fixed_isp(
         64641,
         "AFRINIC-DSL",
         Rir::Afrinic,
-        "105.160.0.0/14",
-        "2c0f:f000::/28",
+        v4p([105, 160, 0, 0], 14),
+        v6p([0x2c0f, 0xf000], 28),
         64,
         0.0,
         200.0,
@@ -1586,73 +1617,73 @@ pub fn cdn_world(seed: u64, scale: f64) -> World {
 
     // Cellular operators. 65.7% of unique /64s in the paper's CDN dataset
     // come from cellular access; subscriber counts are weighted accordingly.
-    world.add_isp(mobile_isp(
+    add(mobile_isp(
         21928,
         "ARIN-Mobile",
         "U.S.",
         Rir::Arin,
-        "172.32.6.0/23",
-        "2607:fb90::/28",
+        v4p([172, 32, 6, 0], 23),
+        v6p([0x2607, 0xfb90], 28),
         6.0,
         30.0,
         0.035,
         n(820),
     ));
-    world.add_isp(mobile_isp(
+    add(mobile_isp(
         12576,
         "EE Ltd.",
         "U.K.",
         Rir::RipeNcc,
-        "92.40.2.0/23",
-        "2a01:4c80::/28",
+        v4p([92, 40, 2, 0], 23),
+        v6p([0x2a01, 0x4c80], 28),
         480.0,
         50.0,
         0.0,
         n(3000),
     ));
-    world.add_isp(mobile_isp(
+    add(mobile_isp(
         64651,
         "RIPE-Mobile",
         "many",
         Rir::RipeNcc,
-        "79.64.8.0/23",
-        "2a02:3000::/28",
+        v4p([79, 64, 8, 0], 23),
+        v6p([0x2a02, 0x3000], 28),
         6.0,
         30.0,
         0.035,
         n(150),
     ));
-    world.add_isp(mobile_isp(
+    add(mobile_isp(
         9808,
         "APNIC-Mobile",
         "China",
         Rir::Apnic,
-        "120.192.4.0/23",
-        "2409:8000::/28",
+        v4p([120, 192, 4, 0], 23),
+        v6p([0x2409, 0x8000], 28),
         6.0,
         28.0,
         0.03,
         n(850),
     ));
-    world.add_isp(mobile_isp(
+    add(mobile_isp(
         64661,
         "LACNIC-Mobile",
         "Brazil",
         Rir::Lacnic,
-        "187.0.6.0/23",
-        "2805:4000::/28",
+        v4p([187, 0, 6, 0], 23),
+        v6p([0x2805, 0x4000], 28),
         6.0,
         28.0,
         0.03,
         n(790),
     ));
-    world.add_isp(mobile_isp(
+    add(mobile_isp(
         64662,
         "AFRINIC-Mobile",
         "Nigeria",
         Rir::Afrinic,
-        "102.88.2.0/23",
-        "2c0f:e000::/28",
+        v4p([102, 88, 2, 0], 23),
+        v6p([0x2c0f, 0xe000], 28),
         6.0,
         28.0,
         0.03,
@@ -1687,12 +1718,27 @@ mod tests {
     }
 
     #[test]
-    fn atlas_world_builds_and_validates() {
+    fn every_profile_validates_at_several_scales() {
+        // `add_profile` leaves a profile that `World::add_isp` refuses out
+        // of the world, so a full ISP count at every scale means every
+        // profile (and every prefix literal in it) validated.
+        for scale in [0.001, 0.02, 0.2, 1.0, 5.0] {
+            assert_eq!(atlas_world(1, scale).isps().len(), 27, "atlas at {scale}");
+            assert_eq!(cdn_world(1, scale).isps().len(), 30, "cdn at {scale}");
+        }
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "host bits set"))]
+    fn profile_prefix_with_host_bits_is_masked_in_release() {
+        assert_eq!(v4p([10, 0, 0, 1], 24), v4p([10, 0, 0, 0], 24));
+        assert_eq!(v6p([0x2001, 0xdb8], 16), v6p([0x2001, 0], 16));
+    }
+
+    #[test]
+    fn atlas_world_builds() {
         let world = atlas_world(1, 0.1);
         assert!(world.isps().len() >= 15);
-        for isp in world.isps() {
-            isp.validate().unwrap_or_else(|e| panic!("{e}"));
-        }
         // Routing covers DTAG space.
         let asn = world
             .routing()
@@ -1704,9 +1750,6 @@ mod tests {
     #[test]
     fn cdn_world_has_all_rirs_and_mobile() {
         let world = cdn_world(1, 0.02);
-        for isp in world.isps() {
-            isp.validate().unwrap_or_else(|e| panic!("{e}"));
-        }
         for rir in Rir::ALL {
             assert!(
                 world

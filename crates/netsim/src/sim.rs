@@ -1,6 +1,6 @@
 //! The per-ISP discrete-event simulation engine.
 //!
-//! One [`IspSim`] run simulates every configured subscriber of one ISP over
+//! One `IspSim` run simulates every configured subscriber of one ISP over
 //! a time window, driving the mechanisms of Section 2.2 of the paper:
 //!
 //! * periodic renumbering (DHCP lease / RADIUS SessionTimeout expiry),
@@ -17,14 +17,14 @@
 //! The output is one ground-truth [`SubscriberTimeline`] per subscriber.
 
 use crate::alloc::IndexAllocator;
-use crate::config::{CpeV6Behavior, IspConfig, V4Policy, V6Policy};
+use crate::config::{CpeV6Behavior, IspConfig, V4Policy, V6Policy, V6PoolPlan};
 use crate::dhcp::{DelegationState, LeaseState};
 use crate::event::EventQueue;
 use crate::plan::{sample_plan, SubscriberPlan};
 use crate::rngutil::{derive_rng, exp_hours, heavy_tail_hours, jitter_period, weighted_index};
 use crate::time::{SimTime, Window};
 use crate::timeline::{SubscriberId, SubscriberTimeline, V4Segment, V6Segment};
-use dynamips_netaddr::{Ipv4Pool, Ipv6Prefix, Ipv6PrefixPool};
+use dynamips_netaddr::{Ipv4Pool, Ipv6Prefix, Ipv6PrefixPool, PrefixError};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::net::Ipv4Addr;
@@ -144,7 +144,7 @@ pub struct IspSimResult {
 }
 
 /// The simulation engine for one ISP.
-pub struct IspSim {
+pub(crate) struct IspSim {
     cfg: IspConfig,
     window: Window,
     rng: SmallRng,
@@ -156,20 +156,9 @@ pub struct IspSim {
 }
 
 impl IspSim {
-    /// Build a simulation, rejecting invalid configurations.
-    pub fn try_new(cfg: IspConfig, window: Window, seed: u64) -> Result<Self, String> {
-        cfg.validate()?;
-        Ok(Self::new_unchecked(cfg, window, seed))
-    }
-
-    /// Build a simulation. Panics on invalid configuration; prefer
-    /// [`IspSim::try_new`] for untrusted configs.
-    pub fn new(cfg: IspConfig, window: Window, seed: u64) -> Self {
-        cfg.validate().expect("invalid ISP config");
-        Self::new_unchecked(cfg, window, seed)
-    }
-
-    fn new_unchecked(cfg: IspConfig, window: Window, seed: u64) -> Self {
+    /// Build a simulation of `cfg`, which [`crate::World::add_isp`] has
+    /// validated: a [`crate::World`] is the only way to simulate an ISP.
+    pub(crate) fn new(cfg: IspConfig, window: Window, seed: u64) -> Self {
         let rng = derive_rng(seed, cfg.asn.0 as u64);
         IspSim {
             cfg,
@@ -184,7 +173,7 @@ impl IspSim {
     }
 
     /// Run the simulation to completion and return the timelines.
-    pub fn run(mut self) -> IspSimResult {
+    pub(crate) fn run(mut self) -> IspSimResult {
         self.build_pools();
         self.init_subscribers();
         self.schedule_group_events();
@@ -214,22 +203,11 @@ impl IspSim {
             // aggregate, so cross-region renumbering lands spatially near
             // (the paper observes DTAG cross-region CPLs of 24–40, not
             // all the way down to the /19 aggregate).
-            let metro_span: u8 = 16;
             for (agg_idx, agg) in plan.aggregates.iter().enumerate() {
-                let metro_len = plan.region_len.saturating_sub(metro_span).max(agg.len());
-                let metro_count = agg.num_subprefixes(metro_len).expect("validated");
-                let metro_idx = self.rng.gen_range(0..metro_count);
-                let metro = agg
-                    .nth_subprefix(metro_len, metro_idx)
-                    .expect("validated lengths");
-                let region_count = metro.num_subprefixes(plan.region_len).expect("validated");
-                for _ in 0..plan.regions_per_aggregate {
-                    let idx = self.rng.gen_range(0..region_count);
-                    let region_pfx = metro
-                        .nth_subprefix(plan.region_len, idx)
-                        .expect("validated lengths");
-                    let pool = Ipv6PrefixPool::new(region_pfx, plan.delegated_len)
-                        .expect("validated lengths");
+                // Validated lengths (`V6PoolPlan::validate`) never fail
+                // here; an aggregate whose lengths did would get no
+                // regions.
+                for pool in self.region_pools(*agg, &plan).unwrap_or_default() {
                     self.regions.push(RegionState {
                         alloc: IndexAllocator::new(pool.capacity()),
                         pool,
@@ -243,6 +221,29 @@ impl IspSim {
         } else {
             self.regions.len() as u32
         };
+    }
+
+    /// Draw `plan.regions_per_aggregate` regional pools inside one random
+    /// "metro" block of `agg`.
+    fn region_pools(
+        &mut self,
+        agg: Ipv6Prefix,
+        plan: &V6PoolPlan,
+    ) -> Result<Vec<Ipv6PrefixPool>, PrefixError> {
+        let metro_span: u8 = 16;
+        let metro_len = plan.region_len.saturating_sub(metro_span).max(agg.len());
+        let metro_idx = self.rng.gen_range(0..agg.num_subprefixes(metro_len)?);
+        let metro = agg.nth_subprefix(metro_len, metro_idx)?;
+        let region_count = metro.num_subprefixes(plan.region_len)?;
+        (0..plan.regions_per_aggregate)
+            .map(|_| {
+                let idx = self.rng.gen_range(0..region_count);
+                Ipv6PrefixPool::new(
+                    metro.nth_subprefix(plan.region_len, idx)?,
+                    plan.delegated_len,
+                )
+            })
+            .collect()
     }
 
     fn init_subscribers(&mut self) {
@@ -427,13 +428,10 @@ impl IspSim {
                 let keep = sticky
                     || (self.subs[sub as usize].v4_open.is_some()
                         && !self.rng.gen_bool(rebind_prob));
-                let addr = if keep {
-                    self.subs[sub as usize]
-                        .v4_open
-                        .map(|(_, a, _)| a)
-                        .unwrap_or_else(|| self.random_cgnat_addr(sub))
-                } else {
-                    self.random_cgnat_addr(sub)
+                let kept = self.subs[sub as usize].v4_open.filter(|_| keep);
+                let Some(addr) = kept.map(|(_, a, _)| a).or_else(|| self.random_cgnat_addr())
+                else {
+                    return;
                 };
                 self.open_v4(t, sub, addr, true);
             }
@@ -477,25 +475,24 @@ impl IspSim {
                         .acquire_any(&mut self.rng, client);
                     (pool_idx, idx)
                 };
-                let Some(idx) = idx else {
+                // The allocator only hands out indices inside its pool.
+                let Some((idx, Ok(addr))) =
+                    idx.map(|i| (i, self.v4_pools[pool_idx].pool.address(i)))
+                else {
                     // Pool exhausted: subscriber stays unaddressed.
                     return;
                 };
-                let addr = self.v4_pools[pool_idx]
-                    .pool
-                    .address(idx)
-                    .expect("index within pool");
                 self.subs[sub as usize].v4_hold = Some((pool_idx, idx));
                 self.open_v4(t, sub, addr, false);
             }
         }
     }
 
-    fn random_cgnat_addr(&mut self, _sub: u32) -> Ipv4Addr {
+    fn random_cgnat_addr(&mut self) -> Option<Ipv4Addr> {
         let pool_idx = self.pick_v4_pool();
         let pool = &self.v4_pools[pool_idx].pool;
         let idx = self.rng.gen_range(0..pool.capacity());
-        pool.address(idx).expect("index within pool")
+        pool.address(idx).ok()
     }
 
     /// Attach (or re-attach) the subscriber's IPv6 delegation and LAN /64.
@@ -541,12 +538,27 @@ impl IspSim {
             };
 
         self.subs[sub as usize].v6_hold = Some((region_idx, idx));
-        let delegated = self.regions[region_idx]
-            .pool
-            .prefix(idx)
-            .expect("index within pool");
-        let lan64 = self.choose_lan64(sub, delegated, fresh);
-        self.open_v6(t, sub, delegated, lan64);
+        self.open_delegation(t, sub, region_idx, idx, fresh);
+    }
+
+    /// Open delegation `idx` of region `region_idx` with the LAN /64
+    /// [`Self::choose_lan64`] picks (`fresh_lan` re-picks a scramble
+    /// CPE's). The index came from that region's allocator, so it lies
+    /// inside the pool.
+    fn open_delegation(
+        &mut self,
+        t: SimTime,
+        sub: u32,
+        region_idx: usize,
+        idx: u64,
+        fresh_lan: bool,
+    ) {
+        let Ok(delegated) = self.regions[region_idx].pool.prefix(idx) else {
+            return;
+        };
+        if let Some(lan64) = self.choose_lan64(sub, delegated, fresh_lan) {
+            self.open_v6(t, sub, delegated, lan64);
+        }
     }
 
     /// Re-issue the same delegation but choose a fresh LAN /64 (scramble
@@ -555,12 +567,15 @@ impl IspSim {
         let Some((_, delegated, _)) = self.subs[sub as usize].v6_open else {
             return;
         };
-        let lan64 = self.choose_lan64(sub, delegated, true);
-        self.open_v6(t, sub, delegated, lan64);
+        if let Some(lan64) = self.choose_lan64(sub, delegated, true) {
+            self.open_v6(t, sub, delegated, lan64);
+        }
     }
 
-    fn choose_lan64(&mut self, sub: u32, delegated: Ipv6Prefix, fresh: bool) -> Ipv6Prefix {
-        let capacity = delegated.num_subprefixes(64).expect("delegated <= 64");
+    /// The LAN /64 a CPE announces out of `delegated`; `None` only for a
+    /// delegation longer than /64, which `V6PoolPlan::validate` rejects.
+    fn choose_lan64(&mut self, sub: u32, delegated: Ipv6Prefix, fresh: bool) -> Option<Ipv6Prefix> {
+        let capacity = delegated.num_subprefixes(64).ok()?;
         let s = &self.subs[sub as usize];
         let idx = match s.plan.cpe {
             CpeV6Behavior::ZeroOut => 0,
@@ -569,12 +584,12 @@ impl IspSim {
                 // Keep the currently announced /64 when re-attaching to the
                 // same delegation.
                 (false, Some((_, cur_deleg, cur_lan))) if cur_deleg == delegated => {
-                    return cur_lan;
+                    return Some(cur_lan);
                 }
                 _ => self.rng.gen_range(0..capacity.max(1)),
             },
         };
-        delegated.nth_subprefix(64, idx).expect("within delegation")
+        delegated.nth_subprefix(64, idx).ok()
     }
 
     // ----- segment bookkeeping ------------------------------------------
@@ -876,20 +891,10 @@ impl IspSim {
     /// After a reboot a scramble CPE keeps its delegation but announces a
     /// new random /64 out of it.
     fn reattach_same_delegation_rescrambled(&mut self, t: SimTime, sub: u32) {
-        let Some((region_idx, idx)) = self.subs[sub as usize].v6_hold else {
-            self.attach_v6(t, sub, true);
-            return;
-        };
-        let delegated = self.regions[region_idx]
-            .pool
-            .prefix(idx)
-            .expect("held index valid");
-        let capacity = delegated.num_subprefixes(64).expect("delegated <= 64");
-        let lan_idx = self.rng.gen_range(0..capacity.max(1));
-        let lan64 = delegated
-            .nth_subprefix(64, lan_idx)
-            .expect("within delegation");
-        self.open_v6(t, sub, delegated, lan64);
+        match self.subs[sub as usize].v6_hold {
+            Some((region_idx, idx)) => self.open_delegation(t, sub, region_idx, idx, true),
+            None => self.attach_v6(t, sub, true),
+        }
     }
 
     fn on_infra_outage(&mut self, t: SimTime, group: u32) {

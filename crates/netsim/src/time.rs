@@ -122,11 +122,17 @@ impl Date {
         era * 146097 + doe - 719468
     }
 
-    /// Days since the simulation epoch (2014-01-01). Panics if the date is
-    /// before the epoch: the simulation clock is unsigned.
+    /// Days since the simulation epoch (2014-01-01). The simulation clock
+    /// is unsigned and every date the code names is on or after the epoch,
+    /// which debug builds assert; a release build clamps an earlier date
+    /// to the epoch.
     pub(crate) fn days_from_epoch(&self) -> u64 {
         let days = self.days_from_unix() - EPOCH_DAYS_FROM_UNIX;
-        u64::try_from(days).expect("date before simulation epoch 2014-01-01")
+        debug_assert!(
+            days >= 0,
+            "{self} is before the simulation epoch 2014-01-01"
+        );
+        u64::try_from(days).unwrap_or(0)
     }
 
     /// Inverse of [`Date::days_from_epoch`] (Hinnant's `civil_from_days`).
@@ -267,6 +273,15 @@ mod tests {
         let mut u = t;
         u += DAY;
         assert_eq!(u, SimTime(124));
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        should_panic(expected = "before the simulation epoch")
+    )]
+    fn pre_epoch_date_clamps_to_the_epoch_in_release() {
+        assert_eq!(SimTime::from_date(Date::new(2013, 12, 31)), SimTime(0));
     }
 
     #[test]

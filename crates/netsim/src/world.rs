@@ -40,9 +40,12 @@ impl World {
     }
 
     /// Add an ISP: registers its AS metadata, announces its prefixes in the
-    /// BGP table, and records RIR delegations for its address space.
-    pub fn add_isp(&mut self, cfg: IspConfig) {
-        cfg.validate().expect("invalid ISP config");
+    /// BGP table, and records RIR delegations for its address space. This
+    /// is where a configuration is validated, once: an invalid one is
+    /// refused with a human-readable reason and leaves the world unchanged,
+    /// so every ISP the world simulates is valid.
+    pub fn add_isp(&mut self, cfg: IspConfig) -> Result<(), String> {
+        cfg.validate()?;
         self.registry.register(AsInfo {
             asn: cfg.asn,
             name: cfg.name.clone(),
@@ -63,6 +66,7 @@ impl World {
             }
         }
         self.isps.push(cfg);
+        Ok(())
     }
 
     /// The AS registry.
@@ -89,8 +93,7 @@ impl World {
     /// peak memory stays bounded by the largest single ISP.
     pub fn run_each(&self, window: Window, mut f: impl FnMut(IspSimResult)) {
         for cfg in &self.isps {
-            let sim = IspSim::new(cfg.clone(), window, self.seed);
-            f(sim.run());
+            f(IspSim::new(cfg.clone(), window, self.seed).run());
         }
     }
 
@@ -153,7 +156,8 @@ mod tests {
     #[test]
     fn add_isp_populates_substrate() {
         let mut w = World::new(7);
-        w.add_isp(tiny_isp(64500, "192.0.2.0/24", "2001:db8::/32"));
+        w.add_isp(tiny_isp(64500, "192.0.2.0/24", "2001:db8::/32"))
+            .unwrap();
         assert_eq!(w.registry().len(), 1);
         assert_eq!(
             w.routing().origin_v4("192.0.2.55".parse().unwrap()),
@@ -166,10 +170,24 @@ mod tests {
     }
 
     #[test]
+    fn add_isp_refuses_invalid_configs() {
+        let mut w = World::new(7);
+        let mut cfg = tiny_isp(64500, "192.0.2.0/24", "2001:db8::/32");
+        cfg.classes.clear();
+        let err = w.add_isp(cfg).unwrap_err();
+        assert!(err.contains("no subscriber classes"), "{err}");
+        assert!(w.isps().is_empty());
+        assert_eq!(w.registry().len(), 0);
+        assert_eq!(w.routing().origin_v4("192.0.2.55".parse().unwrap()), None);
+    }
+
+    #[test]
     fn run_each_streams_every_isp() {
         let mut w = World::new(7);
-        w.add_isp(tiny_isp(64500, "192.0.2.0/24", "2001:db8::/32"));
-        w.add_isp(tiny_isp(64501, "198.51.100.0/24", "3fff::/32"));
+        w.add_isp(tiny_isp(64500, "192.0.2.0/24", "2001:db8::/32"))
+            .unwrap();
+        w.add_isp(tiny_isp(64501, "198.51.100.0/24", "3fff::/32"))
+            .unwrap();
         let window = Window::new(SimTime(0), SimTime(24 * 30));
         let mut seen = Vec::new();
         w.run_each(window, |res| {
@@ -182,7 +200,8 @@ mod tests {
     #[test]
     fn run_one_finds_isp_by_asn() {
         let mut w = World::new(7);
-        w.add_isp(tiny_isp(64500, "192.0.2.0/24", "2001:db8::/32"));
+        w.add_isp(tiny_isp(64500, "192.0.2.0/24", "2001:db8::/32"))
+            .unwrap();
         assert!(w
             .run_one(Asn(64500), Window::new(SimTime(0), SimTime(48)))
             .is_some());
@@ -196,7 +215,8 @@ mod tests {
         let window = Window::new(SimTime(0), SimTime(24 * 60));
         let run = |seed| {
             let mut w = World::new(seed);
-            w.add_isp(tiny_isp(64500, "192.0.2.0/24", "2001:db8::/32"));
+            w.add_isp(tiny_isp(64500, "192.0.2.0/24", "2001:db8::/32"))
+                .unwrap();
             let res = w.run_one(Asn(64500), window).unwrap();
             res.timelines
                 .iter()

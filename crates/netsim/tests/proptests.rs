@@ -5,10 +5,19 @@ use dynamips_netsim::config::{
     CpeV6Behavior, IspConfig, OutageConfig, SubscriberClass, V4Policy, V4PoolPlan, V6Policy,
     V6PoolPlan,
 };
-use dynamips_netsim::sim::IspSim;
+use dynamips_netsim::sim::IspSimResult;
 use dynamips_netsim::time::{SimTime, Window};
+use dynamips_netsim::World;
 use dynamips_routing::{AccessType, Asn, Rir};
 use proptest::prelude::*;
+
+/// Simulate one ISP through a one-ISP world, the only way in.
+fn simulate(cfg: IspConfig, window: Window, seed: u64) -> IspSimResult {
+    let asn = cfg.asn;
+    let mut world = World::new(seed);
+    world.add_isp(cfg).unwrap();
+    world.run_one(asn, window).unwrap()
+}
 
 fn arb_v4_policy() -> impl Strategy<Value = V4Policy> {
     prop_oneof![
@@ -144,7 +153,7 @@ proptest! {
             .map(|(p, _)| *p)
             .collect();
         let delegated_len = input.cfg.v6_plan.as_ref().unwrap().delegated_len;
-        let result = IspSim::new(input.cfg, window, input.seed).run();
+        let result = simulate(input.cfg, window, input.seed);
 
         prop_assert_eq!(result.timelines.len(), 12);
         for tl in &result.timelines {
@@ -197,8 +206,7 @@ proptest! {
     fn simulation_is_deterministic(input in arb_isp()) {
         let window = Window::new(SimTime(0), SimTime(input.days * 24));
         let run = |cfg: IspConfig| {
-            IspSim::new(cfg, window, input.seed)
-                .run()
+            simulate(cfg, window, input.seed)
                 .timelines
                 .iter()
                 .flat_map(|t| {

@@ -7,8 +7,9 @@ use dynamips_netsim::config::{
     CpeV6Behavior, IspConfig, OutageConfig, SubscriberClass, V4Policy, V4PoolPlan, V6Policy,
     V6PoolPlan,
 };
-use dynamips_netsim::sim::IspSim;
+use dynamips_netsim::sim::IspSimResult;
 use dynamips_netsim::time::{SimTime, Window};
+use dynamips_netsim::World;
 use dynamips_routing::{AccessType, Asn, Rir};
 
 fn base_isp() -> IspConfig {
@@ -56,6 +57,14 @@ fn window_days(days: u64) -> Window {
     Window::new(SimTime(0), SimTime(days * 24))
 }
 
+/// Simulate one ISP through a one-ISP world, the only way in.
+fn simulate(cfg: IspConfig, window: Window, seed: u64) -> IspSimResult {
+    let asn = cfg.asn;
+    let mut world = World::new(seed);
+    world.add_isp(cfg).unwrap();
+    world.run_one(asn, window).unwrap()
+}
+
 #[test]
 fn periodic_policy_produces_exact_periods() {
     let mut cfg = base_isp();
@@ -71,7 +80,7 @@ fn periodic_policy_produces_exact_periods() {
         true,
         CpeV6Behavior::ZeroOut,
     )];
-    let res = IspSim::new(cfg, window_days(60), 1).run();
+    let res = simulate(cfg, window_days(60), 1);
     for tl in &res.timelines {
         tl.check_invariants().unwrap();
         // Interior segments (sandwiched between changes) last exactly 24h.
@@ -102,7 +111,7 @@ fn sticky_policy_without_outages_never_changes() {
         false,
         CpeV6Behavior::ZeroOut,
     )];
-    let res = IspSim::new(cfg, window_days(365), 2).run();
+    let res = simulate(cfg, window_days(365), 2);
     for tl in &res.timelines {
         assert_eq!(tl.v4.len(), 1, "one v4 segment for the whole year");
         assert_eq!(tl.v6.len(), 1, "one v6 segment for the whole year");
@@ -125,7 +134,7 @@ fn coupled_changes_are_simultaneous() {
         true,
         CpeV6Behavior::ZeroOut,
     )];
-    let res = IspSim::new(cfg, window_days(30), 3).run();
+    let res = simulate(cfg, window_days(30), 3);
     for tl in &res.timelines {
         let v4_starts: Vec<_> = tl.v4.iter().skip(1).map(|s| s.start).collect();
         let v6_starts: Vec<_> = tl.v6.iter().skip(1).map(|s| s.start).collect();
@@ -148,7 +157,7 @@ fn uncoupled_periodic_families_change_independently() {
         false,
         CpeV6Behavior::ZeroOut,
     )];
-    let res = IspSim::new(cfg, window_days(60), 4).run();
+    let res = simulate(cfg, window_days(60), 4);
     let mut cooccur = 0usize;
     let mut total = 0usize;
     for tl in &res.timelines {
@@ -178,7 +187,7 @@ fn zero_out_cpe_exposes_delegation_boundary() {
         false,
         CpeV6Behavior::ZeroOut,
     )];
-    let res = IspSim::new(cfg, window_days(30), 5).run();
+    let res = simulate(cfg, window_days(30), 5);
     for tl in &res.timelines {
         for seg in &tl.v6 {
             // /56 delegation, zeroed /64 announcement: ≥ 8 trailing zeros.
@@ -203,7 +212,7 @@ fn scramble_cpe_hides_delegation_boundary() {
             rotate_every_hours: None,
         },
     )];
-    let res = IspSim::new(cfg, window_days(60), 6).run();
+    let res = simulate(cfg, window_days(60), 6);
     let mut nonzero = 0usize;
     let mut total = 0usize;
     for tl in &res.timelines {
@@ -233,7 +242,7 @@ fn rotating_scramble_changes_lan64_within_same_delegation() {
             rotate_every_hours: Some(24),
         },
     )];
-    let res = IspSim::new(cfg, window_days(30), 7).run();
+    let res = simulate(cfg, window_days(30), 7);
     for tl in &res.timelines {
         assert!(tl.v6.len() > 20, "daily rotations expected");
         for pair in tl.v6.windows(2) {
@@ -258,7 +267,7 @@ fn delegations_stay_within_home_region_when_p_stay_is_one() {
         false,
         CpeV6Behavior::ZeroOut,
     )];
-    let res = IspSim::new(cfg, window_days(90), 8).run();
+    let res = simulate(cfg, window_days(90), 8);
     let regions = &res.ground_truth.regions;
     for tl in &res.timelines {
         let homes: std::collections::HashSet<_> = tl
@@ -297,7 +306,7 @@ fn short_outage_keeps_sticky_address_long_outage_renumbers() {
         admin_renumber_mean_interval_hours: f64::INFINITY,
     };
     cfg.classes = vec![class];
-    let res = IspSim::new(cfg.clone(), window_days(120), 9).run();
+    let res = simulate(cfg.clone(), window_days(120), 9);
     for tl in &res.timelines {
         assert_eq!(
             tl.v4_changes(),
@@ -326,7 +335,7 @@ fn short_outage_keeps_sticky_address_long_outage_renumbers() {
         admin_renumber_mean_interval_hours: f64::INFINITY,
     };
     cfg.classes = vec![class];
-    let res = IspSim::new(cfg, window_days(240), 10).run();
+    let res = simulate(cfg, window_days(240), 10);
     let total_changes: usize = res.timelines.iter().map(|t| t.v4_changes()).sum();
     assert!(
         total_changes > 30,
@@ -358,7 +367,7 @@ fn cgnat_subscribers_share_public_addresses() {
         true,
         CpeV6Behavior::ZeroOut,
     )];
-    let res = IspSim::new(cfg, window_days(60), 11).run();
+    let res = simulate(cfg, window_days(60), 11);
     // 300 subscribers behind 64 public addresses: sharing is inevitable.
     let mut addrs = std::collections::HashSet::new();
     let mut sessions = 0usize;
@@ -394,7 +403,7 @@ fn mobile_sessions_are_heavy_tailed() {
         true,
         CpeV6Behavior::ZeroOut,
     )];
-    let res = IspSim::new(cfg, window_days(152), 12).run();
+    let res = simulate(cfg, window_days(152), 12);
     let mut durations: Vec<u64> = Vec::new();
     for tl in &res.timelines {
         for seg in &tl.v6[1..tl.v6.len().saturating_sub(1)] {
@@ -437,7 +446,7 @@ fn infra_outages_renumber_the_whole_region() {
     };
     cfg.classes = vec![class];
     cfg.subscribers = 60;
-    let res = IspSim::new(cfg, window_days(365), 13).run();
+    let res = simulate(cfg, window_days(365), 13);
     let total_v4: usize = res.timelines.iter().map(|t| t.v4_changes()).sum();
     let total_v6: usize = res.timelines.iter().map(|t| t.v6_changes()).sum();
     assert!(
@@ -471,7 +480,7 @@ fn near_reassignment_keeps_addresses_in_the_same_slash24() {
         false,
         CpeV6Behavior::ZeroOut,
     )];
-    let res = IspSim::new(cfg, window_days(60), 14).run();
+    let res = simulate(cfg, window_days(60), 14);
     let mut same24 = 0usize;
     let mut total = 0usize;
     for tl in &res.timelines {
@@ -504,7 +513,7 @@ fn stable_delegation_maintenance_renumbers_v6_independently() {
         false,
         CpeV6Behavior::ZeroOut,
     )];
-    let res = IspSim::new(cfg, window_days(365), 21).run();
+    let res = simulate(cfg, window_days(365), 21);
     let v4: usize = res.timelines.iter().map(|t| t.v4_changes()).sum();
     let v6: usize = res.timelines.iter().map(|t| t.v6_changes()).sum();
     assert_eq!(v4, 0, "no outages: sticky v4 never changes");
@@ -544,7 +553,7 @@ fn cgnat_mapping_checks_rebind_mid_session() {
         true,
         CpeV6Behavior::ZeroOut,
     )];
-    let res = IspSim::new(cfg, window_days(60), 22).run();
+    let res = simulate(cfg, window_days(60), 22);
     let v4: usize = res.timelines.iter().map(|t| t.v4_changes()).sum();
     let v6: usize = res.timelines.iter().map(|t| t.v6_changes()).sum();
     assert!(v6 < 60, "sessions outlive the window for most subscribers");
@@ -578,7 +587,7 @@ fn dual_stack_flag_propagates_to_timelines() {
         ),
     ];
     cfg.subscribers = 100;
-    let res = IspSim::new(cfg, window_days(30), 15).run();
+    let res = simulate(cfg, window_days(30), 15);
     for tl in &res.timelines {
         if tl.dual_stack {
             assert!(!tl.v6.is_empty());
@@ -592,12 +601,10 @@ fn dual_stack_flag_propagates_to_timelines() {
 }
 
 #[test]
-fn try_new_rejects_invalid_configs() {
+fn world_refuses_invalid_configs() {
     let mut cfg = base_isp();
     cfg.classes = vec![]; // no subscriber classes
-    let err = IspSim::try_new(cfg, window_days(10), 1)
-        .err()
-        .expect("rejected");
+    let err = World::new(1).add_isp(cfg).unwrap_err();
     assert!(err.contains("no subscriber classes"), "{err}");
 
     let mut cfg = base_isp();
@@ -610,7 +617,7 @@ fn try_new_rejects_invalid_configs() {
         false,
         CpeV6Behavior::ZeroOut,
     )];
-    assert!(IspSim::try_new(cfg, window_days(10), 1).is_ok());
+    assert!(World::new(1).add_isp(cfg).is_ok());
 }
 
 #[test]
@@ -648,7 +655,7 @@ fn stabilization_migrates_lines_to_the_stable_class() {
         mean_hours: 60.0 * 24.0, // fast conversion relative to the window
     }];
     cfg.subscribers = 60;
-    let res = IspSim::new(cfg, window_days(400), 31).run();
+    let res = simulate(cfg, window_days(400), 31);
     // Early window: daily changes; late window: essentially none.
     let mut early = 0usize;
     let mut late = 0usize;
@@ -705,7 +712,7 @@ fn stabilization_can_bring_ipv6_to_v4_only_lines() {
         mean_hours: 100.0 * 24.0,
     }];
     cfg.subscribers = 50;
-    let res = IspSim::new(cfg, window_days(400), 32).run();
+    let res = simulate(cfg, window_days(400), 32);
     let gained_v6 = res
         .timelines
         .iter()

@@ -11,9 +11,19 @@
 //! * [`RirMap`] — address → regional Internet registry.
 //! * [`AsRegistry`] — per-AS metadata (name, country, RIR, access type).
 
-// Library code renders to strings instead of printing. The shared levels
-// come from the workspace `[lints]` table.
-#![warn(clippy::print_stdout, clippy::print_stderr)]
+// Panic-freedom: shipping code degrades instead of panicking (tests are
+// exempt via clippy.toml), and library code renders to strings instead
+// of printing. The shared levels come from the workspace `[lints]` table.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod asn;
 pub mod pfx2as;

@@ -32,10 +32,10 @@ impl std::error::Error for Pfx2asError {}
 pub fn to_pfx2as(table: &RoutingTable) -> String {
     let mut out = String::new();
     for (pfx, asn) in table.v4_entries() {
-        writeln!(out, "{}\t{}\t{}", pfx.network(), pfx.len(), asn.0).expect("string write");
+        let _ = writeln!(out, "{}\t{}\t{}", pfx.network(), pfx.len(), asn.0);
     }
     for (pfx, asn) in table.v6_entries() {
-        writeln!(out, "{}\t{}\t{}", pfx.network(), pfx.len(), asn.0).expect("string write");
+        let _ = writeln!(out, "{}\t{}\t{}", pfx.network(), pfx.len(), asn.0);
     }
     out
 }

@@ -19,10 +19,18 @@ use std::collections::HashMap;
 
 fn main() {
     let mut world = World::new(4941);
-    world.add_isp(dtag(400, Era::Atlas));
-    world.add_isp(orange(400, Era::Atlas));
-    world.add_isp(netcologne(400, Era::Atlas));
-    world.add_isp(kabel_de(400, Era::Atlas));
+    world
+        .add_isp(dtag(400, Era::Atlas))
+        .expect("valid ISP profile");
+    world
+        .add_isp(orange(400, Era::Atlas))
+        .expect("valid ISP profile");
+    world
+        .add_isp(netcologne(400, Era::Atlas))
+        .expect("valid ISP profile");
+    world
+        .add_isp(kabel_de(400, Era::Atlas))
+        .expect("valid ISP profile");
 
     let window = Window::new(SimTime(0), SimTime(60 * 24));
     let candidate_lens = [40u8, 44, 48, 52, 56];

@@ -31,10 +31,18 @@ struct NetworkAdvice {
 
 fn main() {
     let mut world = World::new(2020);
-    world.add_isp(dtag(100, Era::Atlas));
-    world.add_isp(orange(100, Era::Atlas));
-    world.add_isp(comcast(100, Era::Atlas));
-    world.add_isp(netcologne(60, Era::Atlas));
+    world
+        .add_isp(dtag(100, Era::Atlas))
+        .expect("valid ISP profile");
+    world
+        .add_isp(orange(100, Era::Atlas))
+        .expect("valid ISP profile");
+    world
+        .add_isp(comcast(100, Era::Atlas))
+        .expect("valid ISP profile");
+    world
+        .add_isp(netcologne(60, Era::Atlas))
+        .expect("valid ISP profile");
 
     let window = Window::new(SimTime(0), SimTime(540 * 24));
     let collector = AtlasCollector::new(&world, window, AtlasConfig::pristine());

@@ -17,11 +17,21 @@ use dynamips::netsim::World;
 
 fn main() {
     let mut world = World::new(60926);
-    world.add_isp(dtag(150, Era::Atlas));
-    world.add_isp(orange(150, Era::Atlas));
-    world.add_isp(comcast(150, Era::Atlas));
-    world.add_isp(lgi(150, Era::Atlas));
-    world.add_isp(bt(150, Era::Atlas));
+    world
+        .add_isp(dtag(150, Era::Atlas))
+        .expect("valid ISP profile");
+    world
+        .add_isp(orange(150, Era::Atlas))
+        .expect("valid ISP profile");
+    world
+        .add_isp(comcast(150, Era::Atlas))
+        .expect("valid ISP profile");
+    world
+        .add_isp(lgi(150, Era::Atlas))
+        .expect("valid ISP profile");
+    world
+        .add_isp(bt(150, Era::Atlas))
+        .expect("valid ISP profile");
 
     let window = Window::new(SimTime(0), SimTime(540 * 24));
     println!(

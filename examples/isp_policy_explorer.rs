@@ -12,9 +12,18 @@ use dynamips::netsim::config::{
     CpeV6Behavior, IspConfig, OutageConfig, SubscriberClass, V4Policy, V4PoolPlan, V6Policy,
     V6PoolPlan,
 };
-use dynamips::netsim::sim::IspSim;
+use dynamips::netsim::sim::IspSimResult;
 use dynamips::netsim::time::{SimTime, Window};
+use dynamips::netsim::World;
 use dynamips::routing::{AccessType, Asn, Rir};
+
+/// Simulate one ISP configuration in a world of its own.
+fn simulate(cfg: IspConfig, window: Window, seed: u64) -> IspSimResult {
+    let asn = cfg.asn;
+    let mut world = World::new(seed);
+    world.add_isp(cfg).expect("valid ISP config");
+    world.run_one(asn, window).expect("the ISP was just added")
+}
 
 fn isp_with(v4: V4Policy, outages: OutageConfig) -> IspConfig {
     IspConfig {
@@ -102,7 +111,7 @@ fn main() {
     );
     println!("{}", "-".repeat(100));
     for (label, policy, outages) in policies {
-        let res = IspSim::new(isp_with(policy, outages), window, 99).run();
+        let res = simulate(isp_with(policy, outages), window, 99);
         let mut set = DurationSet::new();
         let mut changes = 0usize;
         for tl in &res.timelines {
@@ -138,7 +147,7 @@ fn main() {
             jitter: 0.0,
         });
         cfg.v6_plan.as_mut().unwrap().p_stay_region = p_stay;
-        let res = IspSim::new(cfg, Window::new(SimTime(0), SimTime(120 * 24)), 5).run();
+        let res = simulate(cfg, Window::new(SimTime(0), SimTime(120 * 24)), 5);
         let mut cpls: Vec<u8> = Vec::new();
         for tl in &res.timelines {
             let spans = spans_of(tl.v6.iter().map(|s| (s.start, s.lan64)));

@@ -19,7 +19,9 @@ fn main() {
     //    characterizes it (24-hour renumbering, /56 delegations, a share of
     //    prefix-scrambling CPEs).
     let mut world = World::new(7);
-    world.add_isp(dtag(120, Era::Atlas));
+    world
+        .add_isp(dtag(120, Era::Atlas))
+        .expect("valid ISP profile");
 
     // 2. Observe it for a year with hourly IP-echo measurements, including
     //    the deployment artifacts the sanitizer must remove.

@@ -26,7 +26,7 @@
 //!
 //! // Simulate 50 Deutsche-Telekom-like subscribers for 90 days.
 //! let mut world = World::new(42);
-//! world.add_isp(dtag(50, Era::Atlas));
+//! world.add_isp(dtag(50, Era::Atlas)).expect("valid ISP profile");
 //! let window = Window::new(SimTime(0), SimTime(90 * 24));
 //! let result = world
 //!     .run_one(dynamips::routing::Asn(3320), window)

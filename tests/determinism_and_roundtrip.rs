@@ -26,7 +26,7 @@ fn whole_world_simulation_is_seed_deterministic() {
 #[test]
 fn atlas_collection_round_trips_through_tsv() {
     let mut world = World::new(5);
-    world.add_isp(dtag(6, Era::Atlas));
+    world.add_isp(dtag(6, Era::Atlas)).unwrap();
     let window = Window::new(SimTime(0), SimTime(90 * 24));
     let collector = AtlasCollector::new(&world, window, AtlasConfig::pristine());
     let probes = collector.collect_all();
@@ -61,7 +61,7 @@ fn world_routing_round_trips_through_pfx2as() {
 fn cdn_collection_is_seed_deterministic_and_seed_sensitive() {
     let collect = |seed: u64| {
         let mut world = World::new(seed);
-        world.add_isp(dtag(20, Era::Cdn));
+        world.add_isp(dtag(20, Era::Cdn)).unwrap();
         CdnCollector::new(
             &world,
             Window::new(SimTime(0), SimTime(60 * 24)),

@@ -67,7 +67,7 @@ struct Recovered {
 
 fn run_pipeline(cfg: IspConfig, seed: u64, days: u64) -> Recovered {
     let mut world = World::new(seed);
-    world.add_isp(cfg);
+    world.add_isp(cfg).unwrap();
     let window = Window::new(SimTime(0), SimTime(days * 24));
     let collector = AtlasCollector::new(&world, window, AtlasConfig::pristine());
     let scfg = SanitizeConfig::default();
