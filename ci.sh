@@ -148,13 +148,18 @@ probe fail dynamips-experiments crates/experiments/src/main.rs disallowed_method
 # An exit code is an `Exit` variant: a literal code does not type-check.
 probe fail dynamips-experiments crates/experiments/src/main.rs 'mismatched types' \
     'if std::env::args().count() > 99 { exit(3); }' 'fn main() {'
-# Unordered maps: denied in the artifact-rendering modules and the CDN
-# kernels, which derive every product from one sorted order.
+# Unordered maps: denied in the artifact-rendering modules, the CDN
+# kernels and the dual-stack joins, which derive every product from one
+# sorted order.
 probe fail dynamips-core crates/core/src/report.rs disallowed_types '/// Probe.
 pub fn probe_map() -> std::collections::HashMap<u8, u8> {
     std::collections::HashMap::new()
 }'
 probe fail dynamips-core crates/core/src/association.rs disallowed_types '/// Probe.
+pub fn probe_map() -> std::collections::HashMap<u8, u8> {
+    std::collections::HashMap::new()
+}'
+probe fail dynamips-core crates/core/src/dualstack.rs disallowed_types '/// Probe.
 pub fn probe_map() -> std::collections::HashMap<u8, u8> {
     std::collections::HashMap::new()
 }'

@@ -1,10 +1,11 @@
 //! The CDN collection pipeline: world → pre-processed association dataset.
 
 use crate::dataset::{Association, AssociationDataset};
-use dynamips_netaddr::Ipv4Prefix;
+use dynamips_netaddr::{Ipv4Prefix, Ipv6Prefix};
 use dynamips_netsim::rngutil::derive_rng;
 use dynamips_netsim::time::Window;
 use dynamips_netsim::{SimTime, World};
+use dynamips_routing::Asn;
 use rand::Rng;
 use std::net::Ipv4Addr;
 
@@ -63,6 +64,14 @@ impl<'w> CdnCollector<'w> {
 
     /// Run the collection and pre-processing, returning the dataset.
     pub fn collect(&self) -> AssociationDataset {
+        self.collect_with(true)
+    }
+
+    /// [`collect`](Self::collect), with the two origin lookups memoised on
+    /// the last v4 address and the last /64 when `memoise` is set. Both
+    /// change only at a segment boundary or on a noise swap, and a lookup
+    /// is pure, so memoising moves no RNG draw and no tuple.
+    fn collect_with(&self, memoise: bool) -> AssociationDataset {
         let mut rng = derive_rng(self.world.seed(), 0xCD17);
         let mut ds = AssociationDataset::default();
         let routing = self.world.routing();
@@ -73,6 +82,8 @@ impl<'w> CdnCollector<'w> {
         // Donor v4 address from the previously simulated ISP, used to
         // synthesize cross-network noise records.
         let mut donor_v4: Option<Ipv4Addr> = None;
+        let mut last4: Option<(Ipv4Addr, Option<Asn>)> = None;
+        let mut last6: Option<(Ipv6Prefix, Option<Asn>)> = None;
 
         self.world.run_each(self.window, |result| {
             for tl in &result.timelines {
@@ -100,8 +111,13 @@ impl<'w> CdnCollector<'w> {
                     ds.raw_count += 1;
 
                     // BGP-feed tagging and the AS-mismatch filter.
-                    let origin4 = routing.origin_v4(v4addr);
-                    let origin6 = routing.route_v6_prefix(&v6seg.lan64).map(|(_, a)| a);
+                    if !memoise {
+                        (last4, last6) = (None, None);
+                    }
+                    let origin4 = memoised(&mut last4, v4addr, |a| routing.origin_v4(a));
+                    let origin6 = memoised(&mut last6, v6seg.lan64, |p| {
+                        routing.route_v6_prefix(&p).map(|(_, a)| a)
+                    });
                     let (Some(a4), Some(a6)) = (origin4, origin6) else {
                         ds.discarded_unrouted += 1;
                         continue;
@@ -129,6 +145,23 @@ impl<'w> CdnCollector<'w> {
                 .or(donor_v4);
         });
         ds
+    }
+}
+
+/// `lookup(key)`, or the answer `last` holds when `key` repeats its key;
+/// `last` then holds `key` and its answer.
+fn memoised<K: PartialEq + Copy>(
+    last: &mut Option<(K, Option<Asn>)>,
+    key: K,
+    lookup: impl FnOnce(K) -> Option<Asn>,
+) -> Option<Asn> {
+    match *last {
+        Some((k, asn)) if k == key => asn,
+        _ => {
+            let asn = lookup(key);
+            *last = Some((key, asn));
+            asn
+        }
     }
 }
 
@@ -291,5 +324,45 @@ mod tests {
         let b = CdnCollector::new(&world, window(), CdnConfig::default()).collect();
         assert_eq!(a.tuples, b.tuples);
         assert_eq!(a.raw_count, b.raw_count);
+    }
+
+    #[test]
+    fn memoised_lookups_match_memo_free_collection() {
+        // Two ISPs, one cellular, with heavy noise: donor swaps interleave
+        // foreign v4 addresses, so the memo keys change on both sides of
+        // every swap and the mismatch filter fires.
+        let mut world = World::new(10);
+        world
+            .add_isp(isp(64500, "198.18.0.0/16", "2001:db8::/32", false))
+            .unwrap();
+        world
+            .add_isp(isp(64501, "198.51.100.0/24", "3fff::/32", true))
+            .unwrap();
+        for noise in [0.0, CdnConfig::default().cross_network_noise, 0.5] {
+            let cfg = CdnConfig {
+                cross_network_noise: noise,
+                ..CdnConfig::default()
+            };
+            let collector = CdnCollector::new(&world, window(), cfg);
+            let (got, want) = (collector.collect(), collector.collect_with(false));
+            assert_eq!(got.tuples, want.tuples, "noise {noise}");
+            assert_eq!(
+                (
+                    got.raw_count,
+                    got.discarded_as_mismatch,
+                    got.discarded_unrouted
+                ),
+                (
+                    want.raw_count,
+                    want.discarded_as_mismatch,
+                    want.discarded_unrouted
+                ),
+                "noise {noise}"
+            );
+            assert!(!got.is_empty());
+            if noise == 0.5 {
+                assert!(got.discarded_as_mismatch > 0);
+            }
+        }
     }
 }

@@ -105,6 +105,17 @@ impl ProbeHistory {
         }
     }
 
+    /// Whether both families' spans are in time order,
+    /// `first_i <= last_i <= first_{i+1}`, as spans built from time-sorted
+    /// records are. The dual-stack joins binary-search on it.
+    pub(crate) fn is_time_ordered(&self) -> bool {
+        fn ordered<T>(spans: &[Span<T>]) -> bool {
+            spans.iter().all(|s| s.first <= s.last)
+                && spans.windows(2).all(|w| w[0].last <= w[1].first)
+        }
+        ordered(&self.v4) && ordered(&self.v6)
+    }
+
     /// Whether the probe reported IPv6 throughout (coverage of v6
     /// observations over the probe's observed window ≥ `min_coverage`).
     pub fn is_dual_stack(&self, min_coverage: f64) -> bool {

@@ -133,6 +133,11 @@ const BAD_TAGS: [&str; 4] = ["multihomed", "datacentre", "core", "system-anchor"
 /// therefore one origin AS, so step (5) costs one routing lookup per span;
 /// only a series whose routed spans name two or more ASes goes back to its
 /// records ([`split_by_as`]).
+///
+/// Each family's records must be in time order, as the collector emits
+/// them and the lossy TSV loader re-sorts them: every emitted history's
+/// spans are then time-ordered (debug-asserted), which the dual-stack
+/// joins rely on.
 pub fn sanitize_probe(
     series: &ProbeSeries,
     routing: &RoutingTable,
@@ -252,13 +257,15 @@ fn split_spans_by_as(
     }
     keep_routed(&mut v4, &v4_as);
     keep_routed(&mut v6, &v6_as);
-    vec![ProbeHistory {
+    let history = ProbeHistory {
         probe: series.probe,
         virtual_index: 0,
         asn,
         v4,
         v6,
-    }]
+    };
+    debug_assert!(history.is_time_ordered(), "unsorted records: {history:?}");
+    vec![history]
 }
 
 /// Drop the spans whose `labels` entry is `None` and merge the equal
@@ -338,13 +345,15 @@ fn split_by_as(
                     .filter(|(r, asn)| in_run(r.time, **asn))
                     .map(|(r, _)| (r.time, Ipv6Prefix::slash64_of(r.client))),
             );
-            ProbeHistory {
+            let history = ProbeHistory {
                 probe,
                 virtual_index: i as u8,
                 asn: run.value,
                 v4: v4_spans,
                 v6: v6_spans,
-            }
+            };
+            debug_assert!(history.is_time_ordered(), "unsorted records: {history:?}");
+            history
         })
         .collect()
 }
@@ -711,7 +720,8 @@ mod tests {
     /// one address drawn from AS3320, AS7922 (unless `one_as`), unrouted
     /// space or (v4 only) the test address, so AS moves fall mid-span and
     /// the two families move at different times. With `shuffle`, records
-    /// are swapped out of time order, as a lossy loader may deliver them.
+    /// are swapped out of time order in the TSV dump that the series is
+    /// then read back from by the lossy loader, which re-sorts them.
     fn random_series(rng: &mut impl Rng, shuffle: bool, one_as: bool) -> ProbeSeries {
         let hours = rng.gen_range(200..1500u64);
         let mut v4 = Vec::new();
@@ -767,7 +777,20 @@ mod tests {
             }
             _ => {}
         }
-        series(v4, v6)
+        if shuffle {
+            through_lossy_loader(series(v4, v6))
+        } else {
+            series(v4, v6)
+        }
+    }
+
+    /// `s` written as a TSV dump and read back by the lossy loader.
+    fn through_lossy_loader(s: ProbeSeries) -> ProbeSeries {
+        let tsv = dynamips_atlas::records::to_tsv(s.probe, &s.v4, &s.v6);
+        let (mut probes, _) = dynamips_atlas::records::from_tsv_lossy(&tsv);
+        let (probe, v4, v6) = probes.pop().unwrap();
+        assert!(probes.is_empty());
+        ProbeSeries { probe, v4, v6, ..s }
     }
 
     /// The two configs the oracle tests run: the default, and one that
@@ -823,6 +846,14 @@ mod tests {
             if i % 29 == 0 {
                 s.tags = vec!["core".into()];
             }
+            if i % 31 == 2 {
+                // A-B-A-B: the v4 address alternates every ten records.
+                for (k, r) in s.v4.iter_mut().enumerate() {
+                    if r.client != TEST_ADDRESS {
+                        r.client = Ipv4Addr::new(84, 1, 9, 1 + (k / 10 % 2) as u8);
+                    }
+                }
+            }
             if i % 23 == 1 {
                 // Wholly unrouted: nothing to attribute to an AS.
                 for r in s.v4.iter_mut().filter(|r| r.client != TEST_ADDRESS) {
@@ -865,6 +896,36 @@ mod tests {
             );
         }
         assert!(one_as_clean > 20, "{one_as_clean} one-AS clean outcomes");
+    }
+
+    #[test]
+    fn shuffled_dumps_read_back_by_the_lossy_loader_give_ordered_spans() {
+        let routing = routing();
+        let mut rng = derive_rng(28, 2);
+        let mut clean = 0;
+        for i in 0..60 {
+            let sorted = random_series(&mut rng, false, i % 2 == 0);
+            let mut shuffled = sorted.clone();
+            for _ in 0..rng.gen_range(1..20) {
+                let (a, b) = (
+                    rng.gen_range(0..shuffled.v4.len()),
+                    rng.gen_range(0..shuffled.v4.len()),
+                );
+                shuffled.v4.swap(a, b);
+            }
+            shuffled.v6.reverse();
+            let reloaded = through_lossy_loader(shuffled);
+            for cfg in oracle_configs() {
+                let got = sanitize_probe(&reloaded, &routing, &cfg, &mut SanitizeReport::default());
+                let want = sanitize_probe(&sorted, &routing, &cfg, &mut SanitizeReport::default());
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "series {i}");
+                if let SanitizeOutcome::Clean(histories) = got {
+                    assert!(histories.iter().all(ProbeHistory::is_time_ordered));
+                    clean += 1;
+                }
+            }
+        }
+        assert!(clean > 10, "{clean} clean outcomes");
     }
 
     #[test]
