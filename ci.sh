@@ -149,8 +149,8 @@ probe fail dynamips-experiments crates/experiments/src/main.rs disallowed_method
 probe fail dynamips-experiments crates/experiments/src/main.rs 'mismatched types' \
     'if std::env::args().count() > 99 { exit(3); }' 'fn main() {'
 # Unordered maps: denied in the artifact-rendering modules, the CDN
-# kernels and the dual-stack joins, which derive every product from one
-# sorted order.
+# kernels, the dual-stack joins and the allocator's buddy lists and lease
+# table, which derive every product from one sorted order.
 probe fail dynamips-core crates/core/src/report.rs disallowed_types '/// Probe.
 pub fn probe_map() -> std::collections::HashMap<u8, u8> {
     std::collections::HashMap::new()
@@ -160,6 +160,12 @@ pub fn probe_map() -> std::collections::HashMap<u8, u8> {
     std::collections::HashMap::new()
 }'
 probe fail dynamips-core crates/core/src/dualstack.rs disallowed_types '/// Probe.
+pub fn probe_map() -> std::collections::HashMap<u8, u8> {
+    std::collections::HashMap::new()
+}'
+# The allocator's free lists and lease table make every grant decision
+# from one sorted order too.
+probe fail dynamips-ipam crates/ipam/src/lease.rs disallowed_types '/// Probe.
 pub fn probe_map() -> std::collections::HashMap<u8, u8> {
     std::collections::HashMap::new()
 }'
@@ -252,7 +258,7 @@ rm -rf target/full-run
 "$BIN" --out target/full-run all > target/full-run-stdout.txt
 cmp target/full-run-stdout.txt results/full_run.txt
 
-say "perfbench: batch-all on both recorded worlds, traced, and wire-mixed, every artifact against its digest"
+say "perfbench: batch-all and ipam-churn on both recorded worlds, traced, and wire-mixed, every artifact and allocation against its digest"
 # Exits nonzero if any of the 22 artifacts' bytes differ from the digests
 # in perfbench/oracles/, so a kernel rewrite cannot change output unseen.
 # The second run checks the held-out world (seed 20201201).
@@ -260,6 +266,14 @@ cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload batch-all --seed 1 --seconds 1 --trace 0
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload batch-all --seed 1 --seconds 1 --trace 0 --held-out
+# ipam-churn exits nonzero unless both passes of the 100k-subscriber churn
+# reproduce the allocation digest recorded for the world (every grant's
+# lease id and address), so a changed allocation decision cannot pass
+# unseen (~5 s each).
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload ipam-churn --seed 1 --seconds 1 --trace 0
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload ipam-churn --seed 1 --seconds 1 --trace 0 --held-out
 # Only the traced run checks that every workload's stage tree closes (no
 # residual below its slack) and that a 2-worker engine::run writes the
 # same digests (~1 min).

@@ -18,7 +18,7 @@
 //!   running `dynamips serve`, then assert the allocator drained back
 //!   to zero live leases and `GET /pools` still reports conservation.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::time::Instant;
 
 use dynamips_core::perf::{PerfEntry, PerfRecord};
@@ -175,21 +175,25 @@ fn run_pass(opts: &IpamSimOptions) -> Result<PassStats, String> {
         })
         .collect();
 
-    // Event calendar: tick → subscriber indices due at that tick.
+    // Event calendar: `calendar[k]` holds the subscriber indices due at
+    // tick `base + k`. It reaches only as far as the latest scheduled
+    // step, so its length follows the scheduling horizon, not `--ticks`.
     // Everyone is due at tick 0 so peak concurrency hits the full
     // population before churn sets in.
-    let mut calendar: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    calendar.insert(0, (0..opts.subscribers).collect());
+    let mut calendar: VecDeque<Vec<u64>> = VecDeque::from([(0..opts.subscribers).collect()]);
+    let mut base = 0u64;
 
     let mut stats = PassStats {
         digest: FNV_OFFSET,
         ..PassStats::default()
     };
-    while let Some((&tick, _)) = calendar.iter().next() {
-        if tick > opts.ticks {
-            break;
+    while let Some(due) = calendar.pop_front() {
+        let tick = base;
+        base += 1;
+        // A tick nobody is due at gets no sweep, as if it were absent.
+        if due.is_empty() {
+            continue;
         }
-        let due = calendar.remove(&tick).unwrap_or_default();
         let report = ipam
             .advance_clock(Tick(tick))
             .map_err(|e| format!("sweep at tick {tick}: {e}"))?;
@@ -227,7 +231,14 @@ fn run_pass(opts: &IpamSimOptions) -> Result<PassStats, String> {
                 }
             }
             if next <= opts.ticks {
-                calendar.entry(next).or_default().push(idx);
+                debug_assert!(next > tick, "a step schedules ahead");
+                let at = next.saturating_sub(base) as usize;
+                if calendar.len() <= at {
+                    calendar.resize_with(at + 1, Vec::new);
+                }
+                if let Some(slot) = calendar.get_mut(at) {
+                    slot.push(idx);
+                }
             }
         }
         // The conservation invariant holds after every sweep: each
@@ -236,7 +247,7 @@ fn run_pass(opts: &IpamSimOptions) -> Result<PassStats, String> {
         ipam.verify_conservation()
             .map_err(|e| format!("conservation after tick {tick}: {e}"))?;
         stats.peak_live = stats.peak_live.max(ipam.live_leases());
-        if opts.audit_every > 0 && tick % opts.audit_every == 0 {
+        if opts.audit_every > 0 && tick.is_multiple_of(opts.audit_every) {
             ipam.deep_audit()
                 .map_err(|e| format!("deep audit at tick {tick}: {e}"))?;
         }

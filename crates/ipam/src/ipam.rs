@@ -15,15 +15,23 @@
 //! # Determinism
 //!
 //! Lease ids stripe across shards (`id = seq * shard_count + shard`),
-//! so an id names its shard without a lookup. Within a shard every
-//! structure is ordered (`BTreeMap`, buddy free lists), so a
-//! single-threaded driver replaying the same call sequence gets
+//! so an id names its shard without a lookup. Within a shard nothing
+//! depends on hash order: the lease table is an id-ordered column and
+//! every buddy choice is the lowest free block of the smallest order,
+//! so a single-threaded driver replaying the same call sequence gets
 //! byte-identical allocations; concurrent drivers get per-shard
 //! determinism with linearizable cross-shard interleaving.
+//!
+//! # Cost
+//!
+//! A grant, renewal or release does no rendering and no `String` work:
+//! [`Grant`], [`Released`] and [`LeaseInfo`] carry the pool name as a
+//! shared `Arc<str>` and the unit as a `Copy` [`Address`] that formats
+//! itself only when displayed.
 
 use crate::lease::{LeaseTable, NewLease};
 use crate::metrics::{ActiveLease, IpamMetrics};
-use crate::pool::{PoolSpec, PoolState, PoolStats};
+use crate::pool::{Address, PoolSpec, PoolState, PoolStats};
 use crate::{IpamError, Tick};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,9 +75,9 @@ pub struct Grant {
     /// Lease id, unique for the allocator's lifetime.
     pub id: u64,
     /// Name of the pool the address came from.
-    pub pool: String,
-    /// Rendered address (`a.b.c.d`) or delegated prefix (`p::/len`).
-    pub address: String,
+    pub pool: Arc<str>,
+    /// The address (`a.b.c.d`) or delegated prefix (`p::/len`).
+    pub address: Address,
     /// Tick the lease expires unless renewed.
     pub expires_at: Tick,
 }
@@ -78,9 +86,9 @@ pub struct Grant {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Released {
     /// Name of the pool the address returns to.
-    pub pool: String,
-    /// Rendered address or prefix.
-    pub address: String,
+    pub pool: Arc<str>,
+    /// The address or prefix.
+    pub address: Address,
     /// Whether the address entered the standby (grace) state instead
     /// of the free list.
     pub standby: bool,
@@ -90,9 +98,9 @@ pub struct Released {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeaseInfo {
     /// Pool name.
-    pub pool: String,
-    /// Rendered address or prefix.
-    pub address: String,
+    pub pool: Arc<str>,
+    /// The address or prefix.
+    pub address: Address,
     /// Client identity recorded at grant time.
     pub client: u64,
     /// Tick the lease was granted.
@@ -113,7 +121,7 @@ pub struct SweepReport {
 /// Where a pool lives: which shard, and at which index inside it.
 #[derive(Debug)]
 struct DirEntry {
-    name: String,
+    name: Arc<str>,
     shard: usize,
     local: usize,
 }
@@ -136,7 +144,7 @@ pub struct Ipam {
     metrics: Arc<IpamMetrics>,
     /// Pools in configuration order.
     directory: Vec<DirEntry>,
-    by_name: BTreeMap<String, usize>,
+    by_name: BTreeMap<Arc<str>, usize>,
     /// Highest tick any sweep has reached (observability only).
     clock: AtomicU64,
 }
@@ -160,13 +168,13 @@ impl Ipam {
         let mut by_name = BTreeMap::new();
         for (i, spec) in specs.into_iter().enumerate() {
             let shard = i % cfg.shards;
-            let name = spec.name.clone();
             let state = PoolState::build(spec)?;
+            let name = Arc::clone(state.name());
             let local = shard_pools.get(shard).map(|v| v.len()).unwrap_or(0);
             if let Some(bucket) = shard_pools.get_mut(shard) {
                 bucket.push(state);
             }
-            if by_name.insert(name.clone(), directory.len()).is_some() {
+            if by_name.insert(Arc::clone(&name), directory.len()).is_some() {
                 return Err(IpamError::InvalidConfig(format!(
                     "duplicate pool name {name:?}"
                 )));
@@ -217,12 +225,12 @@ impl Ipam {
     /// operation; without, pools are tried in configuration order
     /// (locking one shard at a time) until one has space.
     pub fn grant(&self, req: &GrantRequest<'_>) -> Result<Grant, IpamError> {
-        let candidates: Vec<usize> = match req.pool {
+        let candidates = match req.pool {
             Some(name) => match self.by_name.get(name) {
-                Some(dir_idx) => vec![*dir_idx],
+                Some(&dir_idx) => dir_idx..dir_idx + 1,
                 None => return Err(IpamError::UnknownPool(name.to_string())),
             },
-            None => (0..self.directory.len()).collect(),
+            None => 0..self.directory.len(),
         };
         for dir_idx in candidates {
             let entry = match self.directory.get(dir_idx) {
@@ -261,17 +269,17 @@ impl Ipam {
             let address = state
                 .pools
                 .get(entry.local)
-                .and_then(|pool| pool.spec().kind.render(index))
+                .and_then(|pool| pool.spec().kind.address(index))
                 .ok_or_else(|| {
                     IpamError::StateCorrupt(format!(
-                        "pool {:?}: granted index {index} does not render",
+                        "pool {:?}: granted index {index} is out of range",
                         entry.name
                     ))
                 })?;
             self.metrics.note_granted();
             return Ok(Grant {
                 id,
-                pool: entry.name.clone(),
+                pool: Arc::clone(&entry.name),
                 address,
                 expires_at,
             });
@@ -306,8 +314,12 @@ impl Ipam {
         let (grace, pool_name, address) = match state.pools.get_mut(pool_local) {
             Some(pool) => {
                 let grace = pool.spec().grace_ticks;
-                let name = pool.spec().name.clone();
-                let address = pool.spec().kind.render(index).unwrap_or_default();
+                let name = Arc::clone(pool.name());
+                let address = pool.spec().kind.address(index).ok_or_else(|| {
+                    IpamError::StateCorrupt(format!(
+                        "lease {id} holds index {index} outside pool {name:?}"
+                    ))
+                })?;
                 if grace > 0 {
                     pool.lease_to_standby(index)?;
                 } else {
@@ -340,8 +352,8 @@ impl Ipam {
         let lease = state.lease_table.get(id)?;
         let pool = state.pools.get(lease.pool)?;
         Some(LeaseInfo {
-            pool: pool.spec().name.clone(),
-            address: pool.spec().kind.render(lease.index)?,
+            pool: Arc::clone(pool.name()),
+            address: pool.spec().kind.address(lease.index)?,
             client: lease.client,
             granted_at: lease.granted_at,
             expires_at: lease.expires_at,
@@ -433,7 +445,7 @@ impl Ipam {
             table_total += state.lease_table.len() as u64;
             for pool in &state.pools {
                 pool.check_conservation()?;
-                leased_total += pool.stats().leased;
+                leased_total += pool.leased();
             }
         }
         if table_total != leased_total {
@@ -455,9 +467,11 @@ impl Ipam {
     pub fn deep_audit(&self) -> Result<(), IpamError> {
         for shard in &self.shards {
             let state = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            let mut per_pool: BTreeMap<usize, u64> = BTreeMap::new();
+            let mut per_pool = vec![0u64; state.pools.len()];
             for (_id, pool_local, index) in state.lease_table.records() {
-                *per_pool.entry(pool_local).or_insert(0) += 1;
+                if let Some(count) = per_pool.get_mut(pool_local) {
+                    *count += 1;
+                }
                 let free = state
                     .pools
                     .get(pool_local)
@@ -470,8 +484,8 @@ impl Ipam {
                 }
             }
             for (pool_local, pool) in state.pools.iter().enumerate() {
-                let counted = per_pool.get(&pool_local).copied().unwrap_or(0);
-                let declared = pool.stats().leased;
+                let counted = per_pool.get(pool_local).copied().unwrap_or(0);
+                let declared = pool.leased();
                 if counted != declared {
                     return Err(IpamError::StateCorrupt(format!(
                         "pool {:?}: lease table counts {counted} leases, pool counters say {declared}",
@@ -570,18 +584,18 @@ mod tests {
     fn grant_renew_revoke_round_trip() {
         let ipam = two_pool_ipam(0);
         let grant = ipam.grant(&req(Some("a"), 0, 4)).unwrap();
-        assert_eq!(grant.pool, "a");
-        assert_eq!(grant.address, "10.1.0.1");
+        assert_eq!(&*grant.pool, "a");
+        assert_eq!(grant.address.to_string(), "10.1.0.1");
         assert_eq!(ipam.live_leases(), 1);
         assert_eq!(ipam.renew(grant.id, Tick(2), 4), Ok(Tick(6)));
         let released = ipam.revoke(grant.id, Tick(3)).unwrap();
-        assert_eq!(released.address, "10.1.0.1");
+        assert_eq!(released.address.to_string(), "10.1.0.1");
         assert!(!released.standby);
         assert_eq!(ipam.live_leases(), 0);
         ipam.verify_conservation().unwrap();
         // The freed address is immediately reusable.
         let again = ipam.grant(&req(Some("a"), 3, 4)).unwrap();
-        assert_eq!(again.address, "10.1.0.1");
+        assert_eq!(again.address.to_string(), "10.1.0.1");
     }
 
     #[test]
@@ -589,9 +603,9 @@ mod tests {
         let ipam = two_pool_ipam(0);
         // Pool "a" has 15 usable; drain it.
         for _ in 0..15 {
-            assert_eq!(ipam.grant(&req(None, 0, 8)).unwrap().pool, "a");
+            assert_eq!(&*ipam.grant(&req(None, 0, 8)).unwrap().pool, "a");
         }
-        assert_eq!(ipam.grant(&req(None, 0, 8)).unwrap().pool, "b");
+        assert_eq!(&*ipam.grant(&req(None, 0, 8)).unwrap().pool, "b");
         ipam.verify_conservation().unwrap();
         ipam.deep_audit().unwrap();
     }
@@ -685,6 +699,48 @@ mod tests {
             out
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn largest_legal_pool_grants_and_revokes() {
+        // A /32 delegating /64s: 2^32 units, the widest pool a spec takes.
+        let base = match "2001:db8::/32".parse() {
+            Ok(p) => p,
+            Err(e) => panic!("bad prefix: {e:?}"),
+        };
+        let spec = PoolSpec::v6("wide", base, 64, 1, vec![0, (1 << 32) - 1], 0).unwrap();
+        let ipam = Ipam::build(IpamConfig { shards: 1 }, vec![spec]).unwrap();
+        let grants: Vec<Grant> = (0..3)
+            .map(|i| ipam.grant(&req(Some("wide"), i, 8)).unwrap())
+            .collect();
+        let addresses: Vec<String> = grants.iter().map(|g| g.address.to_string()).collect();
+        // Best fit: the holes the two exclusions left at 1 and at
+        // 2^32 - 2 go first, then the lowest split of the low half.
+        assert_eq!(
+            addresses,
+            [
+                "2001:db8:0:1::/64",
+                "2001:db8:ffff:fffe::/64",
+                "2001:db8:0:2::/64"
+            ]
+        );
+        let released = ipam.revoke(grants[0].id, Tick(4)).unwrap();
+        assert_eq!(released.address, grants[0].address);
+        assert_eq!(&*released.pool, "wide");
+        // Index 1 cannot merge with the excluded 0, so it is the lowest
+        // order-0 hole again and is refilled first.
+        let again = ipam.grant(&req(Some("wide"), 5, 8)).unwrap();
+        assert_eq!(again.address, grants[0].address);
+        let stats = &ipam.pool_stats()[0];
+        assert_eq!(stats.capacity, 1 << 32);
+        assert_eq!(stats.free, (1 << 32) - 2 - 3);
+        ipam.verify_conservation().unwrap();
+        ipam.deep_audit().unwrap();
+        for g in [&grants[1], &grants[2], &again] {
+            ipam.revoke(g.id, Tick(6)).unwrap();
+        }
+        assert_eq!(ipam.pool_stats()[0].free, (1 << 32) - 2);
+        assert_eq!(ipam.live_leases(), 0);
     }
 
     #[test]

@@ -15,10 +15,19 @@
 //! the free list). Fired entries are handed back sorted by
 //! `(due, arm-sequence)`, so sweep processing order is deterministic
 //! regardless of how far the clock jumped.
+//!
+//! The records themselves sit in id order in two parallel columns, ids
+//! and records, found by binary search. A shard's ids only grow, so a
+//! grant appends; a release leaves a tombstone in place, and the columns
+//! are compacted once tombstones outnumber a quarter of the live
+//! records. The table therefore holds at most `live + live / 4` slots
+//! of 64 bytes (an id and a record), and each compaction is paid for by
+//! the releases that preceded it.
+
+#![deny(clippy::disallowed_types)]
 
 use crate::metrics::ActiveLease;
 use crate::{IpamError, Tick};
-use std::collections::BTreeMap;
 
 /// Slot count of the expiry wheel. Advancing by one tick touches one
 /// slot; jumps of `SLOTS` or more fall back to a single full scan.
@@ -55,13 +64,21 @@ struct Armed {
 }
 
 /// A hashed timer wheel over simulated ticks.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TickWheel {
     slots: Vec<Vec<Armed>>,
     /// Current tick: every entry with `due <= tick` has already fired.
     tick: u64,
     /// Monotonic arm counter, for deterministic fire order.
     seq: u64,
+}
+
+/// The empty wheel at tick 0, with all its slots: a wheel without slots
+/// would drop every entry armed on it.
+impl Default for TickWheel {
+    fn default() -> TickWheel {
+        TickWheel::new()
+    }
 }
 
 impl TickWheel {
@@ -103,32 +120,31 @@ impl TickWheel {
             return Vec::new();
         }
         let mut fired: Vec<Armed> = Vec::new();
+        // Move the due entries out of a slot in place, keeping its
+        // later-revolution entries in arm order. A drained slot hands
+        // its buffer back: it may stay empty for a whole revolution, and
+        // a buffer kept per drained slot would hold every entry ever
+        // armed until the wheel laps.
+        let mut fire_due = |slot: &mut Vec<Armed>| {
+            slot.retain(|armed| {
+                let due = armed.due <= now;
+                if due {
+                    fired.push(*armed);
+                }
+                !due
+            });
+            if slot.is_empty() {
+                *slot = Vec::new();
+            }
+        };
         if now - self.tick >= WHEEL_SLOTS {
             // The jump laps the wheel: every slot would be visited, so
             // scan each exactly once.
-            for slot in &mut self.slots {
-                let mut keep = Vec::new();
-                for armed in slot.drain(..) {
-                    if armed.due <= now {
-                        fired.push(armed);
-                    } else {
-                        keep.push(armed);
-                    }
-                }
-                *slot = keep;
-            }
+            self.slots.iter_mut().for_each(fire_due);
         } else {
             for t in (self.tick + 1)..=now {
                 if let Some(slot) = self.slots.get_mut((t % WHEEL_SLOTS) as usize) {
-                    let mut keep = Vec::new();
-                    for armed in slot.drain(..) {
-                        if armed.due <= now {
-                            fired.push(armed);
-                        } else {
-                            keep.push(armed);
-                        }
-                    }
-                    *slot = keep;
+                    fire_due(slot);
                 }
             }
         }
@@ -183,38 +199,61 @@ pub struct SweepOutcome {
     pub standby_done: Vec<(usize, u64)>,
 }
 
-/// The lease table of one shard: lease records keyed by id, plus the
+/// The lease table of one shard: lease records in id order, plus the
 /// expiry wheel. Lease ids are assigned by the caller and must be
 /// unique per table (the sharded allocator guarantees this with a
 /// striped sequence).
 #[derive(Debug, Default)]
 pub struct LeaseTable {
-    leases: BTreeMap<u64, Lease>,
+    /// Ascending lease ids, live and released alike.
+    ids: Vec<u64>,
+    /// `records[i]` is the lease for `ids[i]`, or `None` (a tombstone)
+    /// once it was released or expired.
+    records: Vec<Option<Lease>>,
+    /// Number of `Some` entries in `records`.
+    live: usize,
     wheel: TickWheel,
 }
 
 impl LeaseTable {
     /// An empty table at tick 0.
     pub fn new() -> LeaseTable {
-        LeaseTable {
-            leases: BTreeMap::new(),
-            wheel: TickWheel::new(),
-        }
+        LeaseTable::default()
     }
 
     /// Number of live leases.
     pub fn len(&self) -> usize {
-        self.leases.len()
+        self.live
     }
 
     /// Whether the table holds no leases.
     pub fn is_empty(&self) -> bool {
-        self.leases.is_empty()
+        self.live == 0
     }
 
     /// The lease record for `id`, if live.
     pub fn get(&self, id: u64) -> Option<&Lease> {
-        self.leases.get(&id)
+        let at = self.ids.binary_search(&id).ok()?;
+        self.records.get(at)?.as_ref()
+    }
+
+    fn get_mut(&mut self, id: u64) -> Option<&mut Lease> {
+        let at = self.ids.binary_search(&id).ok()?;
+        self.records.get_mut(at)?.as_mut()
+    }
+
+    /// Take lease `id` out of the table, leaving a tombstone, and
+    /// compact once tombstones exceed a quarter of the live records.
+    fn remove(&mut self, id: u64) -> Option<Lease> {
+        let at = self.ids.binary_search(&id).ok()?;
+        let lease = self.records.get_mut(at)?.take()?;
+        self.live -= 1;
+        if (self.records.len() - self.live) * 4 > self.live {
+            let mut live = self.records.iter().map(Option::is_some);
+            self.ids.retain(|_| live.next().unwrap_or(false));
+            self.records.retain(Option::is_some);
+        }
+        Some(lease)
     }
 
     /// Record a new lease and arm its expiry at `now + lifetime`.
@@ -229,28 +268,43 @@ impl LeaseTable {
                 generation: 0,
             },
         );
-        self.leases.insert(
-            new.id,
-            Lease {
-                pool: new.pool,
-                index: new.index,
-                client: new.client,
-                granted_at: new.now,
-                expires_at,
-                generation: 0,
-                _guard: guard,
-            },
-        );
+        let lease = Some(Lease {
+            pool: new.pool,
+            index: new.index,
+            client: new.client,
+            granted_at: new.now,
+            expires_at,
+            generation: 0,
+            _guard: guard,
+        });
+        if self.ids.last().is_none_or(|last| *last < new.id) {
+            self.ids.push(new.id);
+            self.records.push(lease);
+            self.live += 1;
+            return expires_at;
+        }
+        match self.ids.binary_search(&new.id) {
+            Ok(at) => {
+                if let Some(slot) = self.records.get_mut(at) {
+                    if slot.is_none() {
+                        self.live += 1;
+                    }
+                    *slot = lease;
+                }
+            }
+            Err(at) => {
+                self.ids.insert(at, new.id);
+                self.records.insert(at, lease);
+                self.live += 1;
+            }
+        }
         expires_at
     }
 
     /// Extend lease `id` to `now + lifetime`, invalidating the old
     /// expiry entry via the generation bump.
     pub fn renew(&mut self, id: u64, now: Tick, lifetime: u64) -> Result<Tick, IpamError> {
-        let lease = self
-            .leases
-            .get_mut(&id)
-            .ok_or(IpamError::UnknownLease(id))?;
+        let lease = self.get_mut(id).ok_or(IpamError::UnknownLease(id))?;
         lease.generation += 1;
         lease.expires_at = Tick(now.0.saturating_add(lifetime));
         let generation = lease.generation;
@@ -270,7 +324,7 @@ impl LeaseTable {
     /// drops here. The armed expiry entry stays in the wheel and is
     /// ignored when it fires (the id is gone).
     pub fn release(&mut self, id: u64) -> Result<(usize, u64), IpamError> {
-        let lease = self.leases.remove(&id).ok_or(IpamError::UnknownLease(id))?;
+        let lease = self.remove(id).ok_or(IpamError::UnknownLease(id))?;
         Ok((lease.pool, lease.index))
     }
 
@@ -293,14 +347,13 @@ impl LeaseTable {
                     lease_id,
                     generation,
                 } => {
-                    let stale = match self.leases.get(&lease_id) {
-                        Some(lease) => lease.generation != generation,
-                        None => true,
-                    };
-                    if stale {
+                    let live = self
+                        .get(lease_id)
+                        .is_some_and(|lease| lease.generation == generation);
+                    if !live {
                         continue;
                     }
-                    if let Some(lease) = self.leases.remove(&lease_id) {
+                    if let Some(lease) = self.remove(lease_id) {
                         outcome.expired.push((lease.pool, lease.index, lease_id));
                     }
                 }
@@ -320,16 +373,136 @@ impl LeaseTable {
     /// Every live lease as `(id, pool, index)`, in id order — audit
     /// surface for the deep conservation recount.
     pub fn records(&self) -> impl Iterator<Item = (u64, usize, u64)> + '_ {
-        self.leases
+        self.ids
             .iter()
-            .map(|(id, lease)| (*id, lease.pool, lease.index))
+            .zip(&self.records)
+            .filter_map(|(id, lease)| lease.as_ref().map(|l| (*id, l.pool, l.index)))
+    }
+}
+
+#[cfg(test)]
+mod oracle {
+    //! The ordered-map lease table the id-ordered columns replaced, kept
+    //! as the reference the lockstep test checks every call against.
+
+    use super::*;
+    use std::collections::BTreeMap;
+
+    #[derive(Debug, Default)]
+    pub struct TreeTable {
+        leases: BTreeMap<u64, Lease>,
+        wheel: TickWheel,
+    }
+
+    impl TreeTable {
+        pub fn new() -> TreeTable {
+            TreeTable {
+                leases: BTreeMap::new(),
+                wheel: TickWheel::new(),
+            }
+        }
+
+        pub fn len(&self) -> usize {
+            self.leases.len()
+        }
+
+        pub fn get(&self, id: u64) -> Option<&Lease> {
+            self.leases.get(&id)
+        }
+
+        pub fn acquire(&mut self, new: NewLease, guard: ActiveLease) -> Tick {
+            let expires_at = Tick(new.now.0.saturating_add(new.lifetime));
+            self.wheel.arm(
+                expires_at,
+                WheelEntry::Expiry {
+                    lease_id: new.id,
+                    generation: 0,
+                },
+            );
+            self.leases.insert(
+                new.id,
+                Lease {
+                    pool: new.pool,
+                    index: new.index,
+                    client: new.client,
+                    granted_at: new.now,
+                    expires_at,
+                    generation: 0,
+                    _guard: guard,
+                },
+            );
+            expires_at
+        }
+
+        pub fn renew(&mut self, id: u64, now: Tick, lifetime: u64) -> Result<Tick, IpamError> {
+            let lease = self
+                .leases
+                .get_mut(&id)
+                .ok_or(IpamError::UnknownLease(id))?;
+            lease.generation += 1;
+            lease.expires_at = Tick(now.0.saturating_add(lifetime));
+            let entry = WheelEntry::Expiry {
+                lease_id: id,
+                generation: lease.generation,
+            };
+            let expires_at = lease.expires_at;
+            self.wheel.arm(expires_at, entry);
+            Ok(expires_at)
+        }
+
+        pub fn release(&mut self, id: u64) -> Result<(usize, u64), IpamError> {
+            let lease = self.leases.remove(&id).ok_or(IpamError::UnknownLease(id))?;
+            Ok((lease.pool, lease.index))
+        }
+
+        pub fn push_standby(&mut self, pool: usize, index: u64, until: Tick) {
+            self.wheel
+                .arm(until, WheelEntry::StandbyDone { pool, index });
+        }
+
+        pub fn sweep(&mut self, now: Tick) -> SweepOutcome {
+            let mut outcome = SweepOutcome::default();
+            for entry in self.wheel.advance(now) {
+                match entry {
+                    WheelEntry::Expiry {
+                        lease_id,
+                        generation,
+                    } => {
+                        let stale = self
+                            .leases
+                            .get(&lease_id)
+                            .is_none_or(|l| l.generation != generation);
+                        if stale {
+                            continue;
+                        }
+                        if let Some(lease) = self.leases.remove(&lease_id) {
+                            outcome.expired.push((lease.pool, lease.index, lease_id));
+                        }
+                    }
+                    WheelEntry::StandbyDone { pool, index } => {
+                        outcome.standby_done.push((pool, index));
+                    }
+                }
+            }
+            outcome
+        }
+
+        pub fn records(&self) -> Vec<(u64, usize, u64)> {
+            self.leases
+                .iter()
+                .map(|(id, lease)| (*id, lease.pool, lease.index))
+                .collect()
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::TreeTable;
     use super::*;
     use crate::metrics::IpamMetrics;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use std::sync::Arc;
 
     fn guard(metrics: &Arc<IpamMetrics>) -> ActiveLease {
@@ -399,7 +572,8 @@ mod tests {
     #[test]
     fn expiry_removes_the_lease_and_drops_the_guard() {
         let metrics = Arc::new(IpamMetrics::new());
-        let mut table = LeaseTable::new();
+        // `default()` must build the same working wheel as `new()`.
+        let mut table = LeaseTable::default();
         let expires = table.acquire(new_lease(1, 0, 9, 0, 4), guard(&metrics));
         assert_eq!(expires, Tick(4));
         assert_eq!(metrics.active_leases(), 1);
@@ -447,5 +621,158 @@ mod tests {
         table.push_standby(0, 9, Tick(5));
         assert!(table.sweep(Tick(4)).standby_done.is_empty());
         assert_eq!(table.sweep(Tick(5)).standby_done, vec![(0, 9)]);
+    }
+
+    /// One seeded sequence of grants (ascending, out-of-order and reused
+    /// ids), renewals, releases, standby timers and sweeps, checked call
+    /// by call against the ordered-map oracle: every return value, the
+    /// id-ordered records, each touched record and both lease gauges.
+    fn lockstep(seed: u64, calls: usize, release_bias: u32) -> (usize, usize) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (fast_metrics, tree_metrics) =
+            (Arc::new(IpamMetrics::new()), Arc::new(IpamMetrics::new()));
+        let mut fast = LeaseTable::new();
+        let mut tree = TreeTable::new();
+        let mut next_id = 1_000u64;
+        let mut used: Vec<u64> = Vec::new();
+        let mut now = 0u64;
+        let (mut compactions, mut at_bound) = (0, 0);
+        for call in 0..calls {
+            let slots_before = fast.records.len();
+            let roll = rng.gen_range(0u32..100);
+            let id_of = |rng: &mut SmallRng, used: &[u64]| match used.len() {
+                0 => 7,
+                n if rng.gen_range(0u32..10) > 0 => used[rng.gen_range(0..n)],
+                _ => rng.gen_range(0..2_000),
+            };
+            if roll < 40 {
+                let id = match rng.gen_range(0u32..10) {
+                    // Out of order: below the largest id so far.
+                    0 => rng.gen_range(0..next_id),
+                    // Reused: a live id (replaced) or a released one.
+                    1 => id_of(&mut rng, &used),
+                    _ => {
+                        next_id += rng.gen_range(1..4);
+                        next_id
+                    }
+                };
+                used.push(id);
+                let new = NewLease {
+                    id,
+                    pool: rng.gen_range(0..3),
+                    index: rng.gen_range(0..1 << 20),
+                    client: call as u64,
+                    now: Tick(now),
+                    lifetime: rng.gen_range(1..40),
+                };
+                assert_eq!(
+                    fast.acquire(new, guard(&fast_metrics)),
+                    tree.acquire(new, guard(&tree_metrics)),
+                    "acquire {id}, call {call}"
+                );
+            } else if roll < 40 + release_bias {
+                let id = id_of(&mut rng, &used);
+                assert_eq!(
+                    fast.release(id),
+                    tree.release(id),
+                    "release {id}, call {call}"
+                );
+            } else if roll < 85 {
+                let id = id_of(&mut rng, &used);
+                let lifetime = rng.gen_range(1..40);
+                assert_eq!(
+                    fast.renew(id, Tick(now), lifetime),
+                    tree.renew(id, Tick(now), lifetime),
+                    "renew {id}, call {call}"
+                );
+            } else if roll < 88 {
+                let (pool, index, until) = (
+                    rng.gen_range(0..3),
+                    rng.gen_range(0..64),
+                    now + rng.gen_range(1..9),
+                );
+                fast.push_standby(pool, index, Tick(until));
+                tree.push_standby(pool, index, Tick(until));
+            } else {
+                now += match rng.gen_range(0u32..20) {
+                    0 => WHEEL_SLOTS + rng.gen_range(0..64),
+                    _ => rng.gen_range(0..4),
+                };
+                let (a, b) = (fast.sweep(Tick(now)), tree.sweep(Tick(now)));
+                assert_eq!(a.expired, b.expired, "sweep to {now}, call {call}");
+                assert_eq!(
+                    a.standby_done, b.standby_done,
+                    "sweep to {now}, call {call}"
+                );
+            }
+            assert_eq!(fast.len(), tree.len(), "call {call}");
+            assert_eq!(
+                fast.records().collect::<Vec<_>>(),
+                tree.records(),
+                "call {call}"
+            );
+            assert_eq!(fast_metrics.active_leases(), tree_metrics.active_leases());
+            assert_eq!(fast_metrics.active_leases(), fast.len() as u64);
+            for &id in used.iter().rev().take(4) {
+                let view = |l: &Lease| {
+                    (
+                        l.pool,
+                        l.index,
+                        l.client,
+                        l.granted_at,
+                        l.expires_at,
+                        l.generation,
+                    )
+                };
+                assert_eq!(
+                    fast.get(id).map(view),
+                    tree.get(id).map(view),
+                    "get {id}, call {call}"
+                );
+            }
+            // Tombstones never exceed a quarter of the live records.
+            let tombstones = fast.records.len() - fast.len();
+            assert!(
+                tombstones * 4 <= fast.len(),
+                "{tombstones} tombstones, call {call}"
+            );
+            assert_eq!(fast.ids.len(), fast.records.len());
+            assert!(fast.ids.windows(2).all(|w| w[0] < w[1]));
+            compactions += usize::from(fast.records.len() < slots_before);
+            at_bound += usize::from(tombstones > 0 && tombstones * 4 == fast.len());
+        }
+        (compactions, at_bound)
+    }
+
+    #[test]
+    fn id_ordered_table_matches_the_map_oracle_call_for_call() {
+        let (mut compactions, mut at_bound) = (0, 0);
+        for seed in 0..12u64 {
+            // Release-heavy runs drain the table; grant-heavy ones grow it.
+            let (c, b) = lockstep(seed, 3_000, [10, 25, 40][seed as usize % 3]);
+            compactions += c;
+            at_bound += b;
+        }
+        // Both sides of the compaction bound were reached.
+        assert!(compactions > 50, "{compactions} compactions");
+        assert!(at_bound > 10, "{at_bound} calls sat exactly at the bound");
+    }
+
+    #[test]
+    fn out_of_order_and_reused_ids_keep_id_order() {
+        let metrics = Arc::new(IpamMetrics::new());
+        let mut table = LeaseTable::new();
+        for id in [10u64, 30, 20, 5, 40] {
+            table.acquire(new_lease(id, 0, id, 0, 8), guard(&metrics));
+        }
+        let ids = |t: &LeaseTable| t.records().map(|r| r.0).collect::<Vec<_>>();
+        assert_eq!(ids(&table), vec![5, 10, 20, 30, 40]);
+        assert_eq!(table.release(20), Ok((0, 20)));
+        // Reusing a released id revives its slot; a live one is replaced.
+        table.acquire(new_lease(20, 1, 21, 0, 8), guard(&metrics));
+        table.acquire(new_lease(30, 1, 31, 0, 8), guard(&metrics));
+        assert_eq!(ids(&table), vec![5, 10, 20, 30, 40]);
+        assert_eq!(table.get(30).map(|l| l.index), Some(31));
+        assert_eq!(metrics.active_leases(), 5);
     }
 }

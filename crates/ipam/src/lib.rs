@@ -8,14 +8,15 @@
 //!
 //! * [`buddy`] — a buddy-style free-space manager per location:
 //!   fragmentation-aware splitting on allocate, XOR-buddy merging on
-//!   release.
+//!   release, each order's free list a sparse bitset of block starts.
 //! * [`pool`] — named pools over `netaddr` blocks (IPv4 `/16`–`/32`
 //!   addresses, IPv6 prefix delegation), with per-location sub-pools,
 //!   exclusion lists, a standby grace period, and the conservation
 //!   invariant (`free + leased + standby + excluded == capacity`).
-//! * [`lease`] — the lease table: simulated-tick lifetimes, renewal by
-//!   generation bump, and expiry via a hashed timer wheel (the
-//!   `serve::reactor` shape, re-keyed to ticks).
+//! * [`lease`] — the lease table: records in id order (binary search,
+//!   tombstones, amortised compaction), simulated-tick lifetimes,
+//!   renewal by generation bump, and expiry via a hashed timer wheel
+//!   (the `serve::reactor` shape, re-keyed to ticks).
 //! * [`metrics`] — lock-free counters plus the [`metrics::ActiveLease`]
 //!   RAII guard that balances the `leases_active` gauge.
 //! * [`Ipam`] — the sharded facade: per-shard mutexes (leaf locks,
@@ -24,7 +25,10 @@
 //!
 //! Time never comes from the wall clock: a [`Tick`] is whatever the
 //! driver (simulation or HTTP front end) says it is, which keeps every
-//! allocation sequence replayable byte-for-byte.
+//! allocation sequence replayable byte-for-byte. No structure depends on
+//! hash order (`buddy` and `lease` deny `HashMap`/`HashSet`), and the
+//! hot path renders nothing: grants and releases carry an [`Address`]
+//! that formats itself only when displayed.
 
 #![forbid(unsafe_code)]
 // Panic-freedom: shipping code degrades instead of panicking (tests are
@@ -48,7 +52,7 @@ pub mod metrics;
 pub mod pool;
 
 pub use ipam::{Grant, GrantRequest, Ipam, IpamConfig, LeaseInfo, Released, SweepReport};
-pub use pool::{PoolSpec, PoolStats};
+pub use pool::{Address, PoolSpec, PoolStats};
 
 use std::fmt;
 

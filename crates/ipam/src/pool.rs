@@ -13,12 +13,34 @@
 //! The conservation invariant lives here: at all times
 //! `free + leased + standby + excluded == capacity`, where `free` is
 //! counted by the buddy allocators and the other three by this module.
-//! [`PoolState::check_conservation`] is O(locations); the sharded
-//! allocator calls it after every sweep.
+//! [`PoolState::check_conservation`] adds each location's free count to
+//! the three counters; the sharded allocator calls it after every sweep.
 
 use crate::buddy::BuddyAllocator;
 use crate::IpamError;
 use dynamips_netaddr::{Ipv4Pool, Ipv4Prefix, Ipv6Prefix, Ipv6PrefixPool};
+use std::fmt;
+use std::net::Ipv4Addr;
+use std::sync::Arc;
+
+/// One allocatable unit, rendered only when displayed: `a.b.c.d` or
+/// `p:q::/len`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Address {
+    /// An IPv4 address.
+    V4(Ipv4Addr),
+    /// A delegated IPv6 prefix.
+    V6(Ipv6Prefix),
+}
+
+impl fmt::Display for Address {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Address::V4(addr) => addr.fmt(f),
+            Address::V6(prefix) => prefix.fmt(f),
+        }
+    }
+}
 
 /// The address family and index→address mapping of one pool.
 #[derive(Debug, Clone, Copy)]
@@ -38,12 +60,11 @@ impl PoolKind {
         }
     }
 
-    /// Render the `index`-th unit (`a.b.c.d` or `p:q::/len`), if the
-    /// index is in range.
-    pub fn render(&self, index: u64) -> Option<String> {
+    /// The `index`-th unit, if the index is in range.
+    pub fn address(&self, index: u64) -> Option<Address> {
         match self {
-            PoolKind::V4(pool) => pool.address(index).ok().map(|a| a.to_string()),
-            PoolKind::V6(pool) => pool.prefix(index).ok().map(|p| p.to_string()),
+            PoolKind::V4(pool) => pool.address(index).ok().map(Address::V4),
+            PoolKind::V6(pool) => pool.prefix(index).ok().map(Address::V6),
         }
     }
 }
@@ -167,6 +188,8 @@ pub struct PoolStats {
 #[derive(Debug)]
 pub struct PoolState {
     spec: PoolSpec,
+    /// The spec's name, shared with every grant and release.
+    name: Arc<str>,
     /// `locations[l]` manages global indices
     /// `[l * loc_span, (l + 1) * loc_span)`.
     locations: Vec<BuddyAllocator>,
@@ -195,6 +218,7 @@ impl PoolState {
             }
         }
         let mut state = PoolState {
+            name: Arc::from(spec.name.as_str()),
             spec,
             locations,
             loc_span,
@@ -224,6 +248,16 @@ impl PoolState {
     /// The pool's static configuration.
     pub fn spec(&self) -> &PoolSpec {
         &self.spec
+    }
+
+    /// The pool's name, shared.
+    pub fn name(&self) -> &Arc<str> {
+        &self.name
+    }
+
+    /// Units held by live leases.
+    pub fn leased(&self) -> u64 {
+        self.leased
     }
 
     fn split_index(&self, index: u64) -> (usize, u64) {
@@ -327,20 +361,15 @@ impl PoolState {
     /// The conservation invariant: every unit is exactly one of
     /// free/leased/standby/excluded.
     pub fn check_conservation(&self) -> Result<(), IpamError> {
-        let stats = self.stats();
-        let accounted = stats.free + stats.leased + stats.standby + stats.excluded;
-        if accounted == stats.capacity {
+        let free: u64 = self.locations.iter().map(BuddyAllocator::free_addrs).sum();
+        let capacity = self.spec.kind.capacity();
+        let accounted = free + self.leased + self.standby + self.excluded;
+        if accounted == capacity {
             Ok(())
         } else {
             Err(IpamError::StateCorrupt(format!(
-                "pool {:?}: free {} + leased {} + standby {} + excluded {} = {} != capacity {}",
-                stats.name,
-                stats.free,
-                stats.leased,
-                stats.standby,
-                stats.excluded,
-                accounted,
-                stats.capacity,
+                "pool {:?}: free {free} + leased {} + standby {} + excluded {} = {accounted} != capacity {capacity}",
+                self.spec.name, self.leased, self.standby, self.excluded,
             )))
         }
     }
@@ -445,8 +474,8 @@ mod tests {
         let spec = PoolSpec::v6("d", p6("2001:db8::/40"), 56, 1, vec![], 0).unwrap();
         let mut pool = PoolState::build(spec).unwrap();
         let index = pool.take(None).unwrap();
-        let rendered = pool.spec().kind.render(index).unwrap();
-        assert_eq!(rendered, "2001:db8::/56");
-        assert!(pool.spec().kind.render(u64::MAX).is_none());
+        let address = pool.spec().kind.address(index).unwrap();
+        assert_eq!(address.to_string(), "2001:db8::/56");
+        assert!(pool.spec().kind.address(u64::MAX).is_none());
     }
 }

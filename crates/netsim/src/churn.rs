@@ -173,7 +173,7 @@ impl Subscriber {
                     let next = self.next_due(now, &state);
                     let event = ChurnEvent::Granted {
                         lease: grant.id,
-                        address: grant.address,
+                        address: grant.address.to_string(),
                     };
                     self.lease = Some((grant.id, state));
                     Ok((event, next))
