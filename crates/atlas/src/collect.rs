@@ -374,6 +374,10 @@ mod tests {
     /// [`splice_alternating`] as it was: a map from hour to the donor's
     /// last record at that hour. The reference oracle for the walk.
     fn splice_by_map<T: Copy>(own: &mut [T], donor: &[T], time: impl Fn(&T) -> SimTime) {
+        #[allow(
+            clippy::disallowed_types,
+            reason = "reference oracle in a test: keyed lookups only"
+        )]
         let donor_by_hour: std::collections::HashMap<u64, T> =
             donor.iter().map(|r| (time(r).hours(), *r)).collect();
         for r in own.iter_mut() {

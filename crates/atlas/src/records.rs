@@ -272,6 +272,10 @@ fn parse_echo_line(lineno: usize, line: &str) -> Result<EchoLine, EchoParseError
 #[derive(Default)]
 struct ProbeAccumulator {
     order: Vec<ProbeId>,
+    #[allow(
+        clippy::disallowed_types,
+        reason = "grouping only; `finish` emits in `order`, the order of first appearance"
+    )]
     map: std::collections::HashMap<u32, (Vec<EchoV4>, Vec<EchoV6>)>,
 }
 
@@ -325,9 +329,17 @@ pub fn from_tsv_lossy(text: &str) -> (Vec<ProbeRecords>, Vec<EchoParseError>) {
     // detection. Adjacent comparison on purpose: a running maximum would
     // let a single forward-skewed timestamp flag every later record of the
     // stream, while an adjacent inversion flags only the skew's neighbors.
+    #[allow(
+        clippy::disallowed_types,
+        reason = "keyed lookups only; never iterated"
+    )]
     let mut last_time: std::collections::HashMap<(u32, u8), SimTime> =
         std::collections::HashMap::new();
     // Seen record fingerprints, for duplicate detection.
+    #[allow(
+        clippy::disallowed_types,
+        reason = "membership test only; never iterated"
+    )]
     let mut seen: std::collections::HashSet<(u32, u8, u64, u128, u128)> =
         std::collections::HashSet::new();
 

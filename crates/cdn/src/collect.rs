@@ -246,6 +246,10 @@ mod tests {
             .unwrap();
         let ds = CdnCollector::new(&world, window(), CdnConfig::pristine()).collect();
         // Group by /64: each client's association must be constant.
+        #[allow(
+            clippy::disallowed_types,
+            reason = "test: only group sizes are asserted"
+        )]
         let mut by_p64: std::collections::HashMap<u128, std::collections::HashSet<u32>> =
             std::collections::HashMap::new();
         for t in &ds.tuples {

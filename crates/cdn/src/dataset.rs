@@ -62,6 +62,10 @@ impl AssociationDataset {
     /// Fraction of distinct /64s that belong to cellular networks (65.7% in
     /// the paper).
     pub fn mobile_p64_fraction(&self) -> f64 {
+        #[allow(
+            clippy::disallowed_types,
+            reason = "only counts leave; iteration order never observed"
+        )]
         let mut seen: std::collections::HashMap<u128, bool> = std::collections::HashMap::new();
         for t in &self.tuples {
             seen.entry(t.p64.bits()).or_insert(t.mobile);
@@ -266,6 +270,10 @@ pub fn from_tsv(text: &str) -> Result<AssociationDataset, AssociationParseError>
 pub fn from_tsv_lossy(text: &str) -> (AssociationDataset, Vec<AssociationParseError>) {
     let mut ds = AssociationDataset::default();
     let mut errors: Vec<AssociationParseError> = Vec::new();
+    #[allow(
+        clippy::disallowed_types,
+        reason = "membership test only; never iterated"
+    )]
     let mut seen: std::collections::HashSet<(u32, u128, u32, u32, bool)> =
         std::collections::HashSet::new();
     for (idx, line) in text.lines().enumerate() {

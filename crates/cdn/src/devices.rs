@@ -136,6 +136,7 @@ mod tests {
     use dynamips_netaddr::Ipv6Prefix;
     use dynamips_netsim::timeline::{SubscriberId, V6Segment};
     use dynamips_routing::Asn;
+    #[allow(clippy::disallowed_types, reason = "test: only set sizes are asserted")]
     use std::collections::HashSet;
 
     fn timeline(index: u32) -> SubscriberTimeline {
@@ -181,11 +182,13 @@ mod tests {
             daily_activity: 1.0,
         };
         let obs = observe_devices(&timeline(2), window(), &cfg, 11);
+        #[allow(clippy::disallowed_types, reason = "test: only set sizes are asserted")]
         let eui: HashSet<Ipv6Addr> = obs
             .iter()
             .filter(|o| looks_like_eui64(u128::from(o.address) as u64))
             .map(|o| o.address)
             .collect();
+        #[allow(clippy::disallowed_types, reason = "test: only set sizes are asserted")]
         let privacy: HashSet<Ipv6Addr> = obs
             .iter()
             .filter(|o| !looks_like_eui64(u128::from(o.address) as u64))
@@ -213,6 +216,7 @@ mod tests {
         };
         let daily = observe_devices(&timeline(3), window(), &mk(24), 13);
         let weekly = observe_devices(&timeline(3), window(), &mk(24 * 7), 13);
+        #[allow(clippy::disallowed_types, reason = "test: only set sizes are asserted")]
         let count =
             |obs: &[DeviceObservation]| obs.iter().map(|o| o.address).collect::<HashSet<_>>().len();
         assert!(count(&daily) > 3 * count(&weekly));

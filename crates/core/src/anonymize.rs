@@ -12,6 +12,10 @@
 //! recommends a per-network truncation length.
 
 use dynamips_netaddr::Ipv6Prefix;
+#[allow(
+    clippy::disallowed_types,
+    reason = "only bucket sizes leave, sorted below"
+)]
 use std::collections::{HashMap, HashSet};
 
 /// k-anonymity statistics for one truncation length.
@@ -37,7 +41,10 @@ pub fn audit_truncation(observations: &[(u32, Ipv6Prefix)], len: u8) -> Option<T
     if observations.is_empty() {
         return None;
     }
-    // lint:allow(determinism-taint): only bucket sizes leave, sorted below
+    #[allow(
+        clippy::disallowed_types,
+        reason = "only bucket sizes leave, sorted below"
+    )]
     let mut subs_per_bucket: HashMap<u128, HashSet<u32>> = HashMap::new();
     for (sub, p64) in observations {
         // supernet with a clamped length cannot shrink past 0; fall back

@@ -5,10 +5,6 @@
 //! determined by the lifetime of an IPv6 /64 prefix or the appearance of
 //! another IPv4 /24 prefix."
 
-// The CDN kernels derive everything from one sorted order: no unordered
-// map or set (clippy.toml `disallowed-types`).
-#![deny(clippy::disallowed_types)]
-
 use crate::stats::BoxStats;
 use dynamips_cdn::{Association, AssociationDataset};
 use dynamips_routing::{Asn, Rir};

@@ -5,10 +5,6 @@
 //! prefix, essentially measuring the connectivity degree of each IPv4
 //! prefix." High degrees indicate CGNAT-style multiplexing.
 
-// The CDN kernels derive everything from one sorted order: no unordered
-// map or set (clippy.toml `disallowed-types`).
-#![deny(clippy::disallowed_types)]
-
 use crate::association::P64Order;
 use crate::stats::{log10_histogram, log10_histogram_weighted};
 use std::collections::BTreeMap;

@@ -17,6 +17,8 @@ use std::net::Ipv4Addr;
 
 /// A maximal run of identical consecutive observations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// lint:allow(dead-pub): values flow to other crates through `ProbeHistory`'s
+// pub span fields without the type name being spelled.
 pub struct Span<T> {
     /// The observed value (address or /64 prefix).
     pub value: T,

@@ -7,6 +7,10 @@
 //! estimators — distinct addresses, distinct /64s — against ground truth.
 
 use dynamips_netaddr::Ipv6Prefix;
+#[allow(
+    clippy::disallowed_types,
+    reason = "cardinality only; order never observed"
+)]
 use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
@@ -34,11 +38,20 @@ pub fn estimate_counts(observations: &[(u32, Ipv6Addr)]) -> Option<CountEstimate
     if observations.is_empty() {
         return None;
     }
-    // lint:allow(determinism-taint): cardinality only; order never observed
+    #[allow(
+        clippy::disallowed_types,
+        reason = "cardinality only; order never observed"
+    )]
     let subs: HashSet<u32> = observations.iter().map(|(s, _)| *s).collect();
-    // lint:allow(determinism-taint): cardinality only; order never observed
+    #[allow(
+        clippy::disallowed_types,
+        reason = "cardinality only; order never observed"
+    )]
     let addrs: HashSet<u128> = observations.iter().map(|(_, a)| u128::from(*a)).collect();
-    // lint:allow(determinism-taint): cardinality only; order never observed
+    #[allow(
+        clippy::disallowed_types,
+        reason = "cardinality only; order never observed"
+    )]
     let p64s: HashSet<u128> = observations
         .iter()
         .map(|(_, a)| Ipv6Prefix::slash64_of(*a).bits())

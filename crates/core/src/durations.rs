@@ -7,6 +7,7 @@
 
 use crate::stats::weighted_cdf_at;
 use dynamips_netsim::{DAY, WEEK, YEAR};
+#[allow(clippy::disallowed_types, reason = "keys are sorted before iteration")]
 use std::collections::HashMap;
 
 /// Canonical duration marks used on the paper's Figure-1 x axis.
@@ -229,7 +230,10 @@ pub fn detect_period(
     }
     // Count durations per exact hour value, then look for the hour whose
     // tolerance window captures the most durations.
-    // lint:allow(determinism-taint): keys are sorted before iteration below
+    #[allow(
+        clippy::disallowed_types,
+        reason = "keys are sorted before iteration below"
+    )]
     let mut counts: HashMap<u64, usize> = HashMap::new();
     for &d in set.raw() {
         *counts.entry(d).or_insert(0) += 1;

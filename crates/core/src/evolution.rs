@@ -252,6 +252,7 @@ mod tests {
             y.add_spans(&spans);
         }
         let mass = y.short_mass_by_year(24);
+        #[allow(clippy::disallowed_types, reason = "test: keyed lookups only")]
         let by_year: std::collections::HashMap<i32, f64> = mass.into_iter().collect();
         assert!(by_year[&2015] > 0.9);
         assert!(by_year[&2017] < 0.1);
@@ -341,6 +342,7 @@ mod tests {
         });
         let mut ys = YearlySurvival::new();
         ys.add_subject(&spans, 2015, 2019, 14 * 24);
+        #[allow(clippy::disallowed_types, reason = "test: keyed lookups only")]
         let shares: std::collections::HashMap<i32, f64> =
             ys.shares().into_iter().map(|(y, s, _)| (y, s)).collect();
         assert_eq!(shares[&2015], 0.0);

@@ -187,6 +187,10 @@ mod tests {
     use dynamips_netsim::SimTime;
     use dynamips_routing::Asn;
     use rand::Rng;
+    #[allow(
+        clippy::disallowed_types,
+        reason = "reference oracle in a test: membership test only"
+    )]
     use std::collections::HashSet;
 
     /// [`hit_rate`] over a hash set of the targets: the reference oracle.
@@ -194,6 +198,10 @@ mod tests {
         if actual.is_empty() {
             return 0.0;
         }
+        #[allow(
+            clippy::disallowed_types,
+            reason = "reference oracle in a test: membership test only"
+        )]
         let set: HashSet<u128> = targets.iter().map(|t| t.bits()).collect();
         let hits = actual.iter().filter(|a| set.contains(&a.bits())).count();
         hits as f64 / actual.len() as f64

@@ -146,10 +146,18 @@ mod tests {
     use dynamips_netsim::SimTime;
     use dynamips_routing::Asn;
     use rand::Rng;
+    #[allow(
+        clippy::disallowed_types,
+        reason = "reference oracle in a test: cardinality only"
+    )]
     use std::collections::HashSet;
 
     /// Unique supernets at `len`, hashing every one: the reference oracle
     /// for [`UniqueCounts::at`].
+    #[allow(
+        clippy::disallowed_types,
+        reason = "reference oracle in a test: cardinality only"
+    )]
     fn unique_at(history: &ProbeHistory, len: u8) -> usize {
         history
             .v6
@@ -261,6 +269,7 @@ mod tests {
     #[test]
     fn unique_counts_match_hash_set_oracle() {
         let mut rng = derive_rng(23, 1);
+        #[allow(clippy::disallowed_types, reason = "test: cardinality only")]
         let mut sizes = HashSet::new();
         for _ in 0..200 {
             // 0 and 1 are the empty and single-prefix histories; one slot

@@ -8,6 +8,10 @@
 
 use crate::changes::ProbeHistory;
 use dynamips_routing::RoutingTable;
+#[allow(
+    clippy::disallowed_types,
+    reason = "cardinality only; order never observed"
+)]
 use std::collections::HashSet;
 
 /// The prefix lengths Figure 8 tracks (plus the routed BGP prefix).
@@ -31,7 +35,10 @@ pub(crate) fn unique_prefixes(
 ) -> UniquePrefixCounts {
     let mut counts = [0usize; 7];
     for (i, len) in POOL_LENGTHS.iter().enumerate() {
-        // lint:allow(determinism-taint): cardinality only; order never observed
+        #[allow(
+            clippy::disallowed_types,
+            reason = "cardinality only; order never observed"
+        )]
         let set: HashSet<u128> = history
             .v6
             .iter()
@@ -39,7 +46,10 @@ pub(crate) fn unique_prefixes(
             .collect();
         counts[i] = set.len();
     }
-    // lint:allow(determinism-taint): cardinality only; order never observed
+    #[allow(
+        clippy::disallowed_types,
+        reason = "cardinality only; order never observed"
+    )]
     let bgp: HashSet<_> = history
         .v6
         .iter()
@@ -166,6 +176,7 @@ mod tests {
             "2003:40:b7:2200::/64",
         ]);
         let u = unique_prefixes(&h, &routing());
+        #[allow(clippy::disallowed_types, reason = "test: keyed lookups only")]
         let by_len: std::collections::HashMap<u8, usize> = POOL_LENGTHS
             .iter()
             .copied()

@@ -2,9 +2,6 @@
 //! ASCII bar charts, so every regenerated table/figure prints the same way
 //! the paper reports it.
 
-// Artifact bytes: no unordered map or set (clippy.toml `disallowed-types`).
-#![deny(clippy::disallowed_types)]
-
 /// A simple aligned-column table builder.
 #[derive(Debug, Clone, Default)]
 pub struct TextTable {

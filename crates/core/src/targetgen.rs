@@ -247,6 +247,10 @@ mod tests {
     use crate::hitlist::hit_rate;
     use dynamips_netsim::rngutil::derive_rng;
     use rand::Rng;
+    #[allow(
+        clippy::disallowed_types,
+        reason = "reference oracle in a test: membership test and cardinality only"
+    )]
     use std::collections::HashSet;
 
     fn p(s: &str) -> Ipv6Prefix {
@@ -452,6 +456,7 @@ mod tests {
             .collect();
         let targets = sixgen_targets(&seeds, 48, 5);
         assert_eq!(targets.len(), 5, "budget caps enumeration");
+        #[allow(clippy::disallowed_types, reason = "test: cardinality only")]
         let set: HashSet<u128> = targets.iter().map(|t| t.bits()).collect();
         assert_eq!(set.len(), 5, "no duplicates");
         assert!(sixgen_targets(&seeds, 48, 0).is_empty());
@@ -492,6 +497,10 @@ mod tests {
         };
         clusters.sort_by(|a, b| density(b).total_cmp(&density(a)));
         let mut out: Vec<Ipv6Prefix> = Vec::with_capacity(limit);
+        #[allow(
+            clippy::disallowed_types,
+            reason = "reference oracle in a test: membership test only"
+        )]
         let mut emitted: HashSet<u128> = HashSet::new();
         for (cover, _) in &clusters {
             if out.len() >= limit {
@@ -535,6 +544,7 @@ mod tests {
                 sixgen_with_emitted_set(&seeds, min_cluster_len, limit),
                 "min_cluster_len {min_cluster_len}, limit {limit}, {seeds:?}"
             );
+            #[allow(clippy::disallowed_types, reason = "test: cardinality only")]
             let distinct: HashSet<u128> = got.iter().map(|t| t.bits()).collect();
             assert_eq!(distinct.len(), got.len(), "a /64 emitted twice");
             // The budget ran out inside a cluster's enumeration.

@@ -152,6 +152,7 @@ proptest! {
         }
         // At /44 everything is one bucket holding every subscriber.
         let all = audit_truncation(&obs, 44).unwrap();
+        #[allow(clippy::disallowed_types, reason = "test: cardinality only")]
         let distinct: std::collections::HashSet<u32> = subs.iter().map(|(s, _)| *s).collect();
         prop_assert_eq!(all.buckets, 1);
         prop_assert_eq!(all.k_min, distinct.len());

@@ -1,8 +1,5 @@
 //! Atlas-derived artifacts: Tables 1–2, Figures 1, 5, 6, 8 and 9.
 
-// Artifact bytes: no unordered map or set (clippy.toml `disallowed-types`).
-#![deny(clippy::disallowed_types)]
-
 use crate::context::AtlasAnalysis;
 use dynamips_core::durations::DurationSet;
 use dynamips_core::report::{bar_chart, thousands, TextTable};

@@ -1,8 +1,5 @@
 //! CDN-derived artifacts: Figures 2, 3, 4 and 7.
 
-// Artifact bytes: no unordered map or set (clippy.toml `disallowed-types`).
-#![deny(clippy::disallowed_types)]
-
 use crate::atlas_exps::FIGURE_ASES;
 use crate::context::CdnAnalysis;
 use dynamips_core::association::figure3_boxes;

@@ -27,6 +27,10 @@ use dynamips_netsim::profiles::{atlas_world, cdn_world};
 use dynamips_netsim::time::Window;
 use dynamips_netsim::World;
 use dynamips_routing::Asn;
+#[allow(
+    clippy::disallowed_types,
+    reason = "keyed lookups only; never iterated"
+)]
 use std::collections::HashMap;
 
 /// Sweep configuration for `dynamips chaos`.
@@ -66,6 +70,10 @@ struct Baseline {
     atlas_window: Window,
     atlas_tsv: String,
     /// Probe → (AS, tags): series metadata not present in the IP-echo TSV.
+    #[allow(
+        clippy::disallowed_types,
+        reason = "keyed lookups only; never iterated"
+    )]
     probe_meta: HashMap<ProbeId, (Asn, Vec<String>)>,
     cdn_world: World,
     cdn_window: Window,
@@ -77,6 +85,10 @@ fn baseline(cfg: &ExperimentConfig) -> Baseline {
     let atlas_window = Window::atlas_paper();
     let collector = AtlasCollector::new(&atlas_world, atlas_window, AtlasConfig::default());
     let mut atlas_tsv = String::new();
+    #[allow(
+        clippy::disallowed_types,
+        reason = "keyed lookups only; never iterated"
+    )]
     let mut probe_meta = HashMap::new();
     collector.for_each_probe(|s| {
         atlas_tsv.push_str(&records::to_tsv(s.probe, &s.v4, &s.v6));

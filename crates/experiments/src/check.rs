@@ -5,9 +5,6 @@
 //! in-binary version lets a user validate any seed/scale combination
 //! (`dynamips --seed 7 --atlas-scale 0.5 check`) without the test harness.
 
-// Artifact bytes: no unordered map or set (clippy.toml `disallowed-types`).
-#![deny(clippy::disallowed_types)]
-
 use crate::context::{AtlasAnalysis, CdnAnalysis};
 use dynamips_core::durations::detect_period;
 use dynamips_core::report::TextTable;

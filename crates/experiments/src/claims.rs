@@ -4,9 +4,6 @@
 //! and figures; this module recomputes each from the simulated datasets and
 //! prints paper-vs-measured.
 
-// Artifact bytes: no unordered map or set (clippy.toml `disallowed-types`).
-#![deny(clippy::disallowed_types)]
-
 use crate::context::{AtlasAnalysis, CdnAnalysis};
 use dynamips_core::report::TextTable;
 use dynamips_core::stats::quantile;

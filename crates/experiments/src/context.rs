@@ -796,6 +796,10 @@ mod tests {
     fn sorted_cdn_products_match_hash_reference() {
         use dynamips_cdn::Association;
         use rand::Rng;
+        #[allow(
+            clippy::disallowed_types,
+            reason = "reference oracle in a test: membership test only"
+        )]
         use std::collections::HashSet;
         let world = cdn_world(3, 0.02);
         let full = CdnCollector::new(&world, Window::cdn_paper(), CdnConfig::default()).collect();
@@ -823,6 +827,10 @@ mod tests {
                 BTreeMap::<Rir, NibbleCounter>::new(),
                 NibbleCounter::default(),
             );
+            #[allow(
+                clippy::disallowed_types,
+                reason = "reference oracle in a test: membership test only"
+            )]
             let mut seen: HashSet<u128> = HashSet::new();
             for t in &ds.tuples {
                 if !seen.insert(t.p64.bits()) {

@@ -11,9 +11,6 @@
 //! analysis ([`crate::context`]). [`clean_histories`] and
 //! [`sanitizer_report_with`] ask that pass for their one product.
 
-// Artifact bytes: no unordered map or set (clippy.toml `disallowed-types`).
-#![deny(clippy::disallowed_types)]
-
 use crate::context::{AtlasProducts, AtlasWants, ExperimentConfig, ShortV4Share};
 use dynamips_atlas::{AtlasCollector, AtlasConfig};
 use dynamips_cdn::{CdnCollector, CdnConfig};

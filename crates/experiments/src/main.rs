@@ -72,10 +72,10 @@ fn usage() -> ! {
          \x20          the warm engine, no client-visible 5xx, clean drain;\n\
          \x20          writes BENCH_chaos_serve.json)\n\
          lint:      lint [--format text|json|sarif] [--explain RULE]\n\
-         \x20          (check the workspace's determinism, panic-freedom,\n\
-         \x20          concurrency-safety and offline-build invariants\n\
-         \x20          against lint.toml; --explain prints one rule's\n\
-         \x20          rationale and pragma syntax)\n\
+         \x20          (check the workspace's call-graph invariants: dead pub\n\
+         \x20          items, lock order, blocking calls, condvar loops and\n\
+         \x20          bounded growth, against lint.toml; --explain prints\n\
+         \x20          one rule's rationale and pragma syntax)\n\
          serve:     serve [--addr A] [--serve-workers N] [--queue N]\n\
          \x20          [--max-conns N] [--cache-cap N] [--read-timeout-ms N]\n\
          \x20          [--write-timeout-ms N]\n\

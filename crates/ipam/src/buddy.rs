@@ -27,8 +27,6 @@
 //! [`BuddyAllocator::claim`], and per-location sub-pools are simply
 //! several allocators over adjacent spans (see `pool`).
 
-#![deny(clippy::disallowed_types)]
-
 /// Largest span one allocator manages: a v6 /32 delegating /64s, the
 /// widest pool `PoolSpec` accepts.
 pub const MAX_CAPACITY: u64 = 1 << 32;

@@ -24,8 +24,6 @@
 //! of 64 bytes (an id and a record), and each compaction is paid for by
 //! the releases that preceded it.
 
-#![deny(clippy::disallowed_types)]
-
 use crate::metrics::ActiveLease;
 use crate::{IpamError, Tick};
 

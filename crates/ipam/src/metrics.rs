@@ -1,10 +1,10 @@
 //! Lock-free counters and gauges for the allocator, plus the
 //! [`ActiveLease`] RAII guard that keeps `leases_active` honest.
 //!
-//! The `leases_active` gauge only moves through its two wrappers
-//! (`lease_opened` / `lease_closed`, declared in `lint.toml`), and the
-//! decrement side lives in [`ActiveLease`]'s `Drop` — the same
-//! guard-balances-the-gauge shape as `serve::metrics::GaugeGuard`.
+//! The `leases_active` gauge only moves through its two private
+//! wrappers (`lease_opened` / `lease_closed`), which only the guard
+//! calls, and the decrement side lives in [`ActiveLease`]'s `Drop` — the
+//! same guard-balances-the-gauge shape as `serve::metrics::GaugeGuard`.
 //! Every lease record owns a guard, so however a lease ends (explicit
 //! release, expiry sweep, table drop), the gauge falls with it.
 //!

@@ -1,20 +1,14 @@
 //! Interprocedural analyses over the workspace call graph.
 //!
 //! clippy sees one crate or one line at a time; the analyses here see the
-//! whole workspace: [`determinism`] propagates wall-clock, unseeded-RNG
-//! and hash-iteration taint backwards from the declared artifact-renderer
-//! sinks (with the shortest chain, so the report reads
-//! `sink → … → site`), and [`dead_pub`] flags `pub` items no other crate
-//! references.
-//! [`concurrency`] adds lock-order and blocking-call safety, and
-//! [`lifecycle`] tracks declared acquire/release pairs, gauge balance,
-//! and collection growth on long-running paths. All of them honour
-//! `lint:allow` pragmas on the site line and the severity overrides in
-//! `lint.toml`.
+//! whole workspace: [`dead_pub`] flags `pub` items no other crate
+//! references, [`concurrency`] checks lock order and blocking calls
+//! across call boundaries, and [`lifecycle`] checks collection growth on
+//! long-running paths. All of them honour `lint:allow` pragmas on the
+//! site line and the severity overrides in `lint.toml`.
 
 pub mod concurrency;
 pub mod dead_pub;
-pub mod determinism;
 pub mod lifecycle;
 
 use crate::callgraph::CallGraph;
@@ -49,7 +43,6 @@ pub fn run(files: &[SourceFile], cfg: &Config) -> Result<Vec<Finding>, String> {
         .collect();
 
     let mut findings = Vec::new();
-    findings.extend(determinism::run(&graph, cfg, &allows));
     findings.extend(dead_pub::run(files, cfg, &allows));
     findings.extend(concurrency::run(&graph, cfg, &allows)?);
     findings.extend(lifecycle::run(&graph, cfg, &allows)?);

@@ -47,11 +47,6 @@ impl Severity {
 pub struct Config {
     /// Path prefixes (relative, `/`-separated) excluded from the walk.
     pub skip: Vec<String>,
-    /// The timing layer: its wall-clock reads are not determinism taint.
-    pub perf_exempt: Vec<String>,
-    /// Files whose functions are artifact-renderer sinks for the
-    /// determinism-taint analysis.
-    pub sinks: Vec<String>,
     /// Path prefixes whose `pub` items the dead-pub analysis audits.
     pub dead_pub: Vec<String>,
     /// Files/dirs allowed to hold a lock across a blocking call (e.g. a
@@ -67,14 +62,6 @@ pub struct Config {
     /// Files whose functions the reactor is allowed to block in (the
     /// poller itself).
     pub reactor_allowed: Vec<String>,
-    /// Acquire/release pair specs for the lifecycle pass, as
-    /// `"acquire -> release"` declarations; each side is `name` or
-    /// `Type::name` (matching qualified calls and `recv.name()` method
-    /// calls on a snake_cased receiver).
-    pub lifecycle_pairs: Vec<String>,
-    /// Gauge specs, as `"gauge_field: inc_fn / dec_fn"` declarations:
-    /// the atomic field name plus its increment/decrement wrappers.
-    pub lifecycle_gauges: Vec<String>,
     /// Extra shrink-operation names recognized as bounding collection
     /// growth, appended to the built-in eviction list.
     pub growth_caps: Vec<String>,
@@ -175,14 +162,10 @@ impl Config {
         }
         let target = match (section, key) {
             ("paths", "skip") => &mut self.skip,
-            ("paths", "perf-exempt") => &mut self.perf_exempt,
             ("paths", "blocking-allowed") => &mut self.blocking_allowed,
-            ("interprocedural", "sinks") => &mut self.sinks,
             ("interprocedural", "dead-pub") => &mut self.dead_pub,
             ("concurrency", "blocking-sinks") => &mut self.blocking_sinks,
             ("concurrency", "reactor-allowed") => &mut self.reactor_allowed,
-            ("lifecycle", "pairs") => &mut self.lifecycle_pairs,
-            ("lifecycle", "gauges") => &mut self.lifecycle_gauges,
             ("lifecycle", "caps") => &mut self.growth_caps,
             ("lifecycle", "growth-paths") => &mut self.growth_paths,
             _ => {
@@ -253,11 +236,11 @@ mod tests {
     #[test]
     fn parses_sections_arrays_and_severities() {
         let cfg = Config::parse(
-            "# header\n[paths]\nskip = [\"vendor\", \"target\"] # trailing\nperf-exempt = [\n  \"crates/core/src/perf.rs\",\n  \"crates/serve/src\",\n]\n\n[rules.dead-pub]\nseverity = \"warn\"\n",
+            "# header\n[paths]\nskip = [\"vendor\", \"target\"] # trailing\nblocking-allowed = [\n  \"crates/serve/src/server.rs\",\n  \"crates/chaos/src\",\n]\n\n[rules.dead-pub]\nseverity = \"warn\"\n",
         )
         .expect("parses");
         assert_eq!(cfg.skip, vec!["vendor", "target"]);
-        assert_eq!(cfg.perf_exempt.len(), 2);
+        assert_eq!(cfg.blocking_allowed.len(), 2);
         assert_eq!(cfg.severity_of("dead-pub", Severity::Deny), Severity::Warn);
         assert_eq!(
             cfg.severity_of("lock-order", Severity::Deny),
@@ -267,11 +250,8 @@ mod tests {
 
     #[test]
     fn parses_interprocedural_section() {
-        let cfg = Config::parse(
-            "[interprocedural]\nsinks = [\"crates/core/src/report.rs\"]\ndead-pub = [\"crates/core/src\"]\n",
-        )
-        .expect("parses");
-        assert_eq!(cfg.sinks, vec!["crates/core/src/report.rs"]);
+        let cfg =
+            Config::parse("[interprocedural]\ndead-pub = [\"crates/core/src\"]\n").expect("parses");
         assert_eq!(cfg.dead_pub, vec!["crates/core/src"]);
     }
 
@@ -299,19 +279,14 @@ mod tests {
     #[test]
     fn parses_lifecycle_section() {
         let cfg = Config::parse(
-            "[lifecycle]\npairs = [\"Poller::add -> Poller::remove\"]\ngauges = [\"open_conns: conn_opened / conn_closed\"]\ncaps = [\"evict_oldest\"]\ngrowth-paths = [\"crates/serve/src\"]\nlong-running = [\"src/leaks.rs::pump\"]\n",
+            "[lifecycle]\ncaps = [\"evict_oldest\"]\ngrowth-paths = [\"crates/serve/src\"]\nlong-running = [\"src/growth.rs::pump\"]\n",
         )
         .expect("parses");
-        assert_eq!(cfg.lifecycle_pairs, vec!["Poller::add -> Poller::remove"]);
-        assert_eq!(
-            cfg.lifecycle_gauges,
-            vec!["open_conns: conn_opened / conn_closed"]
-        );
         assert_eq!(cfg.growth_caps, vec!["evict_oldest"]);
         assert_eq!(cfg.growth_paths, vec!["crates/serve/src"]);
         assert_eq!(
             cfg.long_running,
-            vec![("src/leaks.rs".to_string(), "pump".to_string())]
+            vec![("src/growth.rs".to_string(), "pump".to_string())]
         );
         let err = Config::parse("[lifecycle]\nlong-running = [\"nosep\"]\n")
             .expect_err("long-running without ::");
@@ -323,11 +298,18 @@ mod tests {
         let err = Config::parse("[paths]\nbogus = []\n").expect_err("unknown key");
         assert!(err.contains("lint.toml:2"), "{err}");
         // Retired scopes are gone, not silently ignored: hash-iter's
-        // render files, panic-reach's ingest files and entry points.
+        // render files, panic-reach's ingest files and entry points,
+        // determinism-taint's sinks and timing layer, and the pair and
+        // gauge declarations of resource-leak, drop-order and
+        // gauge-balance.
         for retired in [
             "[paths]\nrender = []\n",
             "[paths]\ningest = [\"crates/atlas/src/records.rs\"]\n",
             "[interprocedural]\nentry-points = [\"crates/experiments/src/main.rs::main\"]\n",
+            "[paths]\nperf-exempt = [\"crates/core/src/perf.rs\"]\n",
+            "[interprocedural]\nsinks = [\"crates/core/src/report.rs\"]\n",
+            "[lifecycle]\npairs = [\"Poller::add -> Poller::remove\"]\n",
+            "[lifecycle]\ngauges = [\"open_conns: conn_opened / conn_closed\"]\n",
         ] {
             let err = Config::parse(retired).expect_err("retired key");
             assert!(err.contains("unknown key"), "{err}");

@@ -4,13 +4,12 @@
 //! (deterministically: directory entries are sorted, the configured skip
 //! list plus `target/` and dot-directories are pruned), scrubs each file,
 //! checks its `lint:allow` pragmas, then feeds the collected items into
-//! the interprocedural analyses (determinism taint, dead-pub,
-//! concurrency, lifecycle). Findings come back sorted by
+//! the interprocedural analyses (dead-pub, concurrency, lifecycle). Findings come back sorted by
 //! `(path, line, rule)` so output is stable across platforms and thread
 //! counts. [`lint_workspace_with_overrides`] lets tests replace
 //! individual file contents in memory — that is how the injected-fault
-//! meta-tests prove a tainted helper or a lock inversion is caught under
-//! the real workspace configuration.
+//! meta-tests prove a lock inversion or a naked condvar wait is caught
+//! under the real workspace configuration.
 
 use crate::analyses::{self, SourceFile};
 use crate::config::{Config, Severity};
@@ -30,8 +29,8 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> Result<Vec<Finding>, String>
 /// [`lint_workspace`], but with some file contents replaced in memory.
 /// `overrides` maps workspace-relative paths to replacement text; a path
 /// that does not exist on disk is linted as a new file. This is the
-/// fault-injection surface for the meta-tests: inject a tainted helper or
-/// a leaked resource into real modules without touching the tree.
+/// fault-injection surface for the meta-tests: inject a lock inversion or
+/// a blocking call into real modules without touching the tree.
 pub fn lint_workspace_with_overrides(
     root: &Path,
     cfg: &Config,

@@ -4,9 +4,8 @@
 //! Like [`crate::scrub`], this deliberately does not parse Rust (no
 //! `syn`; the build is offline). A single token pass over the scrubbed
 //! code view tracks a brace-scope stack (`mod` / `impl` / `fn` / plain
-//! block), which is enough to attribute every call site, lock, exit and
-//! nondeterminism source to the function whose body contains it, and to
-//! give each function a qualified name (`module::Type::name`) for
+//! block), which is enough to attribute every call site and lock to the
+//! function whose body contains it, and to give each function a qualified name (`module::Type::name`) for
 //! readable call chains. The collector is forgiving by construction:
 //! malformed nesting degrades to misattribution, never to a panic,
 //! because the linter must not be the thing that aborts CI.
@@ -39,45 +38,10 @@ pub struct CallSite {
     /// body within its function (condvar waits must be re-checked in a
     /// loop).
     pub in_loop: bool,
-    /// Receiver identifier of a method call (`poller.add(…)` → `poller`,
-    /// `self.queue_depth.fetch_add(…)` → `queue_depth`), when it is a
-    /// plain identifier. `None` for free calls and `<expr>.m()` chains.
+    /// Receiver identifier of a method call (`queue.push(…)` → `queue`,
+    /// `self.backlog.push(…)` → `backlog`), when it is a plain
+    /// identifier. `None` for free calls and `<expr>.m()` chains.
     pub recv: Option<String>,
-}
-
-/// How control leaves a function early.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExitKind {
-    /// An explicit `return`.
-    Return,
-    /// The `?` try operator (exits on the error arm).
-    Question,
-    /// A `break` out of a loop (an exit from the loop body's paths).
-    Break,
-}
-
-impl ExitKind {
-    /// Human label for report messages.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ExitKind::Return => "return",
-            ExitKind::Question => "`?`",
-            ExitKind::Break => "break",
-        }
-    }
-}
-
-/// One early-exit site inside a function body. The trailing fall-off-the-
-/// end exit is implicit and not recorded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExitSite {
-    /// Which construct exits.
-    pub kind: ExitKind,
-    /// 0-based line of the site.
-    pub line: usize,
-    /// Token index — comparable with [`CallSite::order`] to decide
-    /// whether an exit falls between an acquire and its release.
-    pub order: usize,
 }
 
 /// Which primitive a lock-acquisition site takes.
@@ -130,39 +94,6 @@ pub struct LockSite {
     pub binding: Option<String>,
 }
 
-/// A nondeterminism source category.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaintKind {
-    /// `Instant::now` / `SystemTime::now`.
-    WallClock,
-    /// `thread_rng` / `from_entropy` / `OsRng`.
-    UnseededRng,
-    /// `HashMap` / `HashSet` mention — iteration order is unstable.
-    HashOrder,
-}
-
-impl TaintKind {
-    /// Human label for report messages.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TaintKind::WallClock => "wall-clock",
-            TaintKind::UnseededRng => "unseeded-rng",
-            TaintKind::HashOrder => "hash-order",
-        }
-    }
-}
-
-/// A nondeterminism source inside a function body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaintSite {
-    /// Source category.
-    pub kind: TaintKind,
-    /// The offending token, for the report message.
-    pub token: String,
-    /// 0-based line of the site.
-    pub line: usize,
-}
-
 /// One `fn` definition with everything the analyses need to know.
 #[derive(Debug, Clone)]
 pub struct FnItem {
@@ -184,12 +115,8 @@ pub struct FnItem {
     pub is_test: bool,
     /// Call sites in the body.
     pub calls: Vec<CallSite>,
-    /// Nondeterminism sources in the body.
-    pub taints: Vec<TaintSite>,
     /// Lock acquisitions in the body, with guard liveness spans.
     pub locks: Vec<LockSite>,
-    /// Early-exit sites (`return` / `?` / `break`) in the body.
-    pub exits: Vec<ExitSite>,
 }
 
 /// A `pub` item (any kind) at module scope, for the dead-pub analysis.
@@ -219,13 +146,9 @@ enum Tok {
     Punct(char),
 }
 
-/// Token plus its byte offset and 0-based line.
+/// Token plus its 0-based line.
 struct Spanned {
     tok: Tok,
-    /// Byte offset of the token start in the scrubbed code.
-    off: usize,
-    /// Byte offset one past the token end.
-    end: usize,
     line: usize,
 }
 
@@ -241,19 +164,17 @@ fn lex(code: &str) -> Vec<Spanned> {
     let mut out = Vec::new();
     let mut line = 0usize;
     let mut chars = code.char_indices().peekable();
-    while let Some(&(off, c)) = chars.peek() {
+    while let Some(&(_, c)) = chars.peek() {
         if c == '\n' {
             line += 1;
             chars.next();
         } else if c.is_whitespace() {
             chars.next();
         } else if c.is_alphanumeric() || c == '_' {
-            let mut end = off;
             let mut word = String::new();
-            while let Some(&(o, ch)) = chars.peek() {
+            while let Some(&(_, ch)) = chars.peek() {
                 if ch.is_alphanumeric() || ch == '_' {
                     word.push(ch);
-                    end = o + ch.len_utf8();
                     chars.next();
                 } else {
                     break;
@@ -261,16 +182,12 @@ fn lex(code: &str) -> Vec<Spanned> {
             }
             out.push(Spanned {
                 tok: Tok::Ident(word),
-                off,
-                end,
                 line,
             });
         } else {
             chars.next();
             out.push(Spanned {
                 tok: Tok::Punct(c),
-                off,
-                end: off + c.len_utf8(),
                 line,
             });
         }
@@ -448,22 +365,9 @@ pub fn collect_items(src: &ScrubbedSource) -> FileItems {
                     if matches!(w.as_str(), "loop" | "while" | "for") {
                         pending_loop = true;
                     }
-                    // Inside a function body, classify call and taint sites.
+                    // Inside a function body, record call sites and locks.
                     if let Some(fn_idx) = innermost_fn(&scopes) {
                         let in_loop = in_loop_within_fn(&scopes, &loop_stack);
-                        match w.as_str() {
-                            "return" => items.fns[fn_idx].exits.push(ExitSite {
-                                kind: ExitKind::Return,
-                                line: t.line,
-                                order: i,
-                            }),
-                            "break" => items.fns[fn_idx].exits.push(ExitSite {
-                                kind: ExitKind::Break,
-                                line: t.line,
-                                order: i,
-                            }),
-                            _ => {}
-                        }
                         classify_body_token(&toks, i, fn_idx, in_loop, &mut items);
                         if let Some(g) = lock_acquisition(&toks, i, fn_idx, &scopes) {
                             guards.push(g);
@@ -495,9 +399,7 @@ pub fn collect_items(src: &ScrubbedSource) -> FileItems {
                             has_self,
                             is_test: src.is_test_line(line),
                             calls: Vec::new(),
-                            taints: Vec::new(),
                             locks: Vec::new(),
-                            exits: Vec::new(),
                         });
                         Scope::Fn(items.fns.len() - 1)
                     }
@@ -541,29 +443,6 @@ pub fn collect_items(src: &ScrubbedSource) -> FileItems {
                         close_guard(&mut items, g, i);
                     } else {
                         k += 1;
-                    }
-                }
-            }
-            Tok::Punct('?') => {
-                // The try operator is postfix: it hugs the expression it
-                // propagates from (`call()?`, `ident?`). `?Sized` bounds
-                // follow `:` / `<` / `+` and never an adjacent value
-                // token, so requiring one filters them out.
-                if let Some(fn_idx) = innermost_fn(&scopes) {
-                    if i > 0 {
-                        let prev = &toks[i - 1];
-                        let adjacent = prev.end == t.off;
-                        let value_tail = matches!(&prev.tok, Tok::Ident(w) if !KEYWORDS.contains(&w.as_str()))
-                            || prev.tok == Tok::Punct(')')
-                            || prev.tok == Tok::Punct(']')
-                            || prev.tok == Tok::Punct('}');
-                        if adjacent && value_tail {
-                            items.fns[fn_idx].exits.push(ExitSite {
-                                kind: ExitKind::Question,
-                                line: t.line,
-                                order: i,
-                            });
-                        }
                     }
                 }
             }
@@ -832,8 +711,8 @@ fn impl_type_name(toks: &[Spanned], from: usize) -> (String, usize) {
     (ty, j.saturating_sub(1))
 }
 
-/// Classify the ident at `i` inside a function body: call site or
-/// nondeterminism source.
+/// Record the ident at `i` inside a function body as a call site when it
+/// is one.
 fn classify_body_token(
     toks: &[Spanned],
     i: usize,
@@ -847,22 +726,6 @@ fn classify_body_token(
     };
     let next = toks.get(i + 1).map(|s| &s.tok);
     let prev = i.checked_sub(1).map(|p| &toks[p].tok);
-    let f = &mut items.fns[fn_idx];
-
-    // Nondeterminism sources that need no call syntax.
-    match word {
-        "OsRng" => f.taints.push(TaintSite {
-            kind: TaintKind::UnseededRng,
-            token: "OsRng".into(),
-            line,
-        }),
-        "HashMap" | "HashSet" => f.taints.push(TaintSite {
-            kind: TaintKind::HashOrder,
-            token: word.into(),
-            line,
-        }),
-        _ => {}
-    }
 
     // Call expression: `name(…)` (a macro's `name!(…)` is not one).
     if next != Some(&Tok::Punct('(')) || KEYWORDS.contains(&word) {
@@ -902,29 +765,6 @@ fn classify_body_token(
         }
     }
 
-    // Wall-clock sources are qualified calls: `Instant::now`, `SystemTime::now`.
-    if word == "now"
-        && matches!(
-            qual.last().map(String::as_str),
-            Some("Instant") | Some("SystemTime")
-        )
-    {
-        f.taints.push(TaintSite {
-            kind: TaintKind::WallClock,
-            token: format!("{}::now", qual.last().map(String::as_str).unwrap_or("")),
-            line,
-        });
-        return;
-    }
-    if word == "thread_rng" || word == "from_entropy" {
-        f.taints.push(TaintSite {
-            kind: TaintKind::UnseededRng,
-            token: word.into(),
-            line,
-        });
-        return;
-    }
-
     let empty_args = toks.get(i + 2).map(|s| &s.tok) == Some(&Tok::Punct(')'));
     let first_arg = match (
         toks.get(i + 2).map(|s| &s.tok),
@@ -946,7 +786,7 @@ fn classify_body_token(
     } else {
         None
     };
-    f.calls.push(CallSite {
+    items.fns[fn_idx].calls.push(CallSite {
         name: word.to_string(),
         qual,
         method: is_method_call,
@@ -1033,17 +873,6 @@ mod tests {
                 ("e", false)
             ]
         );
-    }
-
-    #[test]
-    fn taint_sites_collected() {
-        let items = collect(
-            "fn f() {\n    let t = std::time::Instant::now();\n    let r = rand::thread_rng();\n    let m: HashMap<u8, u8> = HashMap::new();\n    let _ = (t, r, m);\n}\n",
-        );
-        let kinds: Vec<TaintKind> = items.fns[0].taints.iter().map(|t| t.kind).collect();
-        assert!(kinds.contains(&TaintKind::WallClock));
-        assert!(kinds.contains(&TaintKind::UnseededRng));
-        assert!(kinds.contains(&TaintKind::HashOrder));
     }
 
     #[test]
@@ -1211,42 +1040,13 @@ mod tests {
     }
 
     #[test]
-    fn exit_sites_record_return_question_and_break() {
-        let items = collect(
-            "fn f(x: Option<u8>) -> io::Result<()> {\n    if x.is_none() {\n        return Ok(());\n    }\n    let fd = open()?;\n    loop {\n        if done() {\n            break;\n        }\n    }\n    close(fd);\n    Ok(())\n}\nfn bounds<T: ?Sized>(t: &T) {\n    let _ = t;\n}\n",
-        );
-        let kinds: Vec<ExitKind> = items.fns[0].exits.iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![ExitKind::Return, ExitKind::Question, ExitKind::Break],
-            "{:?}",
-            items.fns[0].exits
-        );
-        // Exit order interleaves with call order.
-        let open = items.fns[0]
-            .calls
-            .iter()
-            .find(|c| c.name == "open")
-            .unwrap();
-        let close = items.fns[0]
-            .calls
-            .iter()
-            .find(|c| c.name == "close")
-            .unwrap();
-        let q = &items.fns[0].exits[1];
-        assert!(open.order < q.order && q.order < close.order);
-        // `?Sized` in a bound is not a try operator.
-        assert!(items.fns[1].exits.is_empty(), "{:?}", items.fns[1].exits);
-    }
-
-    #[test]
     fn method_call_receivers_are_recorded() {
         let items = collect(
-            "fn f() {\n    poller.add(fd, interest, token);\n    self.queue_depth.fetch_add(1, Ordering::Relaxed);\n    make().detach();\n    free_call(1);\n}\n",
+            "fn f() {\n    queue.insert(token, conn);\n    self.backlog.push(1);\n    make().detach();\n    free_call(1);\n}\n",
         );
         let call = |n: &str| items.fns[0].calls.iter().find(|c| c.name == n).unwrap();
-        assert_eq!(call("add").recv.as_deref(), Some("poller"));
-        assert_eq!(call("fetch_add").recv.as_deref(), Some("queue_depth"));
+        assert_eq!(call("insert").recv.as_deref(), Some("queue"));
+        assert_eq!(call("push").recv.as_deref(), Some("backlog"));
         assert_eq!(call("detach").recv, None);
         assert_eq!(call("free_call").recv, None);
     }

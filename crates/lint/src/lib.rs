@@ -1,18 +1,18 @@
 //! `dynamips-lint` — a workspace invariant checker.
 //!
-//! The workspace keeps three guarantees: the analysis pipeline is
-//! panic-free with a 0/1/2 exit-code contract, the parallel engine is
-//! byte-identical to a single-threaded run because no artifact path reads
-//! wall-clock time, unseeded randomness, or unordered-map iteration
-//! order, and the whole workspace builds offline from vendored path
-//! dependencies. Panic-freedom and the per-file halves of the others
-//! belong to cargo and clippy (the `[workspace.lints]` table,
-//! `clippy.toml` and the panic lints on every crate root); this crate
-//! checks the whole-program rest: a comment/string/attribute-aware
-//! scrubber (no `syn` — the build is offline), the call-graph passes in
-//! [`analyses`], per-rule severities and justified
-//! `// lint:allow(<rule>): why` suppression pragmas, and text/JSON/SARIF
-//! reporters for CI.
+//! Most of the workspace's guarantees belong to rustc and clippy:
+//! panic-freedom and the 0/1/2 exit-code contract, byte-identical
+//! artifacts (no wall-clock read, stray thread or unordered map outside a
+//! reasoned `#[allow]`: `clippy.toml` and the `[workspace.lints]` table),
+//! offline builds, and balanced epoll registrations and gauges (the raw
+//! calls are private to the RAII guards that pair them). This crate
+//! checks the whole-program rest, which needs a call graph: unused `pub`
+//! surface, lock order, blocking calls under a lock or on a reactor path,
+//! condvar waits outside a loop, and unbounded growth on long-running
+//! paths. It is a comment/string/attribute-aware scrubber (no `syn` — the
+//! build is offline), the call-graph passes in [`analyses`], per-rule
+//! severities and justified `// lint:allow(<rule>): why` suppression
+//! pragmas, and text/JSON/SARIF reporters for CI.
 //!
 //! Which paths carry which invariants is declared in the checked-in
 //! `lint.toml` at the workspace root ([`config`]); the rule catalogue and

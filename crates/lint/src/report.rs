@@ -245,7 +245,7 @@ mod tests {
                 path: "crates/b/src/g.rs".into(),
                 line: 2,
                 end_line: 5,
-                rule: "determinism-taint".into(),
+                rule: "lock-order".into(),
                 severity: Severity::Warn,
                 message: "HashMap with \"quotes\" and\nnewline".into(),
             },

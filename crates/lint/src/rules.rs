@@ -2,12 +2,13 @@
 //! neither cargo nor clippy can check.
 //!
 //! The per-file guarantees belong to the toolchain: clippy lints set in
-//! `clippy.toml` and on the crate roots (no wall clock or stray threads
-//! outside their layers, panic-freedom in every crate a binary links, no
-//! printing libraries, the exit-code contract, slice indexing in ingest
-//! parsers, SAFETY comments, no unordered maps in the artifact-rendering
-//! modules), the workspace `[lints]` table (`unsafe_code`,
-//! `missing_docs`), and cargo's offline, locked dependency resolution.
+//! `clippy.toml` and on the crate roots (no wall clock, stray threads or
+//! unordered maps outside a reasoned `#[allow]`, panic-freedom in every
+//! crate a binary links, no printing libraries, the exit-code contract,
+//! slice indexing in ingest parsers, SAFETY comments), the workspace
+//! `[lints]` table (`unsafe_code`, `missing_docs`), rustc privacy (only
+//! the RAII guards can add or remove an epoll registration or move a
+//! serving gauge), and cargo's offline, locked dependency resolution.
 //! What stays here are the whole-program rules of [`crate::analyses`],
 //! which need the call graph, plus one meta rule: pragma hygiene
 //! ([`BARE_ALLOW`]).
@@ -43,16 +44,6 @@ pub const BARE_ALLOW: Rule = Rule {
     rationale: "A suppression is a reviewed exception; without a written reason it is just a \
                 disabled rule, and an unknown rule id means the pragma suppresses nothing.",
     example: "crates/core/src/stats.rs:91: lint:allow pragma without a justification",
-};
-
-/// Interprocedural: nondeterminism sources reachable from a renderer.
-pub const DETERMINISM_TAINT: Rule = Rule {
-    id: "determinism-taint",
-    default_severity: Severity::Deny,
-    summary: "wall-clock/RNG/hash-order source reachable from an artifact renderer (call-graph)",
-    rationale: "Byte-identical artifacts require every function upstream of a renderer to be \
-                deterministic, not just the renderer file itself.",
-    example: "crates/core/src/grid.rs:55: wall-clock source feeds artifact renderer: render_atlas ← … ← cell_stats",
 };
 
 /// Interprocedural: `pub` items no other crate ever references.
@@ -111,32 +102,6 @@ pub const CONDVAR_WAIT_LOOP: Rule = Rule {
     example: "crates/serve/src/server.rs:210: Condvar `wait` outside a loop; re-check the predicate in a loop",
 };
 
-/// Lifecycle: every acquire is released on every path out of a function.
-pub const RESOURCE_LEAK: Rule = Rule {
-    id: "resource-leak",
-    default_severity: Severity::Deny,
-    summary: "acquire reaches a function exit on some path without its paired release",
-    rationale: "Every epoll registration, timer arm, and lease is an acquire/release pair in a \
-                long-running daemon; an early return, `?`, or break that skips the release is a \
-                slow leak that only shows up days into a run. RAII guards (a release in a `drop` \
-                impl) discharge the obligation structurally.",
-    example: "crates/serve/src/reactor.rs:284: `add` acquired (Poller::add -> Poller::remove) but \
-              `return` on line 291 exits before the release on line 299",
-};
-
-/// Lifecycle: declared gauges have reachable, paired inc/dec movement.
-pub const GAUGE_BALANCE: Rule = Rule {
-    id: "gauge-balance",
-    default_severity: Severity::Deny,
-    summary: "declared gauge with unpaired inc/dec movement (or a raw atomic bypass)",
-    rationale: "A gauge that only ever moves one way reads as a leak or goes negative on the \
-                dashboard; every increment wrapper needs a reachable decrement wrapper, and raw \
-                fetch_add/fetch_sub outside the wrappers bypasses that audit. A decrement housed \
-                in a Drop impl (an RAII gauge guard) balances structurally.",
-    example: "crates/serve/src/metrics.rs:118: gauge `open_conns`: `conn_opened` is called in \
-              live code but `conn_closed` is never reached",
-};
-
 /// Lifecycle: collections on long-running paths stay bounded.
 pub const UNBOUNDED_GROWTH: Rule = Rule {
     id: "unbounded-growth",
@@ -150,31 +115,15 @@ pub const UNBOUNDED_GROWTH: Rule = Rule {
               (run_loop → accept_ready) with no shrink operation in reach",
 };
 
-/// Lifecycle: release order is sane along every path.
-pub const DROP_ORDER: Rule = Rule {
-    id: "drop-order",
-    default_severity: Severity::Deny,
-    summary: "release called twice, or release before any acquire, along a path",
-    rationale: "A double release corrupts whatever the handle indexes (epoll fds, slab slots), \
-                and a release that precedes its acquire signals swapped or copy-pasted cleanup \
-                code; both are cheap to reject statically.",
-    example: "crates/serve/src/reactor.rs:755: `remove` (release of Poller::add -> \
-              Poller::remove) called again on line 757 with no intervening acquire",
-};
-
 /// Every rule, for docs, pragma validation, and `--list-rules` output.
-pub const ALL_RULES: [Rule; 11] = [
+pub const ALL_RULES: [Rule; 7] = [
     BARE_ALLOW,
-    DETERMINISM_TAINT,
     DEAD_PUB,
     LOCK_ORDER,
     LOCK_ACROSS_BLOCKING,
     BLOCKING_IN_REACTOR,
     CONDVAR_WAIT_LOOP,
-    RESOURCE_LEAK,
-    GAUGE_BALANCE,
     UNBOUNDED_GROWTH,
-    DROP_ORDER,
 ];
 
 /// Look up a rule by id.
@@ -205,9 +154,9 @@ pub struct Finding {
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// 1-based last line of the finding's region — equal to `line` for
-    /// single-line findings; greater when a witnessing path spans lines
-    /// (e.g. a leak whose exit sits below its acquire).
+    /// 1-based last line of the finding's region. Every rule reports a
+    /// single site, so this equals `line`; the `dynamips-lint-v2` report
+    /// and the SARIF region carry it.
     pub end_line: usize,
     /// Rule id.
     pub rule: String,
@@ -323,7 +272,7 @@ mod tests {
     #[test]
     fn justified_pragmas_cover_their_target_line() {
         let cfg = Config::default();
-        let src = "// lint:allow(lock-order): checked above\n\nlet a = 1;\nlet b = 2; // lint:allow(dead-pub, drop-order): fine here\n";
+        let src = "// lint:allow(lock-order): checked above\n\nlet a = 1;\nlet b = 2; // lint:allow(dead-pub, lock-order): fine here\n";
         let (allows, findings) = run(src, &cfg);
         assert!(findings.is_empty(), "{findings:?}");
         assert_eq!(allows.len(), 2);
@@ -331,7 +280,7 @@ mod tests {
         assert!(allows[0].covers(2, "lock-order"));
         assert!(!allows[0].covers(2, "dead-pub"));
         // Trailing: its own line, every rule it names.
-        assert!(allows[1].covers(3, "dead-pub") && allows[1].covers(3, "drop-order"));
+        assert!(allows[1].covers(3, "dead-pub") && allows[1].covers(3, "lock-order"));
     }
 
     #[test]
@@ -344,8 +293,8 @@ mod tests {
             findings[0].message,
             "lint:allow pragma without a justification"
         );
-        // Unknown ids, including rules retired to clippy and cargo, are
-        // findings; the pragma covers only the known ids it names.
+        // Unknown ids, including rules retired to rustc, clippy and cargo,
+        // are findings; the pragma covers only the known ids it names.
         for id in [
             "no-such-rule",
             "panic-path",
@@ -354,6 +303,10 @@ mod tests {
             "hash-iter",
             "crate-root",
             "offline-deps",
+            "determinism-taint",
+            "resource-leak",
+            "drop-order",
+            "gauge-balance",
         ] {
             let (allows, findings) = run(
                 &format!("// lint:allow({id}): because\nfn f() {{}}\n"),

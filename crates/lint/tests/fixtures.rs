@@ -32,16 +32,12 @@ fn fixture_corpus_trips_every_rule() {
         *by_rule.entry(f.rule.as_str()).or_default() += 1;
     }
     let expected: &[(&str, usize)] = &[
-        ("bare-allow", 3),
+        ("bare-allow", 4),
         ("blocking-in-reactor", 1),
         ("condvar-wait-loop", 1),
         ("dead-pub", 1),
-        ("determinism-taint", 2),
-        ("drop-order", 2),
-        ("gauge-balance", 1),
         ("lock-across-blocking", 1),
         ("lock-order", 1),
-        ("resource-leak", 2),
         ("unbounded-growth", 1),
     ];
     let got: Vec<(&str, usize)> = by_rule.iter().map(|(k, v)| (*k, *v)).collect();
@@ -62,27 +58,25 @@ fn fixture_corpus_trips_every_rule() {
 
 /// The interprocedural findings report the shortest call chain from the
 /// root to the offending site — the acceptance scenario for the
-/// call-graph analyses. One chain runs through a fn whose signature takes
-/// `impl FnMut`, which the item collector must keep in the graph.
+/// call-graph analyses. The reactor chain runs through a fn whose
+/// signature takes `impl FnMut`, which the item collector must keep in
+/// the graph.
 #[test]
 fn fixture_chains_are_reported() {
     let findings = lint_fixtures();
-    let taint: Vec<&Finding> = findings
+    let reactor: Vec<&Finding> = findings
         .iter()
-        .filter(|f| f.rule == "determinism-taint")
+        .filter(|f| f.rule == "blocking-in-reactor")
         .collect();
-    assert_eq!(taint.len(), 2, "{taint:#?}");
-    for (finding, chain) in taint.iter().zip([
-        "render_rows → for_each_row → stamp_row",
-        "render_table → helper_mid → helper_src",
-    ]) {
-        assert_eq!(finding.path, "src/taint.rs");
-        assert!(
-            finding.message.contains(chain),
-            "chain {chain} missing: {}",
-            finding.message
-        );
-    }
+    assert_eq!(reactor.len(), 1, "{reactor:#?}");
+    assert_eq!(reactor[0].path, "src/locks.rs");
+    assert!(
+        reactor[0]
+            .message
+            .contains("reactor_loop → dispatch → backoff"),
+        "{}",
+        reactor[0].message
+    );
     let dead: Vec<&Finding> = findings.iter().filter(|f| f.rule == "dead-pub").collect();
     assert_eq!(dead.len(), 1, "{dead:#?}");
     assert!(
@@ -105,7 +99,7 @@ fn clean_fixtures_stay_clean() {
 
 /// The meta-test: the workspace itself, under the checked-in `lint.toml`,
 /// has zero deny-severity findings — exactly what CI enforces. Any
-/// regression — a wall-clock read behind a renderer, a lock-order cycle,
+/// regression — a lock-order cycle, a blocking call on a reactor path,
 /// an unjustified pragma — fails this test.
 #[test]
 fn workspace_is_lint_clean() {

@@ -1,6 +1,6 @@
 //! Fixture: pragma misuse. A pragma without a justification, one naming
-//! an unknown rule and one naming a retired rule are themselves findings,
-//! and none suppresses anything. Expected: bare-allow x3.
+//! an unknown rule and two naming retired rules are themselves findings,
+//! and none suppresses anything. Expected: bare-allow x4.
 
 pub fn f(o: Option<u32>) -> u32 {
     // lint:allow(dead-pub)
@@ -12,3 +12,6 @@ pub fn g() {}
 
 // lint:allow(hash-iter): retired to clippy's disallowed_types
 pub fn h() {}
+
+// lint:allow(determinism-taint): retired to clippy's disallowed_types
+pub fn k() {}

@@ -45,17 +45,24 @@ pub fn flush_under_lock(s: &Shared, stream: &mut TcpStream) {
     let _ = stream.write_all(b"x");
 }
 
-// This corpus's event loop: `dispatch` hides a sleep one call away.
-pub fn reactor_loop(s: &Shared) {
+// This corpus's event loop: `dispatch` hides a sleep two calls away.
+// It takes `impl FnMut`, which the collector must not mistake for an
+// impl block and drop from the graph.
+pub fn reactor_loop() {
     loop {
         poll_once();
-        dispatch(s);
+        dispatch(|_| ());
     }
 }
 
 fn poll_once() {}
 
-fn dispatch(_s: &Shared) {
+fn dispatch(mut on_event: impl FnMut(u32)) {
+    on_event(1);
+    backoff();
+}
+
+fn backoff() {
     std::thread::sleep(std::time::Duration::from_millis(1));
 }
 

@@ -1,15 +1,14 @@
 //! Fixture: justified pragmas suppress findings, both standalone (covers
-//! the next code line) and trailing (covers its own line). The sink
-//! `render_lookup` in src/taint.rs reaches both functions, so each
-//! unordered-map mention would otherwise be a determinism-taint finding.
+//! the next code line) and trailing (covers its own line). lint.toml
+//! audits this file for dead pub items, and nothing references either
+//! function, so each would otherwise be a dead-pub finding.
 //! Expected: clean.
 
+// lint:allow(dead-pub): the corpus's public entry point, kept for callers outside it
 pub fn lookup(key: u32) -> Option<u32> {
-    // lint:allow(determinism-taint): keyed lookups only, never iterated into output
-    let m: std::collections::HashMap<u32, u32> = Default::default();
-    m.get(&key).copied()
+    key.checked_sub(1)
 }
 
-pub fn distinct(keys: &[u32]) -> usize {
-    keys.iter().collect::<std::collections::HashSet<_>>().len() // lint:allow(determinism-taint): only the count leaves
+pub fn distinct(keys: &[u32]) -> usize { // lint:allow(dead-pub): only the count leaves
+    keys.len()
 }

@@ -1,31 +1,33 @@
-//! Fixture: look-alikes that must NOT fire (false-positive guards). The
-//! sink `render_lookup` in src/taint.rs reaches this file, where a
-//! `HashMap` mention in code would be hash-order taint.
+//! Fixture: look-alikes that must NOT fire (false-positive guards). Were
+//! strings, comments or test code read as code, the condvar waits and
+//! the sleep below would trip condvar-wait-loop and
+//! lock-across-blocking.
 //! Expected: clean.
 
-/// Banned tokens inside strings are data, not code.
+/// Calls inside strings are data, not code.
 pub fn describe() -> &'static str {
-    "never iterate a HashMap or HashSet when rendering"
+    "let g = m.lock().unwrap(); cv.wait(g); std::thread::sleep(d);"
 }
 
 /// Raw-string bodies are not code either.
 pub fn raw() -> &'static str {
-    r#"HashMap<u8, u8> and fields[0]"#
+    r#"cv.wait(guard) and fields[0]"#
 }
 
-/// Identifiers that merely contain the token are other names, and `'a'`
-/// here is a char literal, not a lifetime that would derail the scrubber.
-pub struct MyHashMap(char);
-
-pub fn lookalikes(o: Option<char>) -> MyHashMap {
-    MyHashMap(o.unwrap_or('a'))
+/// `'a'` here is a char literal, not a lifetime that would derail the
+/// scrubber, and the comment is prose.
+pub fn lookalikes(o: Option<char>) -> char {
+    // cv.wait(guard) outside a loop, in a comment
+    o.unwrap_or('a')
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn tests_may_use_unordered_maps() {
-        let m: std::collections::HashMap<u8, u8> = Default::default();
-        assert!(m.is_empty());
+    fn tests_may_wait_without_a_loop() {
+        let m = std::sync::Mutex::new(false);
+        let cv = std::sync::Condvar::new();
+        let g = m.lock().unwrap();
+        let _ = cv.wait_timeout(g, std::time::Duration::from_millis(1));
     }
 }

@@ -1,12 +1,12 @@
 //! Meta-tests: fault injection through `lint_workspace_with_overrides`.
 //!
 //! Each test replaces one real workspace file *in memory* with a version
-//! carrying a defect only the interprocedural analyses can see — a
-//! wall-clock read two calls behind a renderer, a lock inversion split
-//! across a call boundary — and asserts the lint run under the real
-//! checked-in `lint.toml` reports it with the full call chain. This is
-//! the regression harness for the analyses themselves: if conservative
-//! call resolution ever loses an edge, these chains disappear.
+//! carrying a defect only the interprocedural analyses can see — a lock
+//! inversion split across a call boundary, a guard held across a socket
+//! write — and asserts the lint run under the real checked-in `lint.toml`
+//! reports it. This is the regression harness for the analyses
+//! themselves: if conservative call resolution ever loses an edge, these
+//! findings disappear.
 
 use dynamips_lint::engine::{find_root, lint_workspace_with_overrides};
 use dynamips_lint::Config;
@@ -19,45 +19,6 @@ fn workspace_root() -> PathBuf {
 fn workspace_config(root: &std::path::Path) -> Config {
     let text = std::fs::read_to_string(root.join("lint.toml")).expect("read lint.toml");
     Config::parse(&text).expect("parse lint.toml")
-}
-
-#[test]
-fn injected_wall_clock_two_calls_from_a_renderer_is_tainted() {
-    let root = workspace_root();
-    let cfg = workspace_config(&root);
-
-    // crates/core/src/report.rs is a declared determinism sink. Append a
-    // renderer whose helper's helper reads the wall clock: the taint must
-    // travel both call edges back to the pub entry point.
-    let sink = "crates/core/src/report.rs";
-    let mut patched = std::fs::read_to_string(root.join(sink)).expect("read sink file");
-    patched.push_str(concat!(
-        "\npub fn injected_render() -> String {\n",
-        "    injected_fmt()\n",
-        "}\n",
-        "\nfn injected_fmt() -> String {\n",
-        "    injected_stamp()\n",
-        "}\n",
-        "\nfn injected_stamp() -> String {\n",
-        "    let t = std::time::Instant::now();\n",
-        "    format!(\"{:?}\", t.elapsed())\n",
-        "}\n",
-    ));
-
-    let findings = lint_workspace_with_overrides(&root, &cfg, &[(sink.to_string(), patched)])
-        .expect("lint run");
-    assert!(
-        findings.iter().any(|f| {
-            f.rule == "determinism-taint"
-                && f.message
-                    .contains("injected_render → injected_fmt → injected_stamp")
-        }),
-        "determinism taint missed the injected wall-clock read; taint findings: {:#?}",
-        findings
-            .iter()
-            .filter(|f| f.rule == "determinism-taint")
-            .collect::<Vec<_>>()
-    );
 }
 
 #[test]
@@ -165,79 +126,6 @@ fn injected_unlooped_condvar_wait_is_caught() {
         findings
             .iter()
             .filter(|f| f.rule == "condvar-wait-loop")
-            .collect::<Vec<_>>()
-    );
-}
-
-#[test]
-fn injected_leaked_epoll_registration_is_caught() {
-    let root = workspace_root();
-    let cfg = workspace_config(&root);
-
-    // The workspace declares `Poller::add -> Poller::remove` as a
-    // lifecycle pair. Splice a helper into the reactor that bails out
-    // between the add and the remove: the path-sensitive leak check must
-    // flag the early return. (The component check alone would not — the
-    // `Registration` guard's Drop releases this pair workspace-wide.)
-    let target = "crates/serve/src/reactor.rs";
-    let mut patched = std::fs::read_to_string(root.join(target)).expect("read reactor.rs");
-    patched.push_str(concat!(
-        "\nfn injected_watch_briefly(poller: &Poller, fd: i32, bail: bool) -> io::Result<()> {\n",
-        "    poller.add(fd, Interest::READ, 99)?;\n",
-        "    if bail {\n",
-        "        return Ok(());\n",
-        "    }\n",
-        "    poller.remove(fd)\n",
-        "}\n",
-    ));
-
-    let findings = lint_workspace_with_overrides(&root, &cfg, &[(target.to_string(), patched)])
-        .expect("lint run");
-    assert!(
-        findings.iter().any(|f| {
-            f.rule == "resource-leak"
-                && f.path == target
-                && f.message.contains("injected_watch_briefly")
-                && f.message.contains("return")
-        }),
-        "resource-leak missed the injected leaked registration; findings: {:#?}",
-        findings
-            .iter()
-            .filter(|f| f.rule == "resource-leak")
-            .collect::<Vec<_>>()
-    );
-}
-
-#[test]
-fn injected_raw_gauge_bump_outside_wrappers_is_caught() {
-    let root = workspace_root();
-    let cfg = workspace_config(&root);
-
-    // `queue_depth` is a declared gauge: raw atomic bumps are sanctioned
-    // only inside `queue_enter`/`queue_leave`. An unpaired fetch_add
-    // anywhere else must surface even though the wrappers themselves
-    // stay balanced.
-    let target = "crates/serve/src/metrics.rs";
-    let mut patched = std::fs::read_to_string(root.join(target)).expect("read metrics.rs");
-    patched.push_str(concat!(
-        "\nfn injected_orphan_enter(m: &Metrics) {\n",
-        "    m.queue_depth.fetch_add(1, Ordering::Relaxed);\n",
-        "}\n",
-    ));
-
-    let findings = lint_workspace_with_overrides(&root, &cfg, &[(target.to_string(), patched)])
-        .expect("lint run");
-    assert!(
-        findings.iter().any(|f| {
-            f.rule == "gauge-balance"
-                && f.path == target
-                && f.message.contains("injected_orphan_enter")
-                && f.message.contains("queue_depth")
-        }),
-        "gauge-balance missed the injected raw bump; findings: {:#?}",
-        findings
-            .iter()
-            .filter(|f| f.rule == "gauge-balance")
             .collect::<Vec<_>>()
     );
 }

@@ -61,7 +61,7 @@ fn roundtrip_survives_awkward_paths_and_messages() {
         finding(
             "crates\\win\\style.rs",
             7,
-            "determinism-taint",
+            "lock-order",
             Severity::Warn,
             "back\\slash, a\nnewline, and a\ttab",
         ),
@@ -113,11 +113,11 @@ fn golden_file_pins_the_v2_document() {
             "Instant::now() in an artifact path",
         ),
         finding(
-            "crates/atlas/src/records.rs",
+            "crates/serve/src/reactor.rs",
             8,
-            "determinism-taint",
+            "unbounded-growth",
             Severity::Warn,
-            "HashMap (hash-order) reachable from artifact renderer: table1 → load",
+            "`push` grows `pending` on a long-running path with no reachable cap or eviction: run_loop → accept_ready",
         ),
     ];
     // The first finding spans a region (v2's end_line), the second is a

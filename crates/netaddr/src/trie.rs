@@ -6,7 +6,7 @@
 //!
 //! The implementation is a plain (uncompressed) binary trie: one node per
 //! key bit. Simplicity and robustness are preferred over path compression;
-//! the `ablation_lpm` bench quantifies the cost against a linear scan.
+//! its cost shows inside perfbench's `batch-all` world and observe stages.
 
 use crate::v4::Ipv4Prefix;
 use crate::v6::Ipv6Prefix;

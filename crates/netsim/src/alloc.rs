@@ -16,6 +16,10 @@
 //!   1-week / 2-week periodic patterns of DTAG, Orange and BT.
 
 use rand::Rng;
+#[allow(
+    clippy::disallowed_types,
+    reason = "keyed get/insert/remove only; never iterated"
+)]
 use std::collections::HashMap;
 
 /// Tracks which indices of a pool of `capacity` elements are in use, and
@@ -27,6 +31,10 @@ pub(crate) struct IndexAllocator {
     used: u64,
     /// Last known binding per client id, consulted only by
     /// [`IndexAllocator::acquire_sticky`].
+    #[allow(
+        clippy::disallowed_types,
+        reason = "keyed get/insert/remove only; never iterated"
+    )]
     bindings: HashMap<u64, u64>,
     cursor: u64,
 }
@@ -43,7 +51,10 @@ impl IndexAllocator {
             capacity,
             in_use: vec![false; dense as usize],
             used: 0,
-            // lint:allow(determinism-taint): get/insert/remove only; never iterated
+            #[allow(
+                clippy::disallowed_types,
+                reason = "keyed get/insert/remove only; never iterated"
+            )]
             bindings: HashMap::new(),
             cursor: 0,
         }

@@ -1783,6 +1783,7 @@ mod tests {
 
     #[test]
     fn probe_counts_match_table_1() {
+        #[allow(clippy::disallowed_types, reason = "test: keyed lookups only")]
         let counts: std::collections::HashMap<_, _> = ATLAS_PROBE_COUNTS.iter().cloned().collect();
         assert_eq!(counts["DTAG"], 589);
         assert_eq!(counts["Netcologne"], 43);

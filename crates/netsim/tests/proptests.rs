@@ -189,6 +189,7 @@ proptest! {
         if !cgnat {
             for probe_hour in [window.hours() / 4, window.hours() / 2] {
                 let t = SimTime(window.start.hours() + probe_hour);
+                #[allow(clippy::disallowed_types, reason = "test: membership test only")]
                 let mut held = std::collections::HashSet::new();
                 for tl in &result.timelines {
                     if let Some(seg) = tl.v4_at(t) {

@@ -161,6 +161,7 @@ fn uncoupled_periodic_families_change_independently() {
     let mut cooccur = 0usize;
     let mut total = 0usize;
     for tl in &res.timelines {
+        #[allow(clippy::disallowed_types, reason = "test: cardinality only")]
         let v6_starts: std::collections::HashSet<_> =
             tl.v6.iter().skip(1).map(|s| s.start).collect();
         for seg in tl.v4.iter().skip(1) {
@@ -270,6 +271,7 @@ fn delegations_stay_within_home_region_when_p_stay_is_one() {
     let res = simulate(cfg, window_days(90), 8);
     let regions = &res.ground_truth.regions;
     for tl in &res.timelines {
+        #[allow(clippy::disallowed_types, reason = "test: cardinality only")]
         let homes: std::collections::HashSet<_> = tl
             .v6
             .iter()
@@ -369,6 +371,10 @@ fn cgnat_subscribers_share_public_addresses() {
     )];
     let res = simulate(cfg, window_days(60), 11);
     // 300 subscribers behind 64 public addresses: sharing is inevitable.
+    #[allow(
+        clippy::disallowed_types,
+        reason = "test: membership test and cardinality only"
+    )]
     let mut addrs = std::collections::HashSet::new();
     let mut sessions = 0usize;
     for tl in &res.timelines {

@@ -98,23 +98,26 @@ impl Metrics {
         self.status.iter().map(|s| s.load(Ordering::Relaxed)).sum()
     }
 
-    /// A connection entered the queue.
-    pub fn queue_enter(&self) {
+    /// A connection entered the queue. Only [`GaugeGuard`] calls this.
+    fn queue_enter(&self) {
         self.queue_depth.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A worker pulled a connection off the queue.
-    pub fn queue_leave(&self) {
+    /// A worker pulled a connection off the queue. Only [`GaugeGuard`]
+    /// calls this.
+    fn queue_leave(&self) {
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// A connection was accepted (open-connection gauge up).
-    pub fn conn_opened(&self) {
+    /// A connection was accepted (open-connection gauge up). Only
+    /// [`GaugeGuard`] calls this.
+    fn conn_opened(&self) {
         self.open_conns.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A connection finished or was rejected (gauge down).
-    pub fn conn_closed(&self) {
+    /// A connection finished or was rejected (gauge down). Only
+    /// [`GaugeGuard`] calls this.
+    fn conn_closed(&self) {
         self.open_conns.fetch_sub(1, Ordering::Relaxed);
     }
 
@@ -339,9 +342,9 @@ enum Gauge {
 /// RAII balance for a gauge: the increment happens at construction and
 /// the matching decrement in `Drop`, so no path — early return, error
 /// arm, orphaned queue entry, unwinding worker — can leave the gauge
-/// permanently high. This is the `[lifecycle] gauges` escape hatch made
-/// concrete: the decrement lives in a `Drop` impl instead of manual
-/// bookkeeping at every exit.
+/// permanently high. The four gauge methods are private to this module,
+/// so rustc rejects any other code that tries to move a gauge without a
+/// guard.
 #[derive(Debug)]
 pub struct GaugeGuard {
     /// The registry the balanced gauge lives in.

@@ -155,18 +155,21 @@ impl Poller {
         Ok(())
     }
 
-    /// Register `fd` under `token` with the given initial interest.
-    pub fn add(&self, fd: RawFd, interest: Interest, token: u64) -> io::Result<()> {
+    /// Register `fd` under `token` with the given initial interest. Only
+    /// [`Registration::register`] calls this.
+    fn add(&self, fd: RawFd, interest: Interest, token: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, interest, token)
     }
 
-    /// Change the interest set of an already-registered `fd`.
-    pub fn modify(&self, fd: RawFd, interest: Interest, token: u64) -> io::Result<()> {
+    /// Change the interest set of an already-registered `fd`. Only
+    /// [`Registration::set_interest`] calls this.
+    fn modify(&self, fd: RawFd, interest: Interest, token: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, interest, token)
     }
 
-    /// Deregister `fd`.
-    pub fn remove(&self, fd: RawFd) -> io::Result<()> {
+    /// Deregister `fd`. Only the [`Registration`] guard's `Drop` calls
+    /// this.
+    fn remove(&self, fd: RawFd) -> io::Result<()> {
         self.ctl(EPOLL_CTL_DEL, fd, Interest::NONE, 0)
     }
 
@@ -217,9 +220,9 @@ impl Drop for Poller {
 
 /// An owned registration of one fd with a [`Poller`]: the interest-table
 /// add happens at construction and the matching delete in `Drop`, so no
-/// early return or error path can leave a dead fd registered. This is
-/// the `[lifecycle] pairs` contract (`Poller::add -> Poller::remove`)
-/// made structural instead of bookkept by hand.
+/// early return or error path can leave a dead fd registered. The raw
+/// `add`/`modify`/`remove` are private to this module, so rustc rejects
+/// any other code that tries to move a registration behind the guard.
 pub struct Registration {
     /// The poller holding the registration (kept alive by the guard).
     poller: Arc<Poller>,

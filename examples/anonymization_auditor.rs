@@ -15,6 +15,10 @@
 use dynamips::netsim::profiles::{dtag, kabel_de, netcologne, orange, Era};
 use dynamips::netsim::time::{SimTime, Window};
 use dynamips::netsim::World;
+#[allow(
+    clippy::disallowed_types,
+    reason = "only bucket sizes leave, sorted below"
+)]
 use std::collections::HashMap;
 
 fn main() {
@@ -49,6 +53,10 @@ fn main() {
         for len in candidate_lens {
             // Count subscribers per truncated prefix, over every /64 each
             // subscriber was delegated during the window.
+            #[allow(
+                clippy::disallowed_types,
+                reason = "only bucket sizes leave, sorted below"
+            )]
             let mut subs_per_prefix: HashMap<u128, std::collections::HashSet<u32>> = HashMap::new();
             for tl in &result.timelines {
                 for seg in &tl.v6 {
